@@ -1,7 +1,8 @@
 """Command-line entry point: every operation as a subcommand with JSON I/O.
 
 Exit codes: 0 success/pass, 1 checked failure (a verification answered
-"no"), 2 usage or malformed input, 3 cap or search budget exhausted.
+"no"), 2 usage or malformed input, 3 cap or search budget exhausted,
+4 internal fault (InternalInvariantError or any unexpected exception).
 Reports carry the command, sha256 digests of input files, all parameters,
 and any seed, so a report alone suffices to re-run the command. Timing is
 the only non-reproducible field.
@@ -18,14 +19,12 @@ from fractions import Fraction
 
 from . import derand, generators, local_goodness, moser_tardos, witness
 from .csp import csp_stats, dump_problem, lll_condition, load_problem, prob_bad
-from .csp import build_dependency_graph
 from .errors import (
     CapExceededError,
     DepthExceededError,
     HypothesisError,
     InvalidInputError,
     InvalidParameterError,
-    LllToolError,
     MissingVariableError,
     ScriptError,
     SearchBudgetError,
@@ -49,6 +48,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_SEED = 20140613
 
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate(args, inputs: _Inputs) -> int:
+def _cmd_generate(args, inputs: _Inputs, started: float) -> int:
     if args.kind == "hyp2color":
         hyp = generators.hypergraph_from_obj(inputs.json(args.graph))
         csp = generators.hypergraph_2coloring(hyp)
@@ -335,7 +335,9 @@ def _cmd_consistency(args, inputs: _Inputs, started: float) -> int:
 
 def _cmd_witness(args, inputs: _Inputs, started: float) -> int:
     csp = inputs.problem(args.problem)
-    params = {"problem": args.problem, "max_vertices": args.max_vertices}
+    params = {"problem": args.problem, "max_vertices": args.max_vertices,
+              "cap": args.cap, "sink": args.sink, "script": args.script,
+              "witness": args.witness}
     if args.script is not None:
         seq = _sequence_from_file(inputs, args.script)
         g = witness.full_witness_digraph(seq, csp)
@@ -364,7 +366,8 @@ def _cmd_verify_mt1(args, inputs: _Inputs, started: float) -> int:
             g, csp, args.trials, args.seed, args.depth
         )
     params = {"problem": args.problem, "witness": args.witness,
-              "mode": args.mode, "depth": args.depth, "trials": args.trials}
+              "mode": args.mode, "depth": args.depth, "trials": args.trials,
+              "cap": args.cap}
     _emit(_report("verify-mt1", inputs, params, results, started, args.seed))
     return EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
 
@@ -378,7 +381,8 @@ def _cmd_verify_mt2(args, inputs: _Inputs, started: float) -> int:
         args.max_vertices, args.cap,
     )
     params = {"problem": args.problem, "c": args.c, "alpha": args.alpha,
-              "beta": args.beta, "max_vertices": args.max_vertices}
+              "beta": args.beta, "max_vertices": args.max_vertices,
+              "cap": args.cap}
     _emit(_report("verify-mt2", inputs, params, results, started))
     return EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
 
@@ -427,7 +431,8 @@ def _serialize_ledger(entries: list) -> list:
     return out
 
 
-def _run_pipeline(args, inputs: _Inputs, started: float, command: str) -> int:
+def _cmd_pipeline(args, inputs: _Inputs, started: float) -> int:
+    """`pipeline`, and `solve --method pipeline`, which has no --budget."""
     csp = inputs.problem(args.problem)
     params = derand.params_from_json(inputs.json(args.params))
     mode = "deterministic" if args.mode == "det" else "randomized"
@@ -435,7 +440,9 @@ def _run_pipeline(args, inputs: _Inputs, started: float, command: str) -> int:
     results = derand.pipeline(csp, params, mode, args.seed, args.trials, budget)
     flag_params = {"problem": args.problem, "params": args.params,
                    "mode": args.mode, "trials": args.trials}
-    _emit(_report(command, inputs, flag_params, results, started, args.seed))
+    if args.command == "pipeline":
+        flag_params["budget"] = budget
+    _emit(_report(args.command, inputs, flag_params, results, started, args.seed))
     if results["status"] == "solved":
         return EXIT_OK
     if results["status"] == "infeasible":
@@ -447,7 +454,7 @@ def _cmd_solve(args, inputs: _Inputs, started: float) -> int:
     if args.method == "pipeline":
         if args.params is None:
             raise InvalidParameterError("--method pipeline requires --params")
-        return _run_pipeline(args, inputs, started, "solve")
+        return _cmd_pipeline(args, inputs, started)
     csp = inputs.problem(args.problem)
     ledger: list | None = [] if args.ledger else None
     labeling = derand.solve_double_exp(csp, ledger)
@@ -464,7 +471,7 @@ def _cmd_solve(args, inputs: _Inputs, started: float) -> int:
 
 def _cmd_advisor(args, inputs: _Inputs, started: float) -> int:
     csp = inputs.problem(args.problem)
-    dep = build_dependency_graph(csp)
+    dep = csp.dependency_graph
     p = max((prob_bad(csp, c.id) for c in csp.constraints), default=Fraction(0))
     profile = growth_profile(dep, args.r_max)
     params, report = derand.parameter_advisor(
@@ -478,39 +485,30 @@ def _cmd_advisor(args, inputs: _Inputs, started: float) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "generate": _cmd_generate,
+    "stats": _cmd_stats,
+    "growth": _cmd_growth,
+    "mta": _cmd_mta,
+    "consistency": _cmd_consistency,
+    "witness": _cmd_witness,
+    "verify-mt1": _cmd_verify_mt1,
+    "verify-mt2": _cmd_verify_mt2,
+    "locally-good": _cmd_locally_good,
+    "lbad": _cmd_lbad,
+    "solve": _cmd_solve,
+    "advisor": _cmd_advisor,
+    "pipeline": _cmd_pipeline,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     inputs = _Inputs()
     started = time.perf_counter()
     try:
-        if args.command == "generate":
-            return _cmd_generate(args, inputs)
-        if args.command == "stats":
-            return _cmd_stats(args, inputs, started)
-        if args.command == "growth":
-            return _cmd_growth(args, inputs, started)
-        if args.command == "mta":
-            return _cmd_mta(args, inputs, started)
-        if args.command == "consistency":
-            return _cmd_consistency(args, inputs, started)
-        if args.command == "witness":
-            return _cmd_witness(args, inputs, started)
-        if args.command == "verify-mt1":
-            return _cmd_verify_mt1(args, inputs, started)
-        if args.command == "verify-mt2":
-            return _cmd_verify_mt2(args, inputs, started)
-        if args.command == "locally-good":
-            return _cmd_locally_good(args, inputs, started)
-        if args.command == "lbad":
-            return _cmd_lbad(args, inputs, started)
-        if args.command == "solve":
-            return _cmd_solve(args, inputs, started)
-        if args.command == "advisor":
-            return _cmd_advisor(args, inputs, started)
-        if args.command == "pipeline":
-            return _run_pipeline(args, inputs, started, "pipeline")
-        raise InvalidParameterError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, inputs, started)
     except (CapExceededError, SearchBudgetError) as exc:
         print(f"llltool: budget: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -526,9 +524,11 @@ def main(argv=None) -> int:
     except (HypothesisError, UnsatisfiableConstraintError) as exc:
         print(f"llltool: check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except LllToolError as exc:
-        print(f"llltool: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    except Exception as exc:
+        # InternalInvariantError, a bare LllToolError, or any other bug.
+        print(f"llltool: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -100,6 +100,15 @@ class Csp:
     label_count: int
     weights: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
+    # Dependency index, built on first use. Not a functools.cached_property:
+    # writing the instance __dict__ materialises it, which slows every later
+    # attribute load on the problem.
+    _dependency_graph: FiniteGraph | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _closed_neighborhoods: tuple[frozenset[int], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if list(self.variables) != sorted(set(self.variables)):
@@ -136,8 +145,26 @@ class Csp:
             raise InvalidParameterError(f"no constraint with id {cid}")
         return self.constraints[cid]
 
-    def labels(self) -> range:
-        return range(self.label_count)
+    @property
+    def dependency_graph(self) -> FiniteGraph:
+        """The dependency graph, built once per problem."""
+        dep = self._dependency_graph
+        if dep is None:
+            dep = build_dependency_graph(self)
+            object.__setattr__(self, "_dependency_graph", dep)
+        return dep
+
+    @property
+    def closed_neighborhoods(self) -> tuple[frozenset[int], ...]:
+        """Each constraint id with its dependency neighbors, indexed by id."""
+        closed = self._closed_neighborhoods
+        if closed is None:
+            closed = tuple(
+                frozenset(nbrs).union((cid,))
+                for cid, nbrs in enumerate(self.dependency_graph.adjacency)
+            )
+            object.__setattr__(self, "_closed_neighborhoods", closed)
+        return closed
 
 
 def uniform_weights(k: int) -> tuple[Fraction, ...]:
@@ -218,10 +245,6 @@ def build_dependency_graph(csp: Csp) -> FiniteGraph:
     return FiniteGraph(m, tuple(tuple(sorted(s)) for s in nbrs))
 
 
-def closed_neighborhood(dep: FiniteGraph, cid: int) -> frozenset[int]:
-    return frozenset(dep.adjacency[cid]) | {cid}
-
-
 @dataclass(frozen=True)
 class CspStats:
     order: int
@@ -246,9 +269,8 @@ def csp_stats(csp: Csp) -> CspStats:
         for v in c.domain:
             counts[v] = counts.get(v, 0) + 1
     vdeg = max(counts.values(), default=0)
-    dep = build_dependency_graph(csp)
     p_max = max((prob_bad(csp, c.id) for c in csp.constraints), default=Fraction(0))
-    return CspStats(order, vdeg, dep.max_degree(), p_max)
+    return CspStats(order, vdeg, csp.dependency_graph.max_degree(), p_max)
 
 
 @dataclass(frozen=True)
@@ -334,8 +356,9 @@ def quotient_csp(csp: Csp, f: Mapping[int, int]) -> QuotientCsp:
     A reduced row is bad exactly when f joined with it is bad in the base
     problem; a fully-fixed constraint keeps the empty row iff f violates it.
     """
+    variables = set(csp.variables)
     for v, lab in f.items():
-        if v not in set(csp.variables):
+        if v not in variables:
             raise InvalidInputError(f"fixed variable {v} not in problem")
         if not 0 <= lab < csp.label_count:
             raise InvalidInputError(f"fixed label {lab} out of range")

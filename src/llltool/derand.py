@@ -18,8 +18,6 @@ from .csp import (
     Csp,
     QuotientCsp,
     assignment_rows,
-    build_dependency_graph,
-    closed_neighborhood,
     is_solution,
     lll_condition,
     materialize_cap_default,
@@ -56,8 +54,7 @@ def solve_edgeless(csp: Csp) -> dict[int, int]:
     UnsatisfiableConstraintError when some bad set is everything, and
     InvalidParameterError if the dependency graph has an edge.
     """
-    dep = build_dependency_graph(csp)
-    if dep.max_degree() > 0:
+    if csp.dependency_graph.max_degree() > 0:
         raise InvalidParameterError("dependency graph must be edgeless")
     labeling = {v: 0 for v in csp.variables}
     for c in csp.constraints:
@@ -73,11 +70,11 @@ def solve_edgeless(csp: Csp) -> dict[int, int]:
 
 
 def _square_independent(csp: Csp, ids) -> bool:
-    dep = build_dependency_graph(csp)
-    square = power_graph(dep, 2)
+    """No two distinct ids within distance 2, i.e. closed neighborhoods disjoint."""
+    closed = csp.closed_neighborhoods
     ids = list(ids)
     return all(
-        b not in square.adjacency[a] for a in ids for b in ids if a != b
+        closed[a].isdisjoint(closed[b]) for a in ids for b in ids if a != b
     )
 
 
@@ -97,12 +94,11 @@ def induction_step(
     if not _square_independent(base, color_class):
         raise InvalidParameterError("class is not square-independent")
     cap = materialize_cap_default() if cap is None else cap
-    dep = build_dependency_graph(base)
-    d = dep.max_degree()
+    d = base.dependency_graph.max_degree()
     merged: dict[int, int] = {}
     for cid in sorted(color_class):
         reduced = q.csp.constraint(cid).domain
-        targets = sorted(closed_neighborhood(dep, cid))
+        targets = sorted(base.closed_neighborhoods[cid])
         current = {a: prob_bad(q.csp, a, cap) for a in targets}
         chosen = None
         for row in assignment_rows(base.label_count, len(reduced)):
@@ -131,7 +127,7 @@ def solve_double_exp(
     (d+1)^k times its starting mass, k counting the classes whose closed
     neighborhood reached it so far.
     """
-    dep = build_dependency_graph(csp)
+    dep = csp.dependency_graph
     d = dep.max_degree()
     p = max((prob_bad(csp, c.id, cap) for c in csp.constraints), default=Fraction(0))
     if not lll_condition(p, d, "double_exp").holds:
@@ -154,7 +150,7 @@ def solve_double_exp(
         q = quotient_csp(csp, fixed)
         reached = set()
         for cid in members:
-            reached.update(closed_neighborhood(dep, cid))
+            reached.update(csp.closed_neighborhoods[cid])
         for a in sorted(reached):
             touched[a] += 1
         if ledger is not None:

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: invalid input/parameters -> 2,
 cap/budget exhaustion -> 3, checked verification failures -> 1 (those are
 not exceptions but report fields). InternalInvariantError signals a bug in
-this package, never a user error.
+this package, never a user error; it, a bare LllToolError and any other
+unexpected exception -> 4.
 """
 
 

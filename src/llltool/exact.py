@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import InternalInvariantError, InvalidParameterError
 
-Rational = Fraction
-
 
 def parse_rational(value) -> Fraction:
     """Parse "a/b", "a", int, or Fraction into an exact Fraction."""

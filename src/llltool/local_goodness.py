@@ -28,7 +28,6 @@ from .csp import (
     BadPredicate,
     Constraint,
     Csp,
-    build_dependency_graph,
     materialize_cap_default,
     prob_bad,
 )
@@ -84,8 +83,7 @@ class FolnerSearchState:
 
 def local_csp(csp: Csp, c: int, r: int) -> Csp:
     """Replace bad sets outside the radius-r ball around c with everything."""
-    dep = build_dependency_graph(csp)
-    keep = ball(dep, c, r)
+    keep = ball(csp.dependency_graph, c, r)
     constraints = []
     for a in csp.constraints:
         if a.id in keep:
@@ -98,8 +96,7 @@ def local_csp(csp: Csp, c: int, r: int) -> Csp:
 def folner_totals(
     seq: MtSequence, csp: Csp, c: int, r: int
 ) -> tuple[int, int]:
-    dep = build_dependency_graph(csp)
-    inside = ball(dep, c, r)
+    inside = ball(csp.dependency_graph, c, r)
     in_total = sum(len(step & inside) for step in seq.steps)
     out_total = sum(len(step - inside) for step in seq.steps)
     return in_total, out_total
@@ -128,7 +125,7 @@ def _folner_search(
     Returns (witness, nodes visited); witness None when none exists.
     Raises SearchBudgetError past `budget` visited count vectors.
     """
-    dep = build_dependency_graph(csp)
+    dep = csp.dependency_graph
     ball_r = ball(dep, c, r)
     ball_R = ball(dep, c, R)
     # In-ball constraints first, ids ascending, then the outer shell.
@@ -227,9 +224,9 @@ def is_locally_good(
     return True, None
 
 
-def extended_domain(csp: Csp, dep: FiniteGraph, c: int, radius: int) -> tuple[int, ...]:
+def extended_domain(csp: Csp, c: int, radius: int) -> tuple[int, ...]:
     out: set[int] = set()
-    for a in ball(dep, c, radius):
+    for a in ball(csp.dependency_graph, c, radius):
         out.update(csp.constraint(a).domain)
     return tuple(sorted(out))
 
@@ -317,10 +314,9 @@ def build_lg_csp(
         raise CapExceededError(
             f"{csp.label_count}**{depth} column labels exceed cap {cap}"
         )
-    dep = build_dependency_graph(csp)
     constraints = []
     for a in csp.constraints:
-        dom_r = extended_domain(csp, dep, a.id, R)
+        dom_r = extended_domain(csp, a.id, R)
         params = LocalParams(a.id, R, N, eps)
         constraints.append(
             Constraint(a.id, dom_r, LBadPredicate(csp, params, depth, dom_r, budget))
@@ -355,9 +351,9 @@ def lg_degree_check(csp: Csp, R: int) -> dict:
     base dependency graph, and `safe_bound` is its exact maximum degree,
     not only an upper bound.
     """
-    dep = build_dependency_graph(csp)
+    dep = csp.dependency_graph
     domains = {
-        a.id: set(extended_domain(csp, dep, a.id, R)) for a in csp.constraints
+        a.id: set(extended_domain(csp, a.id, R)) for a in csp.constraints
     }
     m = len(csp.constraints)
     edges = [
@@ -437,7 +433,7 @@ def estimate_lbad_prob(
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    dep = build_dependency_graph(csp)
+    dep = csp.dependency_graph
     d = dep.max_degree()
     p = max((prob_bad(csp, a.id) for a in csp.constraints), default=Fraction(0))
     check_lbad_hypotheses(p, s, params.eps, params.eta)
@@ -483,8 +479,7 @@ def augment_with_always_violated(csp: Csp, c: int, R: int) -> Csp:
     """
     if R < 1:
         raise InvalidParameterError("R must be >= 1")
-    dep = build_dependency_graph(csp)
-    dom = extended_domain(csp, dep, c, R - 1)
+    dom = extended_domain(csp, c, R - 1)
     extra = Constraint(len(csp.constraints), dom, AlwaysViolated())
     return Csp(
         csp.variables,

@@ -13,7 +13,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .csp import Csp, build_dependency_graph, violates
+from .csp import Csp, violates
 from .errors import InvalidInputError, InvalidParameterError, ScriptError
 from .graphs import maximal_independent_set
 from .tables import Table, derive_u64, sample_table
@@ -142,7 +142,7 @@ def mta_run(
     """
     if max_iters is None:
         max_iters = len(csp.constraints) * table.depth
-    dep = build_dependency_graph(csp)
+    dep = csp.dependency_graph
     rng = random.Random(strategy.seed) if strategy.kind == "random" else None
     levels = {v: 0 for v in csp.variables}
     iterations: list[IterationRecord] = []

@@ -15,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .csp import (
-    Csp,
-    build_dependency_graph,
-    closed_neighborhood,
-    materialize_cap_default,
-    prob_bad,
-)
+from .csp import Csp, materialize_cap_default, prob_bad
 from .errors import (
     CapExceededError,
     DepthExceededError,
@@ -53,9 +47,6 @@ class WitnessDigraph:
 
     def in_neighbors(self, x: int) -> list[int]:
         return [a for a, b in self.edges if b == x]
-
-    def out_neighbors(self, x: int) -> list[int]:
-        return [b for a, b in self.edges if a == x]
 
     def sinks(self) -> list[int]:
         heads = {a for a, _ in self.edges}
@@ -105,33 +96,26 @@ def _topological_levels(g: WitnessDigraph) -> list[int] | None:
 def full_witness_digraph(seq: MtSequence, csp: Csp) -> WitnessDigraph:
     """Digraph on (step, constraint) firings, edges along shared variables.
 
-    Vertices are ordered lexicographically by (step, constraint id).
+    Vertices are ordered lexicographically by (step, constraint id): the
+    steps play the part of level sets in `witness_from_levels`.
     Raises InvalidInputError if some step repeats a variable.
     """
-    dep = build_dependency_graph(csp)
-    tags: list[tuple[int, int]] = []
     for n, step in enumerate(seq.steps):
         if not _check_step_disjoint(csp, step):
             raise InvalidInputError(f"step {n} is not domain-disjoint")
-        tags.extend((n, cid) for cid in sorted(step))
-    edges = set()
-    for i, (n1, c1) in enumerate(tags):
-        for j, (n2, c2) in enumerate(tags):
-            if n1 < n2 and c1 in closed_neighborhood(dep, c2):
-                edges.add((i, j))
-    return WitnessDigraph(tuple(c for _, c in tags), frozenset(edges))
+    return witness_from_levels(seq.steps, csp)
 
 
 def validate_witness(g: WitnessDigraph, csp: Csp) -> bool:
     """Acyclic, and an edge joins x,y exactly when decorations interact."""
     if _topological_levels(g) is None:
         return False
-    dep = build_dependency_graph(csp)
+    closed = csp.closed_neighborhoods
     for x in range(g.n):
         for y in range(x + 1, g.n):
             forward = (x, y) in g.edges
             backward = (y, x) in g.edges
-            adjacent = g.decorations[x] in closed_neighborhood(dep, g.decorations[y])
+            adjacent = g.decorations[x] in closed[g.decorations[y]]
             if adjacent != (forward != backward) or (forward and backward):
                 return False
     return True
@@ -151,14 +135,14 @@ def canonical_form(g: WitnessDigraph) -> tuple[tuple[int, int], ...]:
 
 def witness_from_levels(level_sets, csp: Csp) -> WitnessDigraph:
     """Build the unique witness digraph whose level sets are as given."""
-    dep = build_dependency_graph(csp)
+    closed = csp.closed_neighborhoods
     tags = [
         (lvl, cid) for lvl, group in enumerate(level_sets) for cid in sorted(group)
     ]
     edges = set()
     for i, (l1, c1) in enumerate(tags):
         for j, (l2, c2) in enumerate(tags):
-            if l1 < l2 and c1 in closed_neighborhood(dep, c2):
+            if l1 < l2 and c1 in closed[c2]:
                 edges.add((i, j))
     return WitnessDigraph(tuple(c for _, c in tags), frozenset(edges))
 
@@ -334,10 +318,7 @@ def enumerate_sink_star(
     """
     if max_vertices < 1:
         raise InvalidParameterError("max_vertices must be >= 1")
-    dep = build_dependency_graph(csp)
-    neighborhoods = {
-        a.id: closed_neighborhood(dep, a.id) for a in csp.constraints
-    }
+    closed = csp.closed_neighborhoods
     results: list[tuple[tuple[int, ...], ...]] = []
 
     def independent_subsets(pool: list[int]):
@@ -347,7 +328,7 @@ def enumerate_sink_star(
         def grow(start: int, chosen: tuple[int, ...]):
             for i in range(start, len(pool)):
                 cid = pool[i]
-                if any(cid in neighborhoods[other] for other in chosen):
+                if any(cid in closed[other] for other in chosen):
                     continue
                 picked = chosen + (cid,)
                 subsets.append(picked)
@@ -367,14 +348,14 @@ def enumerate_sink_star(
         pool = sorted(
             a.id
             for a in csp.constraints
-            if neighborhoods[a.id].intersection(above)
+            if closed[a.id].intersection(above)
         )
         bottom = stack[0]
         for new_level in independent_subsets(pool):
             if len(new_level) > room:
                 continue
             if all(
-                any(a in neighborhoods[b] for a in new_level) for b in bottom
+                any(a in closed[b] for a in new_level) for b in bottom
             ):
                 extend_down((new_level,) + stack, size + len(new_level))
 
@@ -399,7 +380,7 @@ def verify_mt2_partial_sums(
     bound; raises HypothesisError listing constraints that break the
     premise.
     """
-    dep = build_dependency_graph(csp)
+    dep = csp.dependency_graph
     offenders = []
     for a in csp.constraints:
         av, bv = Fraction(alpha[a.id]), Fraction(beta[a.id])

@@ -62,6 +62,15 @@ TINY_FAMILY = [
 ]
 
 
+def pairwise_neighbors(csp):
+    """Dependency neighbors by definition: other constraints sharing a variable."""
+    return [
+        {b.id for b in csp.constraints
+         if b.id != a.id and set(a.domain) & set(b.domain)}
+        for a in csp.constraints
+    ]
+
+
 def all_tables(csp, depth):
     """Every table over the problem's variables, all label combinations."""
     n = len(csp.variables)

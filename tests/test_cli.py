@@ -12,9 +12,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_csp
+from llltool import cli
 from llltool.cli import main
 from llltool.csp import dump_problem, load_problem
 from llltool.derand import PipelineParams
+from llltool.errors import InternalInvariantError, LllToolError
 from llltool.generators import (
     Hypergraph,
     hypergraph_2coloring,
@@ -22,6 +24,7 @@ from llltool.generators import (
     sinkless_orientation,
 )
 from llltool.graphs import graph_from_edges, growth_profile
+from llltool.local_goodness import DEFAULT_SEARCH_BUDGET
 from llltool.moser_tardos import MtSequence, mta_run, scripted_strategy
 from llltool.tables import Table
 from llltool.witness import full_witness_digraph
@@ -170,6 +173,10 @@ def test_witness_build_validate_and_enumerate(tmp_path, capsys):
         ["witness", "--problem", prob, "--script", script], capsys
     )
     assert code == 0
+    assert payload["parameters"] == {
+        "problem": prob, "max_vertices": 4, "cap": 100_000, "sink": None,
+        "script": script, "witness": None,
+    }
     built = payload["results"]["digraph"]
     assert payload["results"]["valid"] is True
     assert built == full_witness_digraph(
@@ -179,6 +186,8 @@ def test_witness_build_validate_and_enumerate(tmp_path, capsys):
     wfile = write(tmp_path, "witness.json", built)
     code, payload = run(["witness", "--problem", prob, "--witness", wfile], capsys)
     assert code == 0 and payload["results"]["valid"] is True
+    assert payload["parameters"]["witness"] == wfile
+    assert payload["parameters"]["script"] is None
 
     # same decoration twice with no connecting edge cannot be a witness
     broken = dict(built)
@@ -188,10 +197,13 @@ def test_witness_build_validate_and_enumerate(tmp_path, capsys):
     assert code == 1 and payload["results"]["valid"] is False
 
     code, payload = run(
-        ["witness", "--problem", prob, "--sink", "0", "--max-vertices", "3"],
+        ["witness", "--problem", prob, "--sink", "0", "--max-vertices", "3",
+         "--cap", "50"],
         capsys,
     )
     assert code == 0
+    assert payload["parameters"]["sink"] == 0
+    assert payload["parameters"]["cap"] == 50
     assert payload["results"]["count"] == len(payload["results"]["digraphs"]) == 3
 
 
@@ -207,6 +219,30 @@ def test_verify_mt1_exact_over_the_cli(tmp_path, capsys):
     assert code == 0
     assert payload["results"]["pass"] is True
     assert Fraction(payload["results"]["lhs"]) == Fraction(1, 4)
+    assert payload["parameters"]["cap"] is None
+
+    code, payload = run(
+        ["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3",
+         "--cap", "16"],
+        capsys,
+    )
+    assert code == 0
+    assert payload["parameters"]["cap"] == 16
+
+
+def test_verify_mt2_report_names_its_cap(tmp_path, capsys):
+    prob = problem_file(tmp_path, make_csp(1, [((0,), [(1,)])]))
+    code, payload = run(
+        ["verify-mt2", "--problem", prob, "--c", "0", "--alpha", "1/4",
+         "--beta", "1/2", "--max-vertices", "3", "--cap", "10"],
+        capsys,
+    )
+    assert code == 0
+    assert payload["results"]["digraphs"] == 3
+    assert payload["parameters"] == {
+        "problem": prob, "c": 0, "alpha": "1/4", "beta": "1/2",
+        "max_vertices": 3, "cap": 10,
+    }
 
 
 def test_verify_mt2_rejected_hypotheses_exit_one(tmp_path, capsys):
@@ -301,6 +337,7 @@ def test_pipeline_exit_codes_follow_the_status(tmp_path, capsys):
     assert code == 0
     assert payload["results"]["status"] == "solved"
     assert payload["results"]["is_solution"] is True
+    assert payload["parameters"]["budget"] == DEFAULT_SEARCH_BUDGET
 
     hard = problem_file(tmp_path, proper_coloring(cycle_graph(4), 2), "hard.json")
     det_params = write(tmp_path, "det.json", PipelineParams(
@@ -349,6 +386,24 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         main(["no-such-command"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [InternalInvariantError("broken invariant"), LllToolError("bare"),
+     RecursionError("too deep")],
+)
+def test_internal_faults_exit_four(tmp_path, capsys, monkeypatch, fault):
+    def explode(csp):
+        raise fault
+
+    monkeypatch.setattr(cli, "csp_stats", explode)
+    prob = problem_file(tmp_path, make_csp(1, [((0,), [])]))
+    assert main(["stats", "--problem", prob]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("llltool: internal error:")
+    assert captured.err.count("\n") == 1
 
 
 def test_advisor_rejects_a_profile_shorter_than_needed(tmp_path, capsys):

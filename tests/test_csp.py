@@ -1,18 +1,18 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TINY_FAMILY, make_csp, random_tiny_csp
+from conftest import TINY_FAMILY, make_csp, pairwise_neighbors, random_tiny_csp
 from llltool.csp import (
     AlwaysViolated,
     Constraint,
     Csp,
     assignment_rows,
     build_dependency_graph,
-    closed_neighborhood,
     csp_stats,
     dump_problem,
     is_solution,
@@ -116,7 +116,47 @@ def test_dependency_graph_links_shared_variables():
     csp = make_csp(3, [((0, 1), []), ((1, 2), []), ((2,), [])])
     dep = build_dependency_graph(csp)
     assert dep.adjacency == ((1,), (0, 2), (1,))
-    assert closed_neighborhood(dep, 1) == frozenset({0, 1, 2})
+    assert csp.closed_neighborhoods[1] == frozenset({0, 1, 2})
+
+
+def _assert_index_matches_definition(csp):
+    neighbors = pairwise_neighbors(csp)
+    assert csp.dependency_graph.adjacency == tuple(
+        tuple(sorted(nbrs)) for nbrs in neighbors
+    )
+    assert csp.closed_neighborhoods == tuple(
+        frozenset(nbrs | {cid}) for cid, nbrs in enumerate(neighbors)
+    )
+
+
+def test_dependency_index_matches_pairwise_domain_intersection():
+    rng = random.Random(3)
+    problems = TINY_FAMILY + [random_tiny_csp(rng) for _ in range(200)]
+    for csp in problems:
+        _assert_index_matches_definition(csp)
+        assert csp.dependency_graph is csp.dependency_graph
+        assert csp.closed_neighborhoods is csp.closed_neighborhoods
+
+
+def test_quotient_problem_gets_its_own_index():
+    csp = make_csp(3, [((0, 1), [(0, 0)]), ((1, 2), [(1, 1)]), ((2,), [])])
+    assert csp.dependency_graph.adjacency == ((1,), (0, 2), (1,))
+    reduced = quotient_csp(csp, {1: 0}).csp
+    assert reduced.dependency_graph == build_dependency_graph(reduced)
+    assert reduced.dependency_graph.adjacency == ((), (2,), (1,))
+    _assert_index_matches_definition(reduced)
+
+
+def test_built_index_leaves_equality_hash_and_pickling_alone():
+    for csp in TINY_FAMILY:
+        fresh = Csp(csp.variables, csp.label_count, csp.weights, csp.constraints)
+        csp.closed_neighborhoods  # builds both parts of the index
+        assert csp == fresh and hash(csp) == hash(fresh)
+        assert repr(csp) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(csp))
+        assert copy == csp and hash(copy) == hash(csp)
+        assert copy.dependency_graph == build_dependency_graph(fresh)
+        assert copy.closed_neighborhoods == fresh.closed_neighborhoods
 
 
 def test_empty_domain_is_isolated_in_dependency_graph():

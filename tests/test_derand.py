@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_csp
 from llltool.csp import (
+    build_dependency_graph,
     is_solution,
     prob_bad,
     quotient_csp,
@@ -16,6 +17,7 @@ from llltool.errors import (
 )
 from llltool.derand import (
     PipelineParams,
+    _square_independent,
     induction_step,
     least_growth_radius,
     parameter_advisor,
@@ -30,7 +32,7 @@ from llltool.generators import (
     proper_coloring,
     sinkless_orientation,
 )
-from llltool.graphs import graph_from_edges, growth_profile
+from llltool.graphs import graph_from_edges, growth_profile, power_graph
 
 
 def path_graph(n):
@@ -93,6 +95,26 @@ def test_induction_step_rejects_adjacent_class_members():
     q = quotient_csp(csp, {})
     with pytest.raises(InvalidParameterError):
         induction_step(q, [0, 1])
+
+
+def test_square_independence_agrees_with_the_squared_graph():
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graph = graph_from_edges(n, rng.sample(pairs, rng.randint(1, len(pairs))))
+        csp = proper_coloring(graph, 2)
+        square = power_graph(build_dependency_graph(csp), 2)
+        ids = range(len(csp.constraints))
+        for _ in range(10):
+            chosen = rng.sample(ids, rng.randint(1, min(4, len(ids))))
+            expected = all(
+                b not in square.adjacency[a] for a in chosen for b in chosen if a != b
+            )
+            assert _square_independent(csp, chosen) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_double_exp_requires_its_precondition():

@@ -170,8 +170,7 @@ def test_witness_is_singleton_consistent_and_folner_at_some_radius():
 
 def test_verdict_ignores_columns_outside_the_extended_domain():
     csp = proper_coloring(path_graph(5), 2)
-    dep = build_dependency_graph(csp)
-    inside = set(extended_domain(csp, dep, 0, 1))
+    inside = set(extended_domain(csp, 0, 1))
     outside = [v for v in csp.variables if v not in inside]
     assert outside
     params = LocalParams(0, 1, 1, HALF)
@@ -193,10 +192,9 @@ def test_search_budget_failure_is_loud():
 
 def test_extended_domain_collects_ball_domains():
     csp = proper_coloring(path_graph(4), 2)
-    dep = build_dependency_graph(csp)
-    assert extended_domain(csp, dep, 0, 0) == (0, 1)
-    assert extended_domain(csp, dep, 0, 1) == (0, 1, 2)
-    assert extended_domain(csp, dep, 0, 2) == (0, 1, 2, 3)
+    assert extended_domain(csp, 0, 0) == (0, 1)
+    assert extended_domain(csp, 0, 1) == (0, 1, 2)
+    assert extended_domain(csp, 0, 2) == (0, 1, 2, 3)
 
 
 @settings(max_examples=50)
