@@ -8,6 +8,7 @@ constraint sets, which `check_consistency` can replay against the table.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -71,14 +72,21 @@ def scripted_strategy(seq: MtSequence) -> Strategy:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    levels: dict[int, int]
-    labeling: dict[int, int]
-    violated: tuple[int, ...]
+    """One pass of the loop: the constraints it fired (empty on a final pass)."""
+
     fired: frozenset[int]
 
 
 @dataclass
 class RunTrace:
+    """A run's outcome and its fired sets, one record per pass of the loop.
+
+    Runs that stop on `completed` or `iteration_cap` end with a record that
+    fired nothing; a `depth_exhausted` run ends with the blocked step, which
+    was chosen but not applied. Per-step labelings are not kept: replaying
+    `sequence()` against the table rebuilds them.
+    """
+
     status: str
     iterations: list[IterationRecord]
     final_labeling: dict[int, int]
@@ -99,14 +107,17 @@ class RunTrace:
         return counts
 
 
-def _choose(strategy: Strategy, violated, dep, rng, step_index: int):
+def _choose(strategy: Strategy, violated: set[int], heap, dep, rng, step_index: int):
     if strategy.kind == "first_singleton":
-        return frozenset({violated[0]})
+        # The least violated id; ids no longer violated are dropped lazily.
+        while heap[0] not in violated:
+            heapq.heappop(heap)
+        return frozenset((heap[0],))
     if strategy.kind == "maximal_greedy":
-        return frozenset(maximal_independent_set(dep, violated))
+        return maximal_independent_set(dep, violated)
     if strategy.kind == "random":
         # Random permutation, then greedy: a random maximal independent set.
-        order = list(violated)
+        order = sorted(violated)
         rng.shuffle(order)
         chosen: list[int] = []
         taken: set[int] = set()
@@ -137,53 +148,64 @@ def mta_run(
     variable past the last table row; `iteration_cap` after `max_iters`
     steps, or when a script runs out while violations remain.
 
+    The labeling and the violated set are built once; a step then re-reads
+    only the variables it resampled and re-checks only the closed
+    neighbourhoods of the fired constraints, the only constraints whose
+    rows can have changed.
+
     Raises ScriptError when a scripted step fires a constraint that is not
     currently violated, or is not pairwise domain-disjoint.
     """
     if max_iters is None:
         max_iters = len(csp.constraints) * table.depth
     dep = csp.dependency_graph
+    closed = csp.closed_neighborhoods
     rng = random.Random(strategy.seed) if strategy.kind == "random" else None
     levels = {v: 0 for v in csp.variables}
+    labeling = {v: table.get(v, 0) for v in csp.variables}
+    violated = {c.id for c in csp.constraints if violates(csp, c.id, labeling)}
+    # Holds every violated id, and possibly stale ones (see _choose).
+    heap = sorted(violated) if strategy.kind == "first_singleton" else None
     iterations: list[IterationRecord] = []
     step_index = 0
     while True:
-        labeling = {v: table.get(v, levels[v]) for v in csp.variables}
-        violated = tuple(
-            c.id for c in csp.constraints if violates(csp, c.id, labeling)
-        )
         if not violated:
-            iterations.append(
-                IterationRecord(dict(levels), labeling, violated, frozenset())
-            )
-            return RunTrace(COMPLETED, iterations, labeling, dict(levels))
+            status = COMPLETED
+            break
         if step_index >= max_iters:
-            iterations.append(
-                IterationRecord(dict(levels), labeling, violated, frozenset())
-            )
-            return RunTrace(ITERATION_CAP, iterations, labeling, dict(levels))
-        fired = _choose(strategy, violated, dep, rng, step_index)
+            status = ITERATION_CAP
+            break
+        fired = _choose(strategy, violated, heap, dep, rng, step_index)
         if fired is None:
             # Script ended with violations left: treat as hitting the cap.
-            iterations.append(
-                IterationRecord(dict(levels), labeling, violated, frozenset())
-            )
-            return RunTrace(ITERATION_CAP, iterations, labeling, dict(levels))
+            status = ITERATION_CAP
+            break
         if strategy.kind == "scripted":
-            if not fired.issubset(violated):
+            if not fired <= violated:
                 raise ScriptError(
                     f"step {step_index} fires non-violated constraints "
                     f"{sorted(fired.difference(violated))}"
                 )
             if not _check_step_disjoint(csp, fired):
                 raise ScriptError(f"step {step_index} is not domain-disjoint")
-        iterations.append(IterationRecord(dict(levels), labeling, violated, fired))
-        touched = [v for cid in fired for v in csp.constraint(cid).domain]
+        iterations.append(IterationRecord(fired))
+        touched = [v for cid in fired for v in csp.constraints[cid].domain]
         if any(levels[v] + 1 >= table.depth for v in touched):
-            return RunTrace(DEPTH_EXHAUSTED, iterations, labeling, dict(levels))
+            return RunTrace(DEPTH_EXHAUSTED, iterations, labeling, levels)
         for v in touched:
             levels[v] += 1
+            labeling[v] = table.get(v, levels[v])
+        for cid in frozenset().union(*(closed[a] for a in fired)):
+            if violates(csp, cid, labeling):
+                if cid not in violated:
+                    violated.add(cid)
+                    if heap is not None:
+                        heapq.heappush(heap, cid)
+            else:
+                violated.discard(cid)
         step_index += 1
+    iterations.append(IterationRecord(frozenset()))
+    return RunTrace(status, iterations, labeling, levels)
 
 
 def check_consistency(csp: Csp, table: Table, seq: MtSequence) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .csp import Csp, materialize_cap_default, prob_bad
+from .csp import Constraint, Csp, materialize_cap_default, prob_bad
 from .errors import (
     CapExceededError,
     DepthExceededError,
@@ -187,20 +187,32 @@ def in_level_counts(g: WitnessDigraph, csp: Csp, x: int) -> dict[int, int]:
     return counts
 
 
-def required_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[int, int]]:
-    """Table cells the compatibility criterion reads; disjoint across vertices."""
-    cells = set()
-    for x in range(g.n):
-        for v, k in in_level_counts(g, csp, x).items():
-            cells.add((v, k))
-    return sorted(cells)
+def _vertex_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[Constraint, tuple]]:
+    """Each vertex's constraint with the (variable, row) cells it reads.
 
-
-def _compatible_on_cells(g: WitnessDigraph, csp: Csp, cell) -> bool:
+    Cells come in domain order. They depend on the digraph alone, so a
+    caller that tries many cell assignments computes them once.
+    """
+    out = []
     for x in range(g.n):
         constraint = csp.constraint(g.decorations[x])
         counts = in_level_counts(g, csp, x)
-        row = tuple(cell(v, counts[v]) for v in constraint.domain)
+        out.append((constraint, tuple((v, counts[v]) for v in constraint.domain)))
+    return out
+
+
+def _distinct_cells(vertex_cells) -> list[tuple[int, int]]:
+    return sorted({cell for _, cells in vertex_cells for cell in cells})
+
+
+def required_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[int, int]]:
+    """Table cells the compatibility criterion reads; disjoint across vertices."""
+    return _distinct_cells(_vertex_cells(g, csp))
+
+
+def _compatible_on_cells(vertex_cells, cell) -> bool:
+    for constraint, cells in vertex_cells:
+        row = tuple(cell(v, r) for v, r in cells)
         if not constraint.bad_contains(row):
             return False
     return True
@@ -214,7 +226,7 @@ def compatibility_check(g: WitnessDigraph, csp: Csp, table: Table) -> bool:
     table iff every vertex's looked-up row lands in its bad set.
     Raises DepthExceededError when a needed row is past the table depth.
     """
-    return _compatible_on_cells(g, csp, table.get)
+    return _compatible_on_cells(_vertex_cells(g, csp), table.get)
 
 
 def verify_mt1_exact(
@@ -223,7 +235,8 @@ def verify_mt1_exact(
     """Exact compatibility probability versus the product of bad masses."""
     if cap is None:
         cap = materialize_cap_default()
-    cells = required_cells(g, csp)
+    vertex_cells = _vertex_cells(g, csp)
+    cells = _distinct_cells(vertex_cells)
     for _, row in cells:
         if row >= depth:
             raise DepthExceededError(f"needed row {row} is past depth {depth}")
@@ -238,7 +251,7 @@ def verify_mt1_exact(
     def fill(i: int, mass: Fraction):
         nonlocal lhs
         if i == len(cells):
-            if _compatible_on_cells(g, csp, lambda v, r: assignment[(v, r)]):
+            if _compatible_on_cells(vertex_cells, lambda v, r: assignment[(v, r)]):
                 lhs += mass
             return
         for label in range(k):
@@ -267,8 +280,8 @@ def verify_mt1_monte_carlo(
     """Empirical compatibility frequency, pass band 4 binomial sigmas."""
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    cells = required_cells(g, csp)
-    for _, row in cells:
+    vertex_cells = _vertex_cells(g, csp)
+    for _, row in _distinct_cells(vertex_cells):
         if row >= depth:
             raise DepthExceededError(f"needed row {row} is past depth {depth}")
     thresholds = weight_thresholds(csp.weights)
@@ -277,7 +290,7 @@ def verify_mt1_monte_carlo(
         def cell(v, r, t=trial):
             return sample_label(thresholds, derive_u64(seed, t, v, r))
 
-        if _compatible_on_cells(g, csp, cell):
+        if _compatible_on_cells(vertex_cells, cell):
             hits += 1
     rhs = Fraction(1)
     for cid in g.decorations:
@@ -314,8 +327,10 @@ def enumerate_sink_star(
     neighbor directly below (so levels are longest-path levels) and each
     non-top vertex has a neighbor somewhere above (so the sink is unique).
     Distinct stacks are automatically non-isomorphic.
-    Raises CapExceededError past `cap` representatives.
+    Raises InvalidParameterError when c names no constraint and
+    CapExceededError past `cap` representatives.
     """
+    csp.constraint(c)
     if max_vertices < 1:
         raise InvalidParameterError("max_vertices must be >= 1")
     closed = csp.closed_neighborhoods
@@ -378,8 +393,9 @@ def verify_mt2_partial_sums(
     alpha(a) <= beta(a) * prod over neighbors a' of (1 - beta(a')).
     The series is monotone, so every partial sum must already obey the
     bound; raises HypothesisError listing constraints that break the
-    premise.
+    premise, and InvalidParameterError when c names no constraint.
     """
+    csp.constraint(c)
     dep = csp.dependency_graph
     offenders = []
     for a in csp.constraints:

@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from llltool.errors import DepthExceededError
+from llltool.errors import DepthExceededError, InvalidParameterError, ScriptError
 from llltool.csp import (
     BadPredicate,
     Constraint,
@@ -23,7 +23,7 @@ from llltool.csp import (
     uniform_weights,
     violates,
 )
-from llltool.graphs import ball
+from llltool.graphs import ball, maximal_independent_set
 from llltool.local_goodness import local_csp
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import Table, sample_table
@@ -330,3 +330,87 @@ def sequences_upto(csp, max_total):
 
     extend([], 0)
     return out
+
+
+def _naive_step_disjoint(csp, step):
+    seen = set()
+    for cid in step:
+        dom = csp.constraint(cid).domain
+        if seen.intersection(dom):
+            return False
+        seen.update(dom)
+    return True
+
+
+def _naive_choose(strategy, violated, dep, rng, step_index):
+    if strategy.kind == "first_singleton":
+        return frozenset({violated[0]})
+    if strategy.kind == "maximal_greedy":
+        return frozenset(maximal_independent_set(dep, violated))
+    if strategy.kind == "random":
+        # Random permutation, then greedy: a random maximal independent set.
+        order = list(violated)
+        rng.shuffle(order)
+        chosen = []
+        taken = set()
+        for cid in order:
+            if taken.isdisjoint(dep.adjacency[cid]) and cid not in taken:
+                chosen.append(cid)
+                taken.add(cid)
+        return frozenset(chosen)
+    if strategy.kind == "scripted":
+        assert strategy.script is not None
+        if step_index >= len(strategy.script.steps):
+            return None
+        return strategy.script.steps[step_index]
+    raise InvalidParameterError(f"unknown strategy kind {strategy.kind!r}")
+
+
+def naive_mta_run(csp, table, strategy, max_iters=None):
+    """The resampling loop by full rescan: every step re-reads every cell.
+
+    Each pass rebuilds the labeling from the levels and re-checks every
+    constraint. Returns (status, fired set per pass, violated ids per pass
+    in ascending order, final labeling, final levels); the passes line up
+    with `RunTrace.iterations`, the trailing one that fires nothing
+    included.
+    """
+    if max_iters is None:
+        max_iters = len(csp.constraints) * table.depth
+    dep = build_dependency_graph(csp)
+    rng = random.Random(strategy.seed) if strategy.kind == "random" else None
+    levels = {v: 0 for v in csp.variables}
+    steps = []
+    violated_per_step = []
+    step_index = 0
+    while True:
+        labeling = {v: table.get(v, levels[v]) for v in csp.variables}
+        violated = tuple(
+            c.id for c in csp.constraints if violates(csp, c.id, labeling)
+        )
+        violated_per_step.append(violated)
+        if not violated:
+            steps.append(frozenset())
+            return "completed", steps, violated_per_step, labeling, dict(levels)
+        if step_index >= max_iters:
+            steps.append(frozenset())
+            return "iteration_cap", steps, violated_per_step, labeling, dict(levels)
+        fired = _naive_choose(strategy, violated, dep, rng, step_index)
+        if fired is None:
+            steps.append(frozenset())
+            return "iteration_cap", steps, violated_per_step, labeling, dict(levels)
+        if strategy.kind == "scripted":
+            if not fired.issubset(violated):
+                raise ScriptError(
+                    f"step {step_index} fires non-violated constraints "
+                    f"{sorted(fired.difference(violated))}"
+                )
+            if not _naive_step_disjoint(csp, fired):
+                raise ScriptError(f"step {step_index} is not domain-disjoint")
+        steps.append(fired)
+        touched = [v for cid in fired for v in csp.constraint(cid).domain]
+        if any(levels[v] + 1 >= table.depth for v in touched):
+            return "depth_exhausted", steps, violated_per_step, labeling, dict(levels)
+        for v in touched:
+            levels[v] += 1
+        step_index += 1

@@ -258,6 +258,20 @@ def test_verify_mt2_rejected_hypotheses_exit_one(tmp_path, capsys):
     assert err.startswith("llltool: check failed:")
 
 
+@pytest.mark.parametrize("sink", ["99", "-1"])
+def test_sink_ids_that_name_no_constraint_exit_two(tmp_path, capsys, sink):
+    prob = problem_file(tmp_path, proper_coloring(cycle_graph(5), 3))
+    for argv in (
+        ["witness", "--problem", prob, "--sink", sink, "--max-vertices", "3"],
+        ["verify-mt2", "--problem", prob, "--c", sink, "--alpha", "1/16",
+         "--beta", "1/4", "--max-vertices", "3"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"llltool: error: no constraint with id {sink}\n"
+
+
 def test_locally_good_exit_codes_and_witness_payload(tmp_path, capsys):
     sated = problem_file(tmp_path, make_csp(1, [((0,), [])]), "sated.json")
     table = table_file(tmp_path, [[0], [0], [0], [0]])

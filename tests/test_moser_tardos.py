@@ -1,14 +1,24 @@
 import random
-from collections import Counter
+import re
+from collections import Counter, namedtuple
 
 import pytest
 
-from conftest import TINY_FAMILY, make_csp, random_tiny_csp, some_tables
+from conftest import (
+    TINY_FAMILY,
+    make_csp,
+    naive_mta_run,
+    random_tiny_csp,
+    sequences_upto,
+    some_tables,
+)
 from llltool.errors import (
     DepthExceededError,
     InvalidInputError,
     ScriptError,
 )
+from llltool.generators import proper_coloring
+from llltool.graphs import graph_from_edges
 from llltool.moser_tardos import (
     COMPLETED,
     DEPTH_EXHAUSTED,
@@ -23,6 +33,9 @@ from llltool.moser_tardos import (
     scripted_strategy,
 )
 from llltool.tables import table_from_rows
+
+# One pass of a run, with the violated ids the full-rescan oracle saw.
+Step = namedtuple("Step", "fired violated")
 
 
 def test_sequence_round_trip():
@@ -99,7 +112,9 @@ def test_random_strategy_fires_maximal_independent_sets():
     for seed in range(5):
         for table in some_tables(csp, 4, 3, seed=seed + 20):
             trace = mta_run(csp, table, random_strategy(seed))
-            for rec in trace.iterations:
+            _, _, violated, _, _ = naive_mta_run(csp, table, random_strategy(seed))
+            assert len(violated) == len(trace.iterations)
+            for rec in map(Step, (r.fired for r in trace.iterations), violated):
                 if not rec.violated:
                     continue
                 for a in rec.fired:
@@ -210,3 +225,75 @@ def test_monte_carlo_counts_total():
                          strategy=random_strategy(4))
     assert sum(rep["statuses"].values()) == 12
     assert sum(rep["resample_histogram"].values()) == 12
+
+
+def assert_same_run(csp, table, strategy, max_iters=None) -> str:
+    """mta_run against the full-rescan oracle; returns the outcome seen."""
+    try:
+        status, steps, _, labeling, levels = naive_mta_run(
+            csp, table, strategy, max_iters
+        )
+    except ScriptError as exc:
+        with pytest.raises(ScriptError, match=f"^{re.escape(str(exc))}$"):
+            mta_run(csp, table, strategy, max_iters)
+        return "script_error"
+    trace = mta_run(csp, table, strategy, max_iters)
+    assert trace.status == status
+    assert [rec.fired for rec in trace.iterations] == steps
+    assert trace.sequence() == MtSequence(tuple(step for step in steps if step))
+    assert trace.final_labeling == labeling
+    assert trace.final_levels == levels
+    return status
+
+
+DUAL_ROUTE_STRATEGIES = [
+    MAXIMAL_GREEDY,
+    FIRST_SINGLETON,
+    *(random_strategy(seed) for seed in (0, 1, 7, 2**40 + 3)),
+]
+
+
+def test_incremental_run_matches_the_full_rescan_oracle():
+    rng = random.Random(4242)
+    problems = TINY_FAMILY + [random_tiny_csp(rng) for _ in range(200)]
+    outcomes = set()
+    for index, csp in enumerate(problems):
+        for table in some_tables(csp, 3, 2, seed=index):
+            for strategy in DUAL_ROUTE_STRATEGIES:
+                for max_iters in (None, 1, 2):
+                    outcomes.add(assert_same_run(csp, table, strategy, max_iters))
+    assert outcomes == {COMPLETED, DEPTH_EXHAUSTED, ITERATION_CAP}
+
+
+def test_incremental_run_matches_the_oracle_on_a_cycle_colouring():
+    n = 40
+    csp = proper_coloring(graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)]), 3)
+    outcomes = set()
+    for depth in (3, 64):
+        for table in some_tables(csp, depth, 3, seed=depth):
+            for strategy in DUAL_ROUTE_STRATEGIES:
+                for max_iters in (None, 5):
+                    outcomes.add(assert_same_run(csp, table, strategy, max_iters))
+    assert outcomes == {COMPLETED, DEPTH_EXHAUSTED, ITERATION_CAP}
+
+
+def test_scripted_runs_match_the_oracle_errors_included():
+    outcomes = set()
+    for index, csp in enumerate(TINY_FAMILY):
+        ids = [c.id for c in csp.constraints]
+        scripts = sequences_upto(csp, 3) + [
+            # every constraint at once (overlapping domains when m > 1),
+            # an id that names no constraint, and an empty step
+            MtSequence((frozenset(ids),)),
+            MtSequence((frozenset({len(ids)}),)),
+            MtSequence((frozenset(), frozenset({ids[0]}))),
+        ]
+        for table in some_tables(csp, 3, 3, seed=100 + index):
+            for seq in scripts:
+                for max_iters in (None, 1):
+                    outcomes.add(assert_same_run(
+                        csp, table, scripted_strategy(seq), max_iters
+                    ))
+    assert outcomes == {
+        COMPLETED, DEPTH_EXHAUSTED, ITERATION_CAP, "script_error"
+    }
