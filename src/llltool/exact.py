@@ -101,15 +101,6 @@ def rational_pow_leq(base: Fraction, exponent: Fraction, rhs: Fraction) -> bool:
     return base**a <= rhs**b
 
 
-def nth_root_less(value: int, r: int, x: Fraction) -> bool:
-    """Decide value**(1/r) < x exactly (value >= 0 integer, r >= 1)."""
-    if r < 1 or value < 0:
-        raise InvalidParameterError("need r >= 1, value >= 0")
-    if x <= 0:
-        return False
-    return value < x**r
-
-
 def root_compare(g1: int, r1: int, g2: int, r2: int) -> int:
     """Sign of g1**(1/r1) - g2**(1/r2) for positive integers, computed exactly."""
     lhs = g1**r2
@@ -120,12 +111,6 @@ def root_compare(g1: int, r1: int, g2: int, r2: int) -> int:
 def float_of(x: Fraction) -> float:
     """Lossy float view for report fields; never used in decisions."""
     return x.numerator / x.denominator
-
-
-def ceil_div(num: int, den: int) -> int:
-    if den <= 0:
-        raise InvalidParameterError("den must be positive")
-    return -(-num // den)
 
 
 def binomial_sigma(p: Fraction, trials: int) -> float:

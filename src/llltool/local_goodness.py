@@ -44,7 +44,7 @@ from .exact import (
     format_rational,
     rational_pow_leq,
 )
-from .graphs import FiniteGraph, ball, graph_from_edges
+from .graphs import FiniteGraph, ball, bfs_distances, graph_from_edges
 from .moser_tardos import MtSequence
 from .tables import Table, sample_table
 
@@ -68,17 +68,6 @@ class LocalParams:
             raise InvalidParameterError("eps must lie in (0,1)")
         if not 0 < self.eta < 1:
             raise InvalidParameterError("eta must lie in (0,1)")
-
-
-@dataclass
-class FolnerSearchState:
-    """Bookkeeping for one node of the count-vector search."""
-
-    prefix: tuple[int, ...]
-    counts: dict[int, int]
-    in_total: int
-    out_total: int
-    levels: dict[int, int]
 
 
 def local_csp(csp: Csp, c: int, r: int) -> Csp:
@@ -114,91 +103,82 @@ def _folner_search(
     csp: Csp,
     table: Table,
     c: int,
+    dist: dict[int, int],
     r: int,
-    R: int,
     N: int,
     eps: Fraction,
     budget: int,
 ) -> tuple[MtSequence | None, int]:
     """First Folner count vector reachable by consistent singleton firings.
 
-    Returns (witness, nodes visited); witness None when none exists.
-    Raises SearchBudgetError past `budget` visited count vectors.
+    `dist` maps each constraint of the R-ball around c to its distance
+    from c, for some R > r. The walk is depth-first over count vectors,
+    trying the r-ball ids ascending, then the outer shell; it keeps an
+    explicit stack, so its depth is bounded by `budget`, not by the
+    recursion limit. Returns (witness, nodes visited); witness None when
+    none exists. Raises SearchBudgetError past `budget` visited count
+    vectors.
     """
-    dep = csp.dependency_graph
-    ball_r = ball(dep, c, r)
-    ball_R = ball(dep, c, R)
-    # In-ball constraints first, ids ascending, then the outer shell.
-    order = sorted(ball_r) + sorted(ball_R - ball_r)
-    depth = table.depth
     center = csp.constraint(c)
     if not center.domain:
         if center.bad_contains(()):
             return MtSequence(tuple(frozenset({c}) for _ in range(N))), 1
         return None, 1
 
+    ids = sorted(dist)
+    order = [a for a in ids if dist[a] <= r]
+    n_in = len(order)  # positions below n_in lie in the r-ball
+    order += [a for a in ids if dist[a] > r]
+    constraints = [csp.constraint(a) for a in order]
+    m = len(order)
+    depth = table.depth
+    levels = {v: 0 for a in constraints for v in a.domain}
+    counts = [0] * m
+    path: list[int] = []  # positions fired, root to current node
+    stack: list[int] = []  # per open node, the next position to try
     visited: set[tuple[int, ...]] = set()
-    state = FolnerSearchState(
-        prefix=(),
-        counts={a: 0 for a in order},
-        in_total=0,
-        out_total=0,
-        levels={v: 0 for a in order for v in csp.constraint(a).domain},
-    )
-
-    def key() -> tuple[int, ...]:
-        return tuple(state.counts[a] for a in order)
-
-    def accepted() -> bool:
-        total = state.in_total + state.out_total
-        return state.in_total >= N and state.out_total < eps * total
-
-    def fire_ok(a: int) -> bool:
-        dom = csp.constraint(a).domain
-        if any(state.levels[v] >= depth for v in dom):
-            return False
-        if a not in ball_r:
-            return True  # localized bad set is everything
-        row = tuple(table.get(v, state.levels[v]) for v in dom)
-        return csp.constraint(a).bad_contains(row)
-
-    def dfs() -> MtSequence | None:
-        k = key()
-        if k in visited:
-            return None
-        visited.add(k)
-        if len(visited) > budget:
-            raise SearchBudgetError(
-                f"search exceeded {budget} count vectors at c={c}, r={r}"
-            )
-        if accepted():
-            return MtSequence(tuple(frozenset({a}) for a in state.prefix))
-        for a in order:
-            if not fire_ok(a):
+    while True:
+        key = tuple(counts)
+        if key in visited:
+            stack.append(m)  # seen before: nothing left to try here
+        else:
+            visited.add(key)
+            if len(visited) > budget:
+                raise SearchBudgetError(
+                    f"search exceeded {budget} count vectors at c={c}, r={r}"
+                )
+            in_total = sum(counts[:n_in])
+            if in_total >= N and len(path) - in_total < eps * len(path):
+                witness = MtSequence(tuple(frozenset({order[i]}) for i in path))
+                return witness, len(visited)
+            stack.append(0)
+        # Fire the next consistent position, backtracking past exhausted nodes.
+        while stack:
+            for i in range(stack[-1], m):
+                dom = constraints[i].domain
+                if any(levels[v] >= depth for v in dom):
+                    continue
+                if i >= n_in:
+                    break  # localized bad set is everything
+                row = tuple(table.get(v, levels[v]) for v in dom)
+                if constraints[i].bad_contains(row):
+                    break
+            else:
+                stack.pop()
+                if path:
+                    j = path.pop()
+                    counts[j] -= 1
+                    for v in constraints[j].domain:
+                        levels[v] -= 1
                 continue
-            dom = csp.constraint(a).domain
-            state.prefix += (a,)
-            state.counts[a] += 1
-            if a in ball_r:
-                state.in_total += 1
-            else:
-                state.out_total += 1
-            for v in dom:
-                state.levels[v] += 1
-            found = dfs()
-            if found is not None:
-                return found
-            state.prefix = state.prefix[:-1]
-            state.counts[a] -= 1
-            if a in ball_r:
-                state.in_total -= 1
-            else:
-                state.out_total -= 1
-            for v in dom:
-                state.levels[v] -= 1
-        return None
-
-    return dfs(), len(visited)
+            stack[-1] = i + 1
+            path.append(i)
+            counts[i] += 1
+            for v in constraints[i].domain:
+                levels[v] += 1
+            break
+        else:
+            return None, len(visited)
 
 
 def is_locally_good(
@@ -215,9 +195,10 @@ def is_locally_good(
     search is cut off.
     """
     csp.constraint(params.c)
+    dist = bfs_distances(csp.dependency_graph, params.c, params.R)
     for r in range(params.R):
         witness, _ = _folner_search(
-            csp, table, params.c, r, params.R, params.N, params.eps, budget
+            csp, table, params.c, dist, r, params.N, params.eps, budget
         )
         if witness is not None:
             return False, witness

@@ -34,9 +34,6 @@ class MtSequence:
     def from_lists(lists) -> "MtSequence":
         return MtSequence(tuple(frozenset(int(c) for c in step) for step in lists))
 
-    def total_size(self) -> int:
-        return sum(len(s) for s in self.steps)
-
     def to_json(self) -> list[list[int]]:
         return [sorted(s) for s in self.steps]
 

@@ -44,10 +44,6 @@ class Table:
             raise DepthExceededError(f"row {row} outside depth {self.depth}")
         return self.columns[v][row]
 
-    def row_labeling(self, rows: dict[int, int]) -> dict[int, int]:
-        """Labeling reading each variable at its per-variable row index."""
-        return {v: self.get(v, rows.get(v, 0)) for v in self.columns}
-
     def variables(self) -> tuple[int, ...]:
         return tuple(sorted(self.columns))
 

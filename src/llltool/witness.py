@@ -76,20 +76,21 @@ def witness_from_json(obj) -> WitnessDigraph:
 def _topological_levels(g: WitnessDigraph) -> list[int] | None:
     """Longest-path level per vertex, or None if the digraph has a cycle."""
     indeg = [0] * g.n
-    for _, b in g.edges:
+    out: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in g.edges:
         indeg[b] += 1
+        out[a].append(b)
     level = [0] * g.n
     queue = [x for x in range(g.n) if indeg[x] == 0]
     seen = 0
     while queue:
         x = queue.pop()
         seen += 1
-        for a, b in g.edges:
-            if a == x:
-                level[b] = max(level[b], level[x] + 1)
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    queue.append(b)
+        for b in out[x]:
+            level[b] = max(level[b], level[x] + 1)
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                queue.append(b)
     return level if seen == g.n else None
 
 

@@ -12,9 +12,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
-from llltool.errors import DepthExceededError, InvalidParameterError, ScriptError
+from llltool.errors import (
+    DepthExceededError,
+    InvalidParameterError,
+    ScriptError,
+    SearchBudgetError,
+)
 from llltool.csp import (
     BadPredicate,
     Constraint,
@@ -195,6 +201,23 @@ def realizable_by_sequence(g, csp, table):
     return attempt([])
 
 
+def naive_longest_path_levels(g):
+    """Longest path into each vertex by repeated edge relaxation.
+
+    A digraph on n vertices is acyclic exactly when n rounds reach a
+    fixed point; returns None when they do not.
+    """
+    level = [0] * g.n
+    for _ in range(g.n + 1):
+        changed = False
+        for a, b in g.edges:
+            if level[b] < level[a] + 1:
+                level[b] = level[a] + 1
+                changed = True
+        if not changed:
+            return level
+    return None
+
 def naive_locally_bad(csp, table, c, R, N, eps):
     """Existence of a Folner run near c, straight from the definition.
 
@@ -256,6 +279,111 @@ def _folner_reachable(local, table, inside, N, eps, dep):
                 seen.add(nxt)
                 stack.append(nxt)
     return False
+
+
+# The recursive count-vector search that `local_goodness._folner_search`
+# replaced, kept word for word as the oracle for the iterative one. Its
+# depth is capped by the recursion limit, so feed it small tables only.
+@dataclass
+class FolnerSearchState:
+    """Bookkeeping for one node of the count-vector search."""
+
+    prefix: tuple[int, ...]
+    counts: dict[int, int]
+    in_total: int
+    out_total: int
+    levels: dict[int, int]
+
+
+def recursive_folner_search(
+    csp: Csp,
+    table: Table,
+    c: int,
+    r: int,
+    R: int,
+    N: int,
+    eps: Fraction,
+    budget: int,
+) -> tuple[MtSequence | None, int]:
+    """First Folner count vector reachable by consistent singleton firings.
+
+    Returns (witness, nodes visited); witness None when none exists.
+    Raises SearchBudgetError past `budget` visited count vectors.
+    """
+    dep = csp.dependency_graph
+    ball_r = ball(dep, c, r)
+    ball_R = ball(dep, c, R)
+    # In-ball constraints first, ids ascending, then the outer shell.
+    order = sorted(ball_r) + sorted(ball_R - ball_r)
+    depth = table.depth
+    center = csp.constraint(c)
+    if not center.domain:
+        if center.bad_contains(()):
+            return MtSequence(tuple(frozenset({c}) for _ in range(N))), 1
+        return None, 1
+
+    visited: set[tuple[int, ...]] = set()
+    state = FolnerSearchState(
+        prefix=(),
+        counts={a: 0 for a in order},
+        in_total=0,
+        out_total=0,
+        levels={v: 0 for a in order for v in csp.constraint(a).domain},
+    )
+
+    def key() -> tuple[int, ...]:
+        return tuple(state.counts[a] for a in order)
+
+    def accepted() -> bool:
+        total = state.in_total + state.out_total
+        return state.in_total >= N and state.out_total < eps * total
+
+    def fire_ok(a: int) -> bool:
+        dom = csp.constraint(a).domain
+        if any(state.levels[v] >= depth for v in dom):
+            return False
+        if a not in ball_r:
+            return True  # localized bad set is everything
+        row = tuple(table.get(v, state.levels[v]) for v in dom)
+        return csp.constraint(a).bad_contains(row)
+
+    def dfs() -> MtSequence | None:
+        k = key()
+        if k in visited:
+            return None
+        visited.add(k)
+        if len(visited) > budget:
+            raise SearchBudgetError(
+                f"search exceeded {budget} count vectors at c={c}, r={r}"
+            )
+        if accepted():
+            return MtSequence(tuple(frozenset({a}) for a in state.prefix))
+        for a in order:
+            if not fire_ok(a):
+                continue
+            dom = csp.constraint(a).domain
+            state.prefix += (a,)
+            state.counts[a] += 1
+            if a in ball_r:
+                state.in_total += 1
+            else:
+                state.out_total += 1
+            for v in dom:
+                state.levels[v] += 1
+            found = dfs()
+            if found is not None:
+                return found
+            state.prefix = state.prefix[:-1]
+            state.counts[a] -= 1
+            if a in ball_r:
+                state.in_total -= 1
+            else:
+                state.out_total -= 1
+            for v in dom:
+                state.levels[v] -= 1
+        return None
+
+    return dfs(), len(visited)
 
 
 def all_maximal_run_statuses(csp, table):

@@ -290,6 +290,17 @@ def test_locally_good_exit_codes_and_witness_payload(tmp_path, capsys):
     assert payload["results"]["witness"] == [[0], [0], [0]]
 
 
+def test_locally_good_on_a_deep_table_exits_one(tmp_path, capsys):
+    prob = problem_file(tmp_path, proper_coloring(cycle_graph(6), 2))
+    table = table_file(tmp_path, [[0] * 6] * 1500)
+    argv = ["locally-good", "--problem", prob, "--table", table,
+            "--c", "0", "--R", "2", "--N", "1400", "--eps", "1/2"]
+    code, payload = run(argv, capsys)
+    assert code == 1
+    assert payload["results"]["locally_good"] is False
+    assert payload["results"]["witness"] == [[0]] * 1400
+
+
 def test_search_budget_exhaustion_exits_three(tmp_path, capsys):
     csp = proper_coloring(cycle_graph(4), 2)
     prob = problem_file(tmp_path, csp)

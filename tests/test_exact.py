@@ -7,13 +7,11 @@ from hypothesis import given, strategies as st
 from llltool.errors import InvalidParameterError
 from llltool.exact import (
     binomial_sigma,
-    ceil_div,
     certified_less,
     e_interval,
     e_power_interval,
     float_of,
     format_rational,
-    nth_root_less,
     parse_rational,
     rational_pow_leq,
     root_compare,
@@ -104,12 +102,6 @@ def test_rational_pow_leq_matches_integer_powers(base, num, den, rhs):
     )
 
 
-def test_nth_root_less_examples():
-    assert nth_root_less(8, 3, Fraction(21, 10))      # 2 < 2.1
-    assert not nth_root_less(8, 3, Fraction(2))       # not strict
-    assert not nth_root_less(9, 2, Fraction(29, 10))  # 3 > 2.9
-
-
 def test_root_compare_orders_growth_rates():
     # g1^(1/r1) vs g2^(1/r2) by cross powers: 2^3 = 8 < 9 = 9^1
     assert root_compare(2, 1, 9, 3) == -1
@@ -119,12 +111,6 @@ def test_root_compare_orders_growth_rates():
 
 def test_float_of_is_true_division():
     assert float_of(Fraction(1, 3)) == 1 / 3
-
-
-def test_ceil_div():
-    assert ceil_div(7, 2) == 4
-    assert ceil_div(8, 2) == 4
-    assert ceil_div(0, 5) == 0
 
 
 def test_binomial_sigma_quarter():

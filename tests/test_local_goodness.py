@@ -1,11 +1,20 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_csp, naive_locally_bad, random_tiny_csp, some_tables
+from conftest import (
+    TINY_FAMILY,
+    make_csp,
+    naive_locally_bad,
+    random_tiny_csp,
+    recursive_folner_search,
+    some_tables,
+)
 from llltool.csp import (
     AlwaysViolated,
     build_dependency_graph,
@@ -20,8 +29,9 @@ from llltool.errors import (
     SearchBudgetError,
 )
 from llltool.generators import proper_coloring
-from llltool.graphs import graph_from_edges
+from llltool.graphs import bfs_distances, graph_from_edges
 from llltool.local_goodness import (
+    DEFAULT_SEARCH_BUDGET,
     LBadPredicate,
     LocalParams,
     augment_with_always_violated,
@@ -40,6 +50,7 @@ from llltool.local_goodness import (
     lg_degree_check,
     local_csp,
 )
+from llltool.local_goodness import _folner_search
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import Table, table_from_rows
 
@@ -188,6 +199,54 @@ def test_search_budget_failure_is_loud():
     table = some_tables(csp, 3, 1, seed=0)[0]
     with pytest.raises(SearchBudgetError):
         is_locally_good(csp, table, LocalParams(0, 1, 1, HALF), budget=1)
+
+
+def _search_outcome(search, *args):
+    """(witness, nodes visited), or the SearchBudgetError message."""
+    try:
+        return search(*args)
+    except SearchBudgetError as exc:
+        return str(exc)
+
+
+def test_iterative_search_matches_the_recursive_oracle():
+    rng = random.Random(505)
+    problems = TINY_FAMILY + [
+        random_tiny_csp(rng, max_bad_rows=3) for _ in range(120)
+    ]
+    grid = list(itertools.product(
+        (1, 2, 3), (1, 2, 4), (HALF, Fraction(1, 5)),
+        (0, 1, 3, 10, DEFAULT_SEARCH_BUDGET),
+    ))
+    seen = Counter()
+    for csp in problems:
+        tables = some_tables(csp, 3, 2, seed=rng.randint(0, 9999))
+        for table, c in itertools.product(tables, csp.constraints):
+            for R, N, eps, budget in grid:
+                dist = bfs_distances(csp.dependency_graph, c.id, R)
+                for r in range(R):
+                    args = (N, eps, budget)
+                    new = _search_outcome(
+                        _folner_search, csp, table, c.id, dist, r, *args
+                    )
+                    old = _search_outcome(
+                        recursive_folner_search, csp, table, c.id, r, R, *args
+                    )
+                    assert new == old
+                    if isinstance(new, str):
+                        seen["budget"] += 1
+                    else:
+                        seen["good" if new[0] is None else "bad"] += 1
+    assert seen.keys() == {"good", "bad", "budget"}
+
+
+def test_deep_table_search_returns_a_verdict():
+    # 1400 nested firings: past the recursion limit of a recursive search.
+    csp = make_csp(1, [((0,), [(0,), (1,)])])
+    table = Table(1500, {0: (0,) * 1500})
+    good, wit = is_locally_good(csp, table, LocalParams(0, 1, 1400, HALF))
+    assert not good
+    assert wit == MtSequence.from_lists([[0]] * 1400)
 
 
 def test_extended_domain_collects_ball_domains():

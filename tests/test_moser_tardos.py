@@ -40,7 +40,6 @@ Step = namedtuple("Step", "fired violated")
 
 def test_sequence_round_trip():
     seq = MtSequence.from_lists([[2, 0], [1]])
-    assert seq.total_size() == 3
     assert seq.to_json() == [[0, 2], [1]]
     assert MtSequence.from_lists(seq.to_json()) == seq
 

@@ -15,7 +15,6 @@ from llltool.tables import (
     sample_label,
     sample_table,
     table_from_json,
-    table_from_rows,
     weight_thresholds,
 )
 
@@ -35,12 +34,6 @@ def test_get_bounds():
         t.get(5, 2)
     with pytest.raises(MissingVariableError):
         t.get(6, 0)
-
-
-def test_row_labeling_defaults_to_row_zero():
-    t = table_from_rows([[0, 1], [1, 0]])
-    assert t.row_labeling({}) == {0: 0, 1: 1}
-    assert t.row_labeling({1: 1}) == {0: 0, 1: 0}
 
 
 def test_table_json_round_trip():

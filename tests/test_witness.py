@@ -7,6 +7,7 @@ from conftest import (
     TINY_FAMILY,
     enumerate_all_witnesses,
     make_csp,
+    naive_longest_path_levels,
     realizable_by_sequence,
     some_tables,
 )
@@ -18,8 +19,10 @@ from llltool.errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from llltool.moser_tardos import MtSequence
-from llltool.tables import table_from_rows
+from llltool.generators import proper_coloring
+from llltool.graphs import graph_from_edges
+from llltool.moser_tardos import FIRST_SINGLETON, MtSequence, mta_run
+from llltool.tables import sample_table, table_from_rows
 from llltool.witness import (
     WitnessDigraph,
     canonical_form,
@@ -37,6 +40,7 @@ from llltool.witness import (
     witness_from_json,
     witness_from_levels,
 )
+from llltool.witness import _topological_levels
 
 CHAIN = make_csp(1, [((0,), [(0,)])])
 PAIR = make_csp(3, [((0, 1), [(0, 0)]), ((1, 2), [(1, 1)])])
@@ -117,6 +121,21 @@ def test_canonical_form_ignores_vertex_order():
 def test_canonical_form_rejects_cyclic_input():
     with pytest.raises(InvalidInputError):
         canonical_form(WitnessDigraph((0, 0), frozenset({(0, 1), (1, 0)})))
+
+
+def test_topological_levels_match_naive_longest_paths():
+    n = 400
+    csp = proper_coloring(graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)]), 3)
+    table = sample_table(csp.weights, csp.variables, 64, seed=7)
+    g = full_witness_digraph(mta_run(csp, table, FIRST_SINGLETON).sequence(), csp)
+    assert g.n > 300
+    levels = _topological_levels(g)
+    assert max(levels) > 10
+    assert levels == naive_longest_path_levels(g)
+
+    cyclic = WitnessDigraph((0, 0, 0, 0), frozenset({(0, 1), (1, 2), (2, 1), (3, 0)}))
+    assert _topological_levels(cyclic) is None
+    assert naive_longest_path_levels(cyclic) is None
 
 
 def test_in_level_counts_and_cells():
