@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,6 +110,9 @@ class Csp:
     _closed_neighborhoods: tuple[frozenset[int], ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _weight_scale: tuple[int, tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if list(self.variables) != sorted(set(self.variables)):
@@ -166,6 +170,23 @@ class Csp:
             object.__setattr__(self, "_closed_neighborhoods", closed)
         return closed
 
+    @property
+    def weight_scale(self) -> tuple[int, tuple[int, ...]]:
+        """Common denominator D and integer numerators n, weights[l] = n[l] / D.
+
+        Built once per problem, so exact masses can be summed as integers
+        and divided once.
+        """
+        scale = self._weight_scale
+        if scale is None:
+            denominator = math.lcm(*(w.denominator for w in self.weights))
+            numerators = tuple(
+                w.numerator * (denominator // w.denominator) for w in self.weights
+            )
+            scale = (denominator, numerators)
+            object.__setattr__(self, "_weight_scale", scale)
+        return scale
+
 
 def uniform_weights(k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, k) for _ in range(k))
@@ -194,17 +215,21 @@ def is_solution(csp: Csp, f: Mapping[int, int]) -> bool:
     return all(not violates(csp, c.id, f) for c in csp.constraints)
 
 
+def _check_row_cap(cid: int, rows: int, cap: int | None) -> None:
+    """Refuse to enumerate more rows of a predicate-backed bad set than the cap."""
+    cap = materialize_cap_default() if cap is None else cap
+    if rows > cap:
+        raise CapExceededError(
+            f"materializing constraint {cid} needs {rows} rows, cap {cap}"
+        )
+
+
 def materialize_bad(csp: Csp, cid: int, cap: int | None = None) -> frozenset:
     """Explicit row set of a constraint's bad set, enumerating under a cap."""
     c = csp.constraint(cid)
     if isinstance(c.bad, frozenset):
         return c.bad
-    cap = materialize_cap_default() if cap is None else cap
-    if csp.label_count ** len(c.domain) > cap:
-        raise CapExceededError(
-            f"materializing constraint {cid} needs "
-            f"{csp.label_count ** len(c.domain)} rows, cap {cap}"
-        )
+    _check_row_cap(cid, csp.label_count ** len(c.domain), cap)
     return frozenset(
         row for row in assignment_rows(csp.label_count, len(c.domain)) if c.bad.contains(row)
     )
@@ -212,21 +237,53 @@ def materialize_bad(csp: Csp, cid: int, cap: int | None = None) -> frozenset:
 
 def prob_bad(csp: Csp, cid: int, cap: int | None = None) -> Fraction:
     """Exact product-measure mass of the constraint's bad set."""
+    return conditional_mass(csp, cid, {}, cap)
+
+
+def conditional_mass(
+    csp: Csp, cid: int, fixed: Mapping[int, int], cap: int | None = None
+) -> Fraction:
+    """Exact mass of the constraint's bad set given the partial labeling.
+
+    Equals `prob_bad(quotient_csp(csp, fixed).csp, cid, cap)` but reads
+    only the constraint's own domain and bad rows: entries of `fixed`
+    off the domain are ignored, so a caller may pass any labeling that
+    agrees with the quotient's on the domain. A predicate's `exact_prob`
+    shortcut is the unconditional mass, so it applies only while no
+    domain variable is fixed; otherwise the predicate is enumerated over
+    the free variables, under the cap.
+    """
     c = csp.constraint(cid)
-    if isinstance(c.bad, BadPredicate):
+    scale, numerators = csp.weight_scale
+    free = [i for i, v in enumerate(c.domain) if v not in fixed]
+    total = 0
+    if isinstance(c.bad, frozenset):
+        pinned = [(i, fixed[v]) for i, v in enumerate(c.domain) if v in fixed]
+        for row in c.bad:
+            for i, lab in pinned:
+                if row[i] != lab:
+                    break
+            else:
+                mass = 1
+                for i in free:
+                    mass *= numerators[row[i]]
+                total += mass
+        return Fraction(total, scale ** len(free))
+    if len(free) == len(c.domain):
         shortcut = c.bad.exact_prob(csp, c.domain)
         if shortcut is not None:
             return shortcut
-        rows = materialize_bad(csp, cid, cap)
-    else:
-        rows = c.bad
-    total = Fraction(0)
-    for row in rows:
-        mass = Fraction(1)
-        for lab in row:
-            mass *= csp.weights[lab]
-        total += mass
-    return total
+    _check_row_cap(cid, csp.label_count ** len(free), cap)
+    full = [fixed.get(v) for v in c.domain]
+    for labels in assignment_rows(csp.label_count, len(free)):
+        for i, lab in zip(free, labels):
+            full[i] = lab
+        if c.bad.contains(tuple(full)):
+            mass = 1
+            for lab in labels:
+                mass *= numerators[lab]
+            total += mass
+    return Fraction(total, scale ** len(free))
 
 
 def build_dependency_graph(csp: Csp) -> FiniteGraph:

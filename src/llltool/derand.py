@@ -13,16 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .csp import (
     Csp,
     QuotientCsp,
     assignment_rows,
+    conditional_mass,
     is_solution,
     lll_condition,
     materialize_cap_default,
     prob_bad,
-    quotient_csp,
 )
 from .errors import (
     CapExceededError,
@@ -72,10 +73,12 @@ def solve_edgeless(csp: Csp) -> dict[int, int]:
 def _square_independent(csp: Csp, ids) -> bool:
     """No two distinct ids within distance 2, i.e. closed neighborhoods disjoint."""
     closed = csp.closed_neighborhoods
-    ids = list(ids)
-    return all(
-        closed[a].isdisjoint(closed[b]) for a in ids for b in ids if a != b
-    )
+    covered: set[int] = set()
+    for cid in set(ids):
+        if not covered.isdisjoint(closed[cid]):
+            return False
+        covered.update(closed[cid])
+    return True
 
 
 def induction_step(
@@ -88,32 +91,53 @@ def induction_step(
     accepted when every constraint in c's closed neighborhood keeps
     conditional bad mass at most (d+1) times its current value. The class
     must be independent in the squared dependency graph, which makes the
-    per-constraint searches non-interacting.
+    per-constraint searches non-interacting. Only `q.base` and `q.fixed`
+    are read.
     """
     base = q.base
+    for cid in color_class:
+        base.constraint(cid)
     if not _square_independent(base, color_class):
         raise InvalidParameterError("class is not square-independent")
     cap = materialize_cap_default() if cap is None else cap
     d = base.dependency_graph.max_degree()
+    return _class_step(base, q.fixed, color_class, d, cap)
+
+
+def _class_step(
+    csp: Csp, fixed: Mapping[int, int], color_class, d: int, cap: int | None
+) -> dict[int, int]:
+    """The induction step on a square-independent class, masses kept local.
+
+    A candidate row for c fixes only c's free variables, so it changes
+    only the masses on c's closed neighborhood. Those are the only masses
+    evaluated, each over a small labeling that holds the fixed labels
+    their domains read; each candidate writes its labels into it in place.
+    """
     merged: dict[int, int] = {}
     for cid in sorted(color_class):
-        reduced = q.csp.constraint(cid).domain
-        targets = sorted(base.closed_neighborhoods[cid])
-        current = {a: prob_bad(q.csp, a, cap) for a in targets}
-        chosen = None
-        for row in assignment_rows(base.label_count, len(reduced)):
-            phi = dict(zip(reduced, row))
-            trial = quotient_csp(q.csp, phi).csp if phi else q.csp
+        free = [v for v in csp.constraints[cid].domain if v not in fixed]
+        targets = sorted(csp.closed_neighborhoods[cid])
+        local = {
+            v: fixed[v]
+            for a in targets
+            for v in csp.constraints[a].domain
+            if v in fixed
+        }
+        limits = [
+            (a, (d + 1) * conditional_mass(csp, a, local, cap)) for a in targets
+        ]
+        for row in assignment_rows(csp.label_count, len(free)):
+            local.update(zip(free, row))
             if all(
-                prob_bad(trial, a, cap) <= (d + 1) * current[a] for a in targets
+                conditional_mass(csp, a, local, cap) <= limit for a, limit in limits
             ):
-                chosen = phi
+                merged.update(zip(free, row))
                 break
-        if chosen is None:
+        else:
             raise InternalInvariantError(
                 f"no qualifying assignment for constraint {cid}"
             )
-        merged.update(chosen)
     return merged
 
 
@@ -125,47 +149,48 @@ def solve_double_exp(
     Pass a list as `ledger` to collect per-class exact mass records; each
     entry checks the running mass of a constraint against
     (d+1)^k times its starting mass, k counting the classes whose closed
-    neighborhood reached it so far.
+    neighborhood reached it so far. A class changes only the masses it
+    reached, so only those are recomputed, and only for the ledger.
     """
     dep = csp.dependency_graph
     d = dep.max_degree()
-    p = max((prob_bad(csp, c.id, cap) for c in csp.constraints), default=Fraction(0))
+    base_mass = [prob_bad(csp, c.id, cap) for c in csp.constraints]
+    p = max(base_mass, default=Fraction(0))
     if not lll_condition(p, d, "double_exp").holds:
         raise InvalidParameterError(
             f"p(d+1)^(d+1) = {float_of(p * Fraction(d + 1) ** (d + 1))} is not < 1"
         )
-    base_mass = {c.id: prob_bad(csp, c.id, cap) for c in csp.constraints}
     colors = greedy_proper_coloring(power_graph(dep, 2))
     classes: dict[int, list[int]] = {}
     for cid, color in enumerate(colors):
         classes.setdefault(color, []).append(cid)
 
     fixed: dict[int, int] = {}
-    q = quotient_csp(csp, fixed)
-    touched = {c.id: 0 for c in csp.constraints}
+    mass = list(base_mass)
+    bound = list(base_mass)
+    touched = [0] * len(csp.constraints)
     for index, color in enumerate(sorted(classes)):
         members = classes[color]
-        phi = induction_step(q, members, cap)
-        fixed = {**fixed, **phi}
-        q = quotient_csp(csp, fixed)
-        reached = set()
-        for cid in members:
-            reached.update(csp.closed_neighborhoods[cid])
-        for a in sorted(reached):
-            touched[a] += 1
+        fixed.update(_class_step(csp, fixed, members, d, cap))
         if ledger is not None:
+            reached = set()
+            for cid in members:
+                reached.update(csp.closed_neighborhoods[cid])
+            for a in reached:
+                touched[a] += 1
+                bound[a] *= d + 1
             for c in csp.constraints:
-                after = prob_bad(q.csp, c.id, cap)
-                bound = Fraction(d + 1) ** touched[c.id] * base_mass[c.id]
+                if c.id in reached:
+                    mass[c.id] = conditional_mass(csp, c.id, fixed, cap)
                 ledger.append(
                     {
                         "class_index": index,
                         "class": sorted(members),
                         "constraint": c.id,
-                        "mass": after,
+                        "mass": mass[c.id],
                         "k": touched[c.id],
-                        "bound": bound,
-                        "ok": after <= bound,
+                        "bound": bound[c.id],
+                        "ok": mass[c.id] <= bound[c.id],
                     }
                 )
     labeling = {v: 0 for v in csp.variables}

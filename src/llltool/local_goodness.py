@@ -420,10 +420,13 @@ def estimate_lbad_prob(
     check_lbad_hypotheses(p, s, params.eps, params.eta)
     gamma_r = gamma_at_radius(dep, params.R)
     bound = lbad_bound(d, params.eta, params.R, gamma_r, params.N)
+    # Only these columns can change the verdict, and keyed sampling draws
+    # them exactly as a full-table sample would.
+    read = extended_domain(csp, params.c, params.R)
     bad = 0
     unknown = 0
     for trial in range(trials):
-        table = sample_table(csp.weights, csp.variables, depth, seed, trial)
+        table = sample_table(csp.weights, read, depth, seed, trial)
         try:
             good, _ = is_locally_good(csp, table, params, budget)
         except SearchBudgetError:

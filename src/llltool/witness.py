@@ -246,21 +246,25 @@ def verify_mt1_exact(
         raise CapExceededError(
             f"{k}**{len(cells)} cell assignments exceed cap {cap}"
         )
-    lhs = Fraction(0)
+    # Leaf masses are products of integer weight numerators over the
+    # common denominator scale**len(cells), divided out once at the end.
+    scale, numerators = csp.weight_scale
+    total = 0
     assignment = {}
 
-    def fill(i: int, mass: Fraction):
-        nonlocal lhs
+    def fill(i: int, mass: int):
+        nonlocal total
         if i == len(cells):
             if _compatible_on_cells(vertex_cells, lambda v, r: assignment[(v, r)]):
-                lhs += mass
+                total += mass
             return
         for label in range(k):
             assignment[cells[i]] = label
-            fill(i + 1, mass * csp.weights[label])
+            fill(i + 1, mass * numerators[label])
         del assignment[cells[i]]
 
-    fill(0, Fraction(1))
+    fill(0, 1)
+    lhs = Fraction(total, scale ** len(cells))
     rhs = Fraction(1)
     for cid in g.decorations:
         rhs *= prob_bad(csp, cid, cap)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from llltool.errors import (
     DepthExceededError,
+    InternalInvariantError,
     InvalidParameterError,
     ScriptError,
     SearchBudgetError,
@@ -25,11 +26,25 @@ from llltool.csp import (
     BadPredicate,
     Constraint,
     Csp,
+    QuotientCsp,
+    assignment_rows,
     build_dependency_graph,
+    is_solution,
+    lll_condition,
+    materialize_cap_default,
+    prob_bad,
+    quotient_csp,
     uniform_weights,
     violates,
 )
-from llltool.graphs import ball, maximal_independent_set
+from llltool.exact import float_of
+from llltool.generators import Hypergraph
+from llltool.graphs import (
+    ball,
+    greedy_proper_coloring,
+    maximal_independent_set,
+    power_graph,
+)
 from llltool.local_goodness import local_csp
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import Table, sample_table
@@ -439,6 +454,20 @@ def random_tiny_csp(rng: random.Random, max_bad_rows=2, allow_empty_bad=True):
     return make_csp(n_vars, specs)
 
 
+def paired_hypergraph(rng):
+    """Disjoint pairs of 6-edges sharing one vertex: meta-degree 1."""
+    edges, base = [], 0
+    for _ in range(rng.randint(1, 3)):
+        first = list(range(base, base + 6))
+        second = sorted([first[rng.randrange(6)]] + list(range(base + 6, base + 11)))
+        edges += [first, second]
+        base += 11
+    if rng.random() < 0.5:
+        edges.append(list(range(base, base + 6)))
+        base += 6
+    return Hypergraph(base, tuple(tuple(e) for e in edges))
+
+
 def sequences_upto(csp, max_total):
     """All step sequences with nonempty non-adjacent steps, any validity.
 
@@ -542,3 +571,113 @@ def naive_mta_run(csp, table, strategy, max_iters=None):
         for v in touched:
             levels[v] += 1
         step_index += 1
+
+
+# The global-quotient derandomizer that `derand.induction_step` and
+# `derand.solve_double_exp` replaced, kept word for word as their oracle:
+# every candidate row re-quotients the whole problem, and every class
+# re-quotients it again and re-evaluates every mass.
+def pairwise_square_independent(csp: Csp, ids) -> bool:
+    """No two distinct ids within distance 2, i.e. closed neighborhoods disjoint."""
+    closed = csp.closed_neighborhoods
+    ids = list(ids)
+    return all(
+        closed[a].isdisjoint(closed[b]) for a in ids for b in ids if a != b
+    )
+
+
+def quotient_induction_step(
+    q: QuotientCsp, color_class, cap: int | None = None
+) -> dict[int, int]:
+    """First acceptable assignment per class constraint, merged.
+
+    For c in the class (ids ascending) the candidates are the label rows
+    on c's still-free variables, in lexicographic order; a candidate is
+    accepted when every constraint in c's closed neighborhood keeps
+    conditional bad mass at most (d+1) times its current value. The class
+    must be independent in the squared dependency graph, which makes the
+    per-constraint searches non-interacting.
+    """
+    base = q.base
+    if not pairwise_square_independent(base, color_class):
+        raise InvalidParameterError("class is not square-independent")
+    cap = materialize_cap_default() if cap is None else cap
+    d = base.dependency_graph.max_degree()
+    merged: dict[int, int] = {}
+    for cid in sorted(color_class):
+        reduced = q.csp.constraint(cid).domain
+        targets = sorted(base.closed_neighborhoods[cid])
+        current = {a: prob_bad(q.csp, a, cap) for a in targets}
+        chosen = None
+        for row in assignment_rows(base.label_count, len(reduced)):
+            phi = dict(zip(reduced, row))
+            trial = quotient_csp(q.csp, phi).csp if phi else q.csp
+            if all(
+                prob_bad(trial, a, cap) <= (d + 1) * current[a] for a in targets
+            ):
+                chosen = phi
+                break
+        if chosen is None:
+            raise InternalInvariantError(
+                f"no qualifying assignment for constraint {cid}"
+            )
+        merged.update(chosen)
+    return merged
+
+
+def quotient_solve_double_exp(
+    csp: Csp, ledger: list | None = None, cap: int | None = None
+) -> dict[int, int]:
+    """Deterministic total solution under p(d+1)^(d+1) < 1.
+
+    Pass a list as `ledger` to collect per-class exact mass records; each
+    entry checks the running mass of a constraint against
+    (d+1)^k times its starting mass, k counting the classes whose closed
+    neighborhood reached it so far.
+    """
+    dep = csp.dependency_graph
+    d = dep.max_degree()
+    p = max((prob_bad(csp, c.id, cap) for c in csp.constraints), default=Fraction(0))
+    if not lll_condition(p, d, "double_exp").holds:
+        raise InvalidParameterError(
+            f"p(d+1)^(d+1) = {float_of(p * Fraction(d + 1) ** (d + 1))} is not < 1"
+        )
+    base_mass = {c.id: prob_bad(csp, c.id, cap) for c in csp.constraints}
+    colors = greedy_proper_coloring(power_graph(dep, 2))
+    classes: dict[int, list[int]] = {}
+    for cid, color in enumerate(colors):
+        classes.setdefault(color, []).append(cid)
+
+    fixed: dict[int, int] = {}
+    q = quotient_csp(csp, fixed)
+    touched = {c.id: 0 for c in csp.constraints}
+    for index, color in enumerate(sorted(classes)):
+        members = classes[color]
+        phi = quotient_induction_step(q, members, cap)
+        fixed = {**fixed, **phi}
+        q = quotient_csp(csp, fixed)
+        reached = set()
+        for cid in members:
+            reached.update(csp.closed_neighborhoods[cid])
+        for a in sorted(reached):
+            touched[a] += 1
+        if ledger is not None:
+            for c in csp.constraints:
+                after = prob_bad(q.csp, c.id, cap)
+                bound = Fraction(d + 1) ** touched[c.id] * base_mass[c.id]
+                ledger.append(
+                    {
+                        "class_index": index,
+                        "class": sorted(members),
+                        "constraint": c.id,
+                        "mass": after,
+                        "k": touched[c.id],
+                        "bound": bound,
+                        "ok": after <= bound,
+                    }
+                )
+    labeling = {v: 0 for v in csp.variables}
+    labeling.update(fixed)
+    if not is_solution(csp, labeling):
+        raise InternalInvariantError("derandomized labeling violates a constraint")
+    return labeling

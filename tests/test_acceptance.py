@@ -18,6 +18,7 @@ from conftest import (
     all_tables,
     enumerate_all_witnesses,
     make_csp,
+    paired_hypergraph,
     random_tiny_csp,
     realizable_by_sequence,
     sequences_upto,
@@ -41,7 +42,6 @@ from llltool.derand import (
 )
 from llltool.errors import ScriptError
 from llltool.generators import (
-    Hypergraph,
     hypergraph_2coloring,
     proper_coloring,
     sinkless_orientation,
@@ -309,20 +309,6 @@ def test_criterion_07_bad_locality_frequency_stays_under_the_bound():
         assert rep["pass"]
         assert rep["unknown"] == 0
         assert rep["frequency"] <= rep["bound"] + rep["tolerance"]
-
-
-def paired_hypergraph(rng):
-    """Disjoint pairs of 6-edges sharing one vertex: meta-degree 1."""
-    edges, base = [], 0
-    for _ in range(rng.randint(1, 3)):
-        first = list(range(base, base + 6))
-        second = sorted([first[rng.randrange(6)]] + list(range(base + 6, base + 11)))
-        edges += [first, second]
-        base += 11
-    if rng.random() < 0.5:
-        edges.append(list(range(base, base + 6)))
-        base += 6
-    return Hypergraph(base, tuple(tuple(e) for e in edges))
 
 
 def test_criterion_08_degree_one_hypergraphs_solve_deterministically():

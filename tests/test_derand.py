@@ -1,17 +1,33 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import make_csp
+from conftest import (
+    TINY_FAMILY,
+    make_csp,
+    paired_hypergraph,
+    pairwise_square_independent,
+    quotient_induction_step,
+    quotient_solve_double_exp,
+    random_tiny_csp,
+)
+from llltool import derand
 from llltool.csp import (
+    AlwaysViolated,
+    BadPredicate,
+    Csp,
     build_dependency_graph,
+    conditional_mass,
     is_solution,
     prob_bad,
     quotient_csp,
 )
 from llltool.errors import (
+    CapExceededError,
     HypothesisError,
+    InternalInvariantError,
     InvalidParameterError,
     UnsatisfiableConstraintError,
 )
@@ -287,3 +303,197 @@ def test_random_sparse_instances_all_solve():
         labeling = solve_double_exp(csp, ledger=ledger)
         assert is_solution(csp, labeling)
         assert all(e["ok"] for e in ledger)
+
+
+class AllZero(BadPredicate):
+    """Bad exactly when every label is 0, known by membership only."""
+
+    def contains(self, row):
+        return not any(row)
+
+
+class AllZeroWithMass(AllZero):
+    """The same bad set with its exact mass as a shortcut."""
+
+    def exact_prob(self, csp, domain):
+        return csp.weights[0] ** len(domain)
+
+
+WEIGHTINGS = [
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 4), Fraction(3, 4)),
+    (Fraction(1, 8), Fraction(7, 8)),
+    (Fraction(9, 10), Fraction(1, 10)),
+]
+
+PREDICATE_FAMILY = [
+    make_csp(3, [((), AllZero()), ((0, 1), AllZeroWithMass()),
+                 ((1,), AlwaysViolated()), ((1, 2), [(0, 1)])]),
+    make_csp(4, [((0, 1, 2), AllZero()), ((2, 3), AlwaysViolated()),
+                 ((), AllZeroWithMass())], weights=WEIGHTINGS[1]),
+]
+
+
+def random_reweighted_csps(seed, count):
+    """Random tiny problems, most under non-uniform label weights."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        csp = random_tiny_csp(rng)
+        weights = rng.choice(WEIGHTINGS)
+        out.append(Csp(csp.variables, csp.label_count, weights, csp.constraints))
+    return out
+
+
+def with_bad(csp, bad):
+    """The same domains, each bad set replaced by the predicate class `bad`."""
+    return make_csp(
+        len(csp.variables), [(c.domain, bad()) for c in csp.constraints]
+    )
+
+
+def outcome(run):
+    """A call's result, or the type and text of the error it raised."""
+    try:
+        return "value", run()
+    except (CapExceededError, InvalidParameterError, InternalInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_conditional_mass_matches_the_quotient_mass():
+    rng = random.Random(61)
+    problems = TINY_FAMILY + PREDICATE_FAMILY + random_reweighted_csps(62, 60)
+    kinds = set()
+    for csp in problems:
+        for _ in range(12):
+            share = rng.choice([0, 0.5, 1])
+            fixed = {
+                v: rng.randrange(csp.label_count)
+                for v in csp.variables
+                if rng.random() < share
+            }
+            reduced = quotient_csp(csp, fixed).csp
+            for c in csp.constraints:
+                for cap in (None, 0, 1, 2, 4):
+                    fast = outcome(lambda: conditional_mass(csp, c.id, fixed, cap))
+                    slow = outcome(lambda: prob_bad(reduced, c.id, cap))
+                    assert fast == slow, (csp, fixed, c.id, cap)
+                    if fast[0] == "value":
+                        kinds.add(fast[1] if fast[1] in (0, 1) else "between")
+                    else:
+                        kinds.add(fast[0])
+            assert all(
+                conditional_mass(csp, c.id, {}) == prob_bad(csp, c.id)
+                for c in csp.constraints
+            )
+    assert kinds == {0, 1, "between", "CapExceededError"}
+
+
+def assert_same_solve(csp, cap=None):
+    """Both routes give the same labeling or error, and the same ledger."""
+    ledgers = ([], [])
+    fast = outcome(lambda: solve_double_exp(csp, ledgers[0], cap))
+    slow = outcome(lambda: quotient_solve_double_exp(csp, ledgers[1], cap))
+    assert fast == slow
+    assert ledgers[0] == ledgers[1]
+    return fast
+
+
+def test_double_exp_matches_the_quotient_route():
+    results = [
+        assert_same_solve(csp)
+        for csp in TINY_FAMILY + PREDICATE_FAMILY + random_reweighted_csps(63, 200)
+    ]
+    rng = random.Random(64)
+    for _ in range(8):
+        plain = hypergraph_2coloring(paired_hypergraph(rng))
+        results.append(assert_same_solve(plain))
+        for bad in (AllZero, AllZeroWithMass):
+            for cap in (None, 64, 16, 4):
+                results.append(assert_same_solve(with_bad(plain, bad), cap))
+    assert {kind for kind, _ in results} == {
+        "value", "InvalidParameterError", "CapExceededError"
+    }
+    refusals = {text for kind, text in results if kind == "CapExceededError"}
+    # a whole 6-edge past the cap, and one conditioned on a fixed variable
+    assert any("needs 64 rows" in text for text in refusals)
+    assert any("needs 32 rows" in text for text in refusals)
+
+
+def test_induction_step_matches_the_quotient_route():
+    rng = random.Random(65)
+    kinds = set()
+    for csp in TINY_FAMILY + PREDICATE_FAMILY + random_reweighted_csps(66, 40):
+        ids = [c.id for c in csp.constraints]
+        for _ in range(6):
+            fixed = {
+                v: rng.randrange(csp.label_count)
+                for v in csp.variables
+                if rng.random() < 0.4
+            }
+            q = quotient_csp(csp, fixed)
+            color_class = rng.sample(ids, rng.randint(0, len(ids)))
+            for cap in (None, 1, 2):
+                fast = outcome(lambda: induction_step(q, color_class, cap))
+                slow = outcome(lambda: quotient_induction_step(q, color_class, cap))
+                assert fast == slow
+                kinds.add(fast[0])
+    assert kinds == {"value", "InvalidParameterError", "CapExceededError"}
+
+
+def test_square_independence_ignores_repeated_ids():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graph = graph_from_edges(n, rng.sample(pairs, rng.randint(1, len(pairs))))
+        csp = proper_coloring(graph, 2)
+        ids = range(len(csp.constraints))
+        for _ in range(10):
+            chosen = rng.sample(ids, rng.randint(1, min(3, len(ids))))
+            chosen += rng.choices(chosen, k=rng.randint(1, 3))
+            expected = pairwise_square_independent(csp, chosen)
+            assert _square_independent(csp, chosen) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+    csp = hypergraph_2coloring(chained_hypergraph(1, arity=3))
+    q = quotient_csp(csp, {})
+    assert _square_independent(csp, [0, 0])
+    assert induction_step(q, [0, 0]) == induction_step(q, [0])
+
+
+def test_small_cap_deterministic_pipeline_matches_the_quotient_route(monkeypatch):
+    problems = [
+        proper_coloring(path_graph(2), 2),
+        proper_coloring(graph_from_edges(4, [(0, 1), (2, 3)]), 2),
+        proper_coloring(path_graph(3), 2),
+    ]
+    reports = []
+    for csp, depth, cap, budget in itertools.product(
+        problems, (1, 2), (4, 16, 64), (1, 3, 200_000)
+    ):
+        params = PipelineParams(
+            p=Fraction(1, 2), d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
+            eta=Fraction(1, 64), R=1, N=1, depth=depth,
+        )
+
+        def run():
+            return pipeline(
+                csp, params, mode="deterministic", budget=budget, cap=cap
+            )
+
+        fast = outcome(run)
+        with monkeypatch.context() as patched:
+            patched.setattr(derand, "solve_double_exp", quotient_solve_double_exp)
+            slow = outcome(run)
+        assert fast == slow
+        reports.append(fast)
+    values = [rep for kind, rep in reports if kind == "value"]
+    assert {rep["status"] for rep in values} == {"solved", "infeasible"}
+    # the solver's refusals: base masses past the cap, and an exhausted
+    # search, which is a kind of cap error and is reported as one
+    failures = {rep.get("cap_failed") for rep in values}
+    assert "materializing constraint 0 needs 64 rows, cap 16" in failures
+    assert "search exceeded 1 count vectors at c=0, r=0" in failures
+    assert ("InvalidParameterError", "p(d+1)^(d+1) = 2.0 is not < 1") in reports

@@ -28,7 +28,8 @@ from llltool.errors import (
     InvalidParameterError,
     SearchBudgetError,
 )
-from llltool.generators import proper_coloring
+from llltool import local_goodness
+from llltool.generators import proper_coloring, sinkless_orientation
 from llltool.graphs import bfs_distances, graph_from_edges
 from llltool.local_goodness import (
     DEFAULT_SEARCH_BUDGET,
@@ -52,7 +53,7 @@ from llltool.local_goodness import (
 )
 from llltool.local_goodness import _folner_search
 from llltool.moser_tardos import MtSequence, check_consistency
-from llltool.tables import Table, table_from_rows
+from llltool.tables import Table, sample_table, table_from_rows
 
 
 def path_graph(n):
@@ -429,6 +430,36 @@ def test_estimate_counts_budget_exhaustion_as_bad():
     )
     assert rep["unknown"] == 5
     assert rep["frequency"] == 1.0
+
+
+def test_estimate_matches_a_full_table_run_on_the_ring(monkeypatch):
+    # Keyed sampling draws the extended domain's columns exactly as a full
+    # table would, and no other column can change a verdict.
+    ring = sinkless_orientation(
+        graph_from_edges(10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)])
+    )
+    sampled = []
+
+    def full_table(weights, variables, depth, seed, trial):
+        sampled.append(len(variables))
+        return sample_table(weights, ring.variables, depth, seed, trial)
+
+    seen = set()
+    for N, budget in ((1, DEFAULT_SEARCH_BUDGET), (2, 3)):
+        def run():
+            return estimate_lbad_prob(
+                ring, LocalParams(0, 1, N, Fraction(1, 32), Fraction(1, 64)),
+                depth=3, trials=100, seed=5, s=Fraction(21, 20), budget=budget,
+            )
+
+        restricted = run()
+        with monkeypatch.context() as patched:
+            patched.setattr(local_goodness, "sample_table", full_table)
+            assert run() == restricted
+        seen.update(key for key in ("bad", "unknown") if restricted[key])
+    assert seen == {"bad", "unknown"}
+    assert set(sampled) == {len(extended_domain(ring, 0, 1))}
+    assert len(extended_domain(ring, 0, 1)) < len(ring.variables)
 
 
 def test_augmentation_appends_an_always_violated_watcher():
