@@ -402,11 +402,11 @@ def pipeline(
                 csp, params.R, params.N, params.eps, params.depth, budget, cap
             )
             meta_labeling = solve_double_exp(lg, cap=cap)
+        except SearchBudgetError as exc:  # a CapExceededError, so caught first
+            report.update({"status": "infeasible", "budget_failed": str(exc)})
+            return report
         except CapExceededError as exc:
             report.update({"status": "infeasible", "cap_failed": str(exc)})
-            return report
-        except SearchBudgetError as exc:
-            report.update({"status": "infeasible", "budget_failed": str(exc)})
             return report
         table = _decode_table(meta_labeling, csp.label_count, params.depth)
         for c in csp.constraints:

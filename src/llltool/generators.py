@@ -76,17 +76,6 @@ def sinkless_orientation(g: FiniteGraph) -> Csp:
     return Csp(tuple(range(len(edges))), 2, uniform_weights(2), tuple(constraints))
 
 
-def orientation_of(csp_labeling, edges) -> list[tuple[int, int]]:
-    """Directed edge list realized by a sinkless-orientation labeling."""
-    out = []
-    for i, (lo, hi) in enumerate(edges):
-        if csp_labeling[i] == WITH_REFERENCE:
-            out.append((lo, hi))
-        else:
-            out.append((hi, lo))
-    return out
-
-
 def hypergraph_2coloring(h: Hypergraph) -> Csp:
     """Two labels; a hyperedge is bad exactly when monochromatic."""
     constraints = []

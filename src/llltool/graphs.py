@@ -83,10 +83,6 @@ def load_graph_text(text: str) -> FiniteGraph:
     return graph_from_edges(top + 1, edges)
 
 
-def dump_graph_json(g: FiniteGraph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-
-
 def bfs_distances(g: FiniteGraph, v: int, limit: int | None = None) -> dict[int, int]:
     """Distances from v, restricted to limit when given."""
     if not 0 <= v < g.n:

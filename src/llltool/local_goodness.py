@@ -453,21 +453,3 @@ def estimate_lbad_prob(
         "p": format_rational(p),
         "gammaR": gamma_r,
     }
-
-
-def augment_with_always_violated(csp: Csp, c: int, R: int) -> Csp:
-    """Append an always-violated constraint watching dom_{R-1}(c).
-
-    Verification scaffolding for the probability-bound argument; the new
-    constraint gets the next free id.
-    """
-    if R < 1:
-        raise InvalidParameterError("R must be >= 1")
-    dom = extended_domain(csp, c, R - 1)
-    extra = Constraint(len(csp.constraints), dom, AlwaysViolated())
-    return Csp(
-        csp.variables,
-        csp.label_count,
-        csp.weights,
-        csp.constraints + (extra,),
-    )

@@ -71,15 +71,6 @@ def table_from_json(obj) -> Table:
     return Table(depth, columns)
 
 
-def table_from_rows(rows: list[list[int]]) -> Table:
-    """Dense-variable shorthand: rows[r][v] is the label of variable v at row r."""
-    if not rows:
-        raise InvalidInputError("need at least one row")
-    width = len(rows[0])
-    columns = {v: tuple(row[v] for row in rows) for v in range(width)}
-    return Table(len(rows), columns)
-
-
 def derive_u64(seed: int, *parts: int) -> int:
     """Keyed 64-bit derivation; the counter is the packed part tuple."""
     key = (seed & (_SCALE - 1)).to_bytes(8, "little")

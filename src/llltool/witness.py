@@ -3,11 +3,12 @@
 A witness digraph records which constraints fired and in what dependency
 order: vertices carry constraint decorations, and between any two vertices
 whose decorations share a variable (or coincide) there is exactly one edge.
-Every such digraph is determined up to decorated isomorphism by its
-(level, decoration) multiset, where level is longest-path depth: equal
-decorations force an edge, so they sit at distinct levels, and every edge
-points from lower to higher level. That fact drives both canonical forms
-and the single-sink enumerator below.
+Every such digraph is determined by its vertices' (level, decoration)
+pairs, where level is longest-path depth: interacting vertices sit at
+distinct levels, and every edge points from lower to higher level. That
+fact drives the single edge rule below, which builds a digraph from level
+sets and also validates one against its own levels, and it drives the
+single-sink enumerator.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ class WitnessDigraph:
     @property
     def n(self) -> int:
         return len(self.decorations)
-
-    def in_neighbors(self, x: int) -> list[int]:
-        return [a for a, b in self.edges if b == x]
 
     def sinks(self) -> list[int]:
         heads = {a for a, _ in self.edges}
@@ -107,108 +105,82 @@ def full_witness_digraph(seq: MtSequence, csp: Csp) -> WitnessDigraph:
     return witness_from_levels(seq.steps, csp)
 
 
-def validate_witness(g: WitnessDigraph, csp: Csp) -> bool:
-    """Acyclic, and an edge joins x,y exactly when decorations interact."""
-    if _topological_levels(g) is None:
-        return False
-    closed = csp.closed_neighborhoods
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            forward = (x, y) in g.edges
-            backward = (y, x) in g.edges
-            adjacent = g.decorations[x] in closed[g.decorations[y]]
-            if adjacent != (forward != backward) or (forward and backward):
-                return False
-    return True
+def _edges(decorations, levels, closed) -> frozenset[tuple[int, int]]:
+    """The edge rule: x -> y when the decorations interact and x's level is lower.
 
-
-def canonical_form(g: WitnessDigraph) -> tuple[tuple[int, int], ...]:
-    """Sorted (level, decoration) pairs; equal forms mean isomorphic.
-
-    Valid for witness digraphs only, where the pair list pins the digraph
-    down completely (see the module docstring).
+    Vertices are indexed by decoration, and each walks its decoration's
+    closed neighbourhood: one step per interacting pair of vertices.
     """
+    holders: dict[int, list[int]] = {}
+    for x, cid in enumerate(decorations):
+        holders.setdefault(cid, []).append(x)
+    return frozenset(
+        (x, y)
+        for y, cid in enumerate(decorations)
+        for a in closed[cid]
+        for x in holders.get(a, ())
+        if levels[x] < levels[y]
+    )
+
+
+def validate_witness(g: WitnessDigraph, csp: Csp) -> bool:
+    """Acyclic, and an edge joins x,y exactly when decorations interact.
+
+    Equivalently: no two interacting vertices share a longest-path level,
+    and the edges are the edge rule's on those levels.
+    Raises InvalidParameterError when a decoration names no constraint.
+    """
+    for cid in set(g.decorations):
+        csp.constraint(cid)
     levels = _topological_levels(g)
     if levels is None:
-        raise InvalidInputError("digraph has a directed cycle")
-    return tuple(sorted(zip(levels, g.decorations)))
+        return False
+    closed = csp.closed_neighborhoods
+    placed = set(zip(levels, g.decorations))
+    if len(placed) < g.n or any(
+        (lvl, a) in placed for lvl, cid in placed for a in closed[cid] if a != cid
+    ):
+        return False
+    return g.edges == _edges(g.decorations, levels, closed)
 
 
 def witness_from_levels(level_sets, csp: Csp) -> WitnessDigraph:
-    """Build the unique witness digraph whose level sets are as given."""
-    closed = csp.closed_neighborhoods
-    tags = [
-        (lvl, cid) for lvl, group in enumerate(level_sets) for cid in sorted(group)
-    ]
-    edges = set()
-    for i, (l1, c1) in enumerate(tags):
-        for j, (l2, c2) in enumerate(tags):
-            if l1 < l2 and c1 in closed[c2]:
-                edges.add((i, j))
-    return WitnessDigraph(tuple(c for _, c in tags), frozenset(edges))
+    """Build the unique witness digraph whose level sets are as given.
 
-
-def is_isomorphic(g1: WitnessDigraph, g2: WitnessDigraph) -> bool:
-    """Decoration-preserving digraph isomorphism by backtracking.
-
-    Exponential in general; intended for cross-checks at tiny sizes.
+    Vertices come level by level, ids ascending within a level; vertices
+    that interact inside one level get no edge.
     """
-    if g1.n != g2.n or sorted(g1.decorations) != sorted(g2.decorations):
-        return False
-
-    def extend(mapping: dict[int, int], used: set[int]) -> bool:
-        if len(mapping) == g1.n:
-            return True
-        x = len(mapping)
-        for y in range(g2.n):
-            if y in used or g2.decorations[y] != g1.decorations[x]:
-                continue
-            ok = True
-            for a, fa in mapping.items():
-                if ((a, x) in g1.edges) != ((fa, y) in g2.edges):
-                    ok = False
-                    break
-                if ((x, a) in g1.edges) != ((y, fa) in g2.edges):
-                    ok = False
-                    break
-            if ok and extend({**mapping, x: y}, used | {y}):
-                return True
-        return False
-
-    return extend({}, set())
-
-
-def in_level_counts(g: WitnessDigraph, csp: Csp, x: int) -> dict[int, int]:
-    """For each variable of x's constraint: in-neighbors whose domain has it."""
-    counts = {v: 0 for v in csp.constraint(g.decorations[x]).domain}
-    for y in g.in_neighbors(x):
-        for v in csp.constraint(g.decorations[y]).domain:
-            if v in counts:
-                counts[v] += 1
-    return counts
+    groups = [sorted(group) for group in level_sets]
+    decorations = tuple(cid for group in groups for cid in group)
+    levels = [lvl for lvl, group in enumerate(groups) for _ in group]
+    return WitnessDigraph(
+        decorations, _edges(decorations, levels, csp.closed_neighborhoods)
+    )
 
 
 def _vertex_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[Constraint, tuple]]:
     """Each vertex's constraint with the (variable, row) cells it reads.
 
-    Cells come in domain order. They depend on the digraph alone, so a
-    caller that tries many cell assignments computes them once.
+    Vertex x reads row k of variable v, k counting x's in-neighbours whose
+    constraint contains v: one pass over the edges. Cells come in domain
+    order. They depend on the digraph alone, so a caller that tries many
+    cell assignments computes them once.
     """
-    out = []
-    for x in range(g.n):
-        constraint = csp.constraint(g.decorations[x])
-        counts = in_level_counts(g, csp, x)
-        out.append((constraint, tuple((v, counts[v]) for v in constraint.domain)))
-    return out
+    constraints = [csp.constraint(cid) for cid in g.decorations]
+    counts = [dict.fromkeys(c.domain, 0) for c in constraints]
+    for a, b in g.edges:
+        row = counts[b]
+        for v in constraints[a].domain:
+            if v in row:
+                row[v] += 1
+    return [
+        (c, tuple((v, row[v]) for v in c.domain))
+        for c, row in zip(constraints, counts)
+    ]
 
 
 def _distinct_cells(vertex_cells) -> list[tuple[int, int]]:
     return sorted({cell for _, cells in vertex_cells for cell in cells})
-
-
-def required_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[int, int]]:
-    """Table cells the compatibility criterion reads; disjoint across vertices."""
-    return _distinct_cells(_vertex_cells(g, csp))
 
 
 def _compatible_on_cells(vertex_cells, cell) -> bool:
@@ -364,12 +336,9 @@ def enumerate_sink_star(
         room = max_vertices - size
         if room == 0:
             return
-        above = {cid for level in stack for cid in level}
-        pool = sorted(
-            a.id
-            for a in csp.constraints
-            if closed[a.id].intersection(above)
-        )
+        # closed neighbourhoods are symmetric: these are the ids that
+        # interact with something in the stack
+        pool = sorted(set().union(*(closed[b] for level in stack for b in level)))
         bottom = stack[0]
         for new_level in independent_subsets(pool):
             if len(new_level) > room:

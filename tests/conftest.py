@@ -18,6 +18,7 @@ from fractions import Fraction
 from llltool.errors import (
     DepthExceededError,
     InternalInvariantError,
+    InvalidInputError,
     InvalidParameterError,
     ScriptError,
     SearchBudgetError,
@@ -38,7 +39,7 @@ from llltool.csp import (
     violates,
 )
 from llltool.exact import float_of
-from llltool.generators import Hypergraph
+from llltool.generators import WITH_REFERENCE, Hypergraph
 from llltool.graphs import (
     ball,
     greedy_proper_coloring,
@@ -48,7 +49,7 @@ from llltool.graphs import (
 from llltool.local_goodness import local_csp
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import Table, sample_table
-from llltool.witness import full_witness_digraph, is_isomorphic, witness_from_levels
+from llltool.witness import WitnessDigraph
 
 
 def make_csp(n_vars, specs, k=2, weights=None):
@@ -163,11 +164,11 @@ def enumerate_all_witnesses(csp, max_vertices):
         c.id: {c.id} | set(dep.adjacency[c.id]) for c in csp.constraints
     }
     pool = independent_subsets(dep, [c.id for c in csp.constraints])
-    out = [witness_from_levels([], csp)]
+    out = [pairwise_witness_from_levels([], csp)]
 
     def extend(levels, total):
         if levels:
-            out.append(witness_from_levels(levels, csp))
+            out.append(pairwise_witness_from_levels(levels, csp))
         for s in pool:
             if total + len(s) > max_vertices:
                 continue
@@ -200,7 +201,7 @@ def realizable_by_sequence(g, csp, table):
             except DepthExceededError:
                 return False
             if consistent:
-                return is_isomorphic(full_witness_digraph(seq, csp), g)
+                return is_isomorphic(pairwise_witness_from_levels(seq.steps, csp), g)
             return False
         for step in independent_subsets(dep, [c for c in remaining if remaining[c] > 0]):
             for cid in step:
@@ -232,6 +233,115 @@ def naive_longest_path_levels(g):
         if not changed:
             return level
     return None
+
+
+def table_from_rows(rows: list[list[int]]) -> Table:
+    """Dense-variable shorthand: rows[r][v] is the label of variable v at row r."""
+    if not rows:
+        raise InvalidInputError("need at least one row")
+    width = len(rows[0])
+    columns = {v: tuple(row[v] for row in rows) for v in range(width)}
+    return Table(len(rows), columns)
+
+
+def orientation_of(csp_labeling, edges) -> list[tuple[int, int]]:
+    """Directed edge list realized by a sinkless-orientation labeling."""
+    out = []
+    for i, (lo, hi) in enumerate(edges):
+        if csp_labeling[i] == WITH_REFERENCE:
+            out.append((lo, hi))
+        else:
+            out.append((hi, lo))
+    return out
+
+
+def dump_graph_json(g) -> dict:
+    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+
+
+# The pairwise witness layer that `witness._edges` and `witness._vertex_cells`
+# replaced, kept as their oracle: every pair of tags or vertices is compared,
+# and every vertex scans every edge for its in-neighbours.
+def pairwise_witness_from_levels(level_sets, csp: Csp) -> WitnessDigraph:
+    """Build the unique witness digraph whose level sets are as given."""
+    closed = csp.closed_neighborhoods
+    tags = [
+        (lvl, cid) for lvl, group in enumerate(level_sets) for cid in sorted(group)
+    ]
+    edges = set()
+    for i, (l1, c1) in enumerate(tags):
+        for j, (l2, c2) in enumerate(tags):
+            if l1 < l2 and c1 in closed[c2]:
+                edges.add((i, j))
+    return WitnessDigraph(tuple(c for _, c in tags), frozenset(edges))
+
+
+def pairwise_validate_witness(g: WitnessDigraph, csp: Csp) -> bool:
+    """Acyclic, and an edge joins x,y exactly when decorations interact."""
+    if naive_longest_path_levels(g) is None:
+        return False
+    closed = csp.closed_neighborhoods
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            forward = (x, y) in g.edges
+            backward = (y, x) in g.edges
+            adjacent = g.decorations[x] in closed[g.decorations[y]]
+            if adjacent != (forward != backward) or (forward and backward):
+                return False
+    return True
+
+
+def in_level_counts(g: WitnessDigraph, csp: Csp, x: int) -> dict[int, int]:
+    """For each variable of x's constraint: in-neighbors whose domain has it."""
+    counts = {v: 0 for v in csp.constraint(g.decorations[x]).domain}
+    for y in [a for a, b in g.edges if b == x]:
+        for v in csp.constraint(g.decorations[y]).domain:
+            if v in counts:
+                counts[v] += 1
+    return counts
+
+
+def canonical_form(g: WitnessDigraph) -> tuple[tuple[int, int], ...]:
+    """Sorted (level, decoration) pairs; equal forms mean isomorphic.
+
+    Valid for witness digraphs only, where the pair list pins the digraph
+    down completely (see the `llltool.witness` module docstring).
+    """
+    levels = naive_longest_path_levels(g)
+    if levels is None:
+        raise InvalidInputError("digraph has a directed cycle")
+    return tuple(sorted(zip(levels, g.decorations)))
+
+
+def is_isomorphic(g1: WitnessDigraph, g2: WitnessDigraph) -> bool:
+    """Decoration-preserving digraph isomorphism by backtracking.
+
+    Exponential in general; intended for cross-checks at tiny sizes.
+    """
+    if g1.n != g2.n or sorted(g1.decorations) != sorted(g2.decorations):
+        return False
+
+    def extend(mapping: dict[int, int], used: set[int]) -> bool:
+        if len(mapping) == g1.n:
+            return True
+        x = len(mapping)
+        for y in range(g2.n):
+            if y in used or g2.decorations[y] != g1.decorations[x]:
+                continue
+            ok = True
+            for a, fa in mapping.items():
+                if ((a, x) in g1.edges) != ((fa, y) in g2.edges):
+                    ok = False
+                    break
+                if ((x, a) in g1.edges) != ((y, fa) in g2.edges):
+                    ok = False
+                    break
+            if ok and extend({**mapping, x: y}, used | {y}):
+                return True
+        return False
+
+    return extend({}, set())
+
 
 def naive_locally_bad(csp, table, c, R, N, eps):
     """Existence of a Folner run near c, straight from the definition.

@@ -27,7 +27,7 @@ from llltool.graphs import graph_from_edges, growth_profile
 from llltool.local_goodness import DEFAULT_SEARCH_BUDGET
 from llltool.moser_tardos import MtSequence, mta_run, scripted_strategy
 from llltool.tables import Table
-from llltool.witness import full_witness_digraph
+from llltool.witness import WitnessDigraph, full_witness_digraph
 
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n0 4\n"
 
@@ -261,10 +261,15 @@ def test_verify_mt2_rejected_hypotheses_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("sink", ["99", "-1"])
 def test_sink_ids_that_name_no_constraint_exit_two(tmp_path, capsys, sink):
     prob = problem_file(tmp_path, proper_coloring(cycle_graph(5), 3))
+    # a one-vertex witness decorated with the id is refused the same way
+    wfile = write(tmp_path, "witness.json",
+                  WitnessDigraph((int(sink),), frozenset()).to_json())
     for argv in (
         ["witness", "--problem", prob, "--sink", sink, "--max-vertices", "3"],
         ["verify-mt2", "--problem", prob, "--c", sink, "--alpha", "1/16",
          "--beta", "1/4", "--max-vertices", "3"],
+        ["witness", "--problem", prob, "--witness", wfile],
+        ["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -375,6 +380,25 @@ def test_pipeline_exit_codes_follow_the_status(tmp_path, capsys):
     )
     assert code == 3
     assert payload["results"]["status"] == "infeasible"
+
+    # an exhausted locality search is a budget failure, not a cap failure
+    edge_csp = proper_coloring(graph_from_edges(2, [(0, 1)]), 2)
+    edge = problem_file(tmp_path, edge_csp, "edge.json")
+    edge_params = write(tmp_path, "edge_params.json", PipelineParams(
+        p=Fraction(1, 2), d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
+        eta=Fraction(1, 64), R=1, N=1, depth=2,
+    ).to_json())
+    code, payload = run(
+        ["pipeline", "--problem", edge, "--params", edge_params, "--mode", "det",
+         "--budget", "1"],
+        capsys,
+    )
+    assert code == 3
+    assert payload["results"]["status"] == "infeasible"
+    assert payload["results"]["budget_failed"] == (
+        "search exceeded 1 count vectors at c=0, r=0"
+    )
+    assert "cap_failed" not in payload["results"]
 
     stuck = problem_file(tmp_path, make_csp(1, [((0,), [(0,), (1,)])]), "stuck.json")
     stuck_params = write(tmp_path, "stuck_params.json", PipelineParams(

@@ -491,9 +491,12 @@ def test_small_cap_deterministic_pipeline_matches_the_quotient_route(monkeypatch
         reports.append(fast)
     values = [rep for kind, rep in reports if kind == "value"]
     assert {rep["status"] for rep in values} == {"solved", "infeasible"}
-    # the solver's refusals: base masses past the cap, and an exhausted
-    # search, which is a kind of cap error and is reported as one
-    failures = {rep.get("cap_failed") for rep in values}
-    assert "materializing constraint 0 needs 64 rows, cap 16" in failures
-    assert "search exceeded 1 count vectors at c=0, r=0" in failures
+    # the refusals: base masses past the cap, and an exhausted search,
+    # which is reported as a budget failure although it is a cap error
+    assert "materializing constraint 0 needs 64 rows, cap 16" in {
+        rep.get("cap_failed") for rep in values
+    }
+    assert "search exceeded 1 count vectors at c=0, r=0" in {
+        rep.get("budget_failed") for rep in values
+    }
     assert ("InvalidParameterError", "p(d+1)^(d+1) = 2.0 is not < 1") in reports

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import orientation_of
 from llltool.csp import build_dependency_graph, is_solution, prob_bad
 from llltool.errors import InvalidInputError, InvalidParameterError
 from llltool.generators import (
@@ -9,7 +10,6 @@ from llltool.generators import (
     generate_problem,
     hypergraph_2coloring,
     hypergraph_from_obj,
-    orientation_of,
     proper_coloring,
     sinkless_orientation,
 )

@@ -4,12 +4,12 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from conftest import dump_graph_json
 from llltool.errors import InvalidInputError, InvalidParameterError
 from llltool.graphs import (
     FiniteGraph,
     ball,
     bfs_distances,
-    dump_graph_json,
     graph_from_edges,
     greedy_proper_coloring,
     growth_profile,

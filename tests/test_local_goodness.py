@@ -14,6 +14,7 @@ from conftest import (
     random_tiny_csp,
     recursive_folner_search,
     some_tables,
+    table_from_rows,
 )
 from llltool.csp import (
     AlwaysViolated,
@@ -35,7 +36,6 @@ from llltool.local_goodness import (
     DEFAULT_SEARCH_BUDGET,
     LBadPredicate,
     LocalParams,
-    augment_with_always_violated,
     build_lg_csp,
     check_lbad_hypotheses,
     column_weights,
@@ -53,7 +53,7 @@ from llltool.local_goodness import (
 )
 from llltool.local_goodness import _folner_search
 from llltool.moser_tardos import MtSequence, check_consistency
-from llltool.tables import Table, sample_table, table_from_rows
+from llltool.tables import Table, sample_table
 
 
 def path_graph(n):
@@ -460,16 +460,6 @@ def test_estimate_matches_a_full_table_run_on_the_ring(monkeypatch):
     assert seen == {"bad", "unknown"}
     assert set(sampled) == {len(extended_domain(ring, 0, 1))}
     assert len(extended_domain(ring, 0, 1)) < len(ring.variables)
-
-
-def test_augmentation_appends_an_always_violated_watcher():
-    csp = proper_coloring(path_graph(4), 2)
-    grown = augment_with_always_violated(csp, 0, 2)
-    extra = grown.constraint(len(csp.constraints))
-    assert isinstance(extra.bad, AlwaysViolated)
-    assert extra.domain == (0, 1, 2)  # dom at radius R-1 = 1
-    with pytest.raises(InvalidParameterError):
-        augment_with_always_violated(csp, 0, 0)
 
 
 def test_lg_predicate_materializes_under_cap():

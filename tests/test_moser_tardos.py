@@ -11,6 +11,7 @@ from conftest import (
     random_tiny_csp,
     sequences_upto,
     some_tables,
+    table_from_rows,
 )
 from llltool.errors import (
     DepthExceededError,
@@ -32,7 +33,6 @@ from llltool.moser_tardos import (
     random_strategy,
     scripted_strategy,
 )
-from llltool.tables import table_from_rows
 
 # One pass of a run, with the violated ids the full-rescan oracle saw.
 Step = namedtuple("Step", "fired violated")

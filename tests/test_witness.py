@@ -1,15 +1,24 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
     TINY_FAMILY,
+    canonical_form,
     enumerate_all_witnesses,
+    in_level_counts,
+    is_isomorphic,
     make_csp,
     naive_longest_path_levels,
+    pairwise_validate_witness,
+    pairwise_witness_from_levels,
+    random_tiny_csp,
     realizable_by_sequence,
+    sequences_upto,
     some_tables,
+    table_from_rows,
 )
 from llltool.csp import AlwaysViolated
 from llltool.errors import (
@@ -19,19 +28,15 @@ from llltool.errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from llltool.generators import proper_coloring
+from llltool.generators import proper_coloring, sinkless_orientation
 from llltool.graphs import graph_from_edges
 from llltool.moser_tardos import FIRST_SINGLETON, MtSequence, mta_run
-from llltool.tables import sample_table, table_from_rows
+from llltool.tables import sample_table
 from llltool.witness import (
     WitnessDigraph,
-    canonical_form,
     compatibility_check,
     enumerate_sink_star,
     full_witness_digraph,
-    in_level_counts,
-    is_isomorphic,
-    required_cells,
     validate_witness,
     verify_mt1,
     verify_mt1_exact,
@@ -40,7 +45,7 @@ from llltool.witness import (
     witness_from_json,
     witness_from_levels,
 )
-from llltool.witness import _topological_levels
+from llltool.witness import _topological_levels, _vertex_cells
 
 CHAIN = make_csp(1, [((0,), [(0,)])])
 PAIR = make_csp(3, [((0, 1), [(0, 0)]), ((1, 2), [(1, 1)])])
@@ -123,11 +128,16 @@ def test_canonical_form_rejects_cyclic_input():
         canonical_form(WitnessDigraph((0, 0), frozenset({(0, 1), (1, 0)})))
 
 
-def test_topological_levels_match_naive_longest_paths():
-    n = 400
+def first_singleton_cycle_run(n):
+    """The 3-colouring of an n-cycle and its FIRST_SINGLETON run (depth 64, seed 7)."""
     csp = proper_coloring(graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)]), 3)
     table = sample_table(csp.weights, csp.variables, 64, seed=7)
-    g = full_witness_digraph(mta_run(csp, table, FIRST_SINGLETON).sequence(), csp)
+    return csp, mta_run(csp, table, FIRST_SINGLETON).sequence()
+
+
+def test_topological_levels_match_naive_longest_paths():
+    csp, seq = first_singleton_cycle_run(400)
+    g = full_witness_digraph(seq, csp)
     assert g.n > 300
     levels = _topological_levels(g)
     assert max(levels) > 10
@@ -142,9 +152,7 @@ def test_in_level_counts_and_cells():
     g = witness_from_levels([{0}, {1}, {0}], PAIR)
     # vertex 2 (top, constraint 0 on vars 0,1) has in-neighbors 0 and 1;
     # var 0 is hit by the level-0 copy of constraint 0 only
-    assert in_level_counts(g, PAIR, 2) == {0: 1, 1: 2}
-    assert (1, 2) in required_cells(g, PAIR)
-    assert required_cells(g, PAIR) == sorted(set(required_cells(g, PAIR)))
+    assert _vertex_cells(g, PAIR)[2] == (PAIR.constraint(0), ((0, 1), (1, 2)))
 
 
 def test_compatibility_reads_chained_rows():
@@ -219,19 +227,23 @@ def test_sink_star_count_on_a_ring():
 
 
 def test_sink_star_matches_naive_enumeration():
-    for csp in TINY_FAMILY[:6]:
-        cid = 0
-        naive = [
-            g
-            for g in enumerate_all_witnesses(csp, 3)
-            if g.n >= 1
-            and len(g.sinks()) == 1
-            and g.decorations[g.sinks()[0]] == cid
-        ]
-        reps = enumerate_sink_star(cid, csp, max_vertices=3)
-        assert len(reps) == len(naive)
-        forms = {canonical_form(g) for g in reps}
-        assert forms == {canonical_form(g) for g in naive}
+    ring = sinkless_orientation(
+        graph_from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
+    )
+    for csp in TINY_FAMILY + [ring]:
+        witnesses = enumerate_all_witnesses(csp, 4)
+        for cid in range(len(csp.constraints)):
+            naive = [
+                g
+                for g in witnesses
+                if g.n >= 1
+                and len(g.sinks()) == 1
+                and g.decorations[g.sinks()[0]] == cid
+            ]
+            reps = enumerate_sink_star(cid, csp, max_vertices=4)
+            assert len(reps) == len(naive)
+            forms = {canonical_form(g) for g in reps}
+            assert forms == {canonical_form(g) for g in naive}
 
 
 def test_sink_star_cap_fires():
@@ -270,7 +282,7 @@ def test_compatibility_equals_existential_definition_sample():
         digraphs = [
             g
             for g in enumerate_all_witnesses(csp, 3)
-            if all(r < 3 for _, r in required_cells(g, csp))
+            if all(r < 3 for _, cells in _vertex_cells(g, csp) for _, r in cells)
         ]
         for g in rng.sample(digraphs, min(8, len(digraphs))):
             for table in some_tables(csp, 3, 2, seed=rng.randint(0, 99)):
@@ -287,3 +299,147 @@ def test_always_violated_vertices_are_always_compatible():
         assert compatibility_check(g, csp, table)
     rep = verify_mt1_exact(g, csp, depth=3)
     assert rep["pass"] and rep["lhs_exact"] == "1"
+
+
+def random_level_sets(rng, csp):
+    """Up to four levels of random ids; repeats and interacting ids allowed."""
+    ids = [c.id for c in csp.constraints]
+    return [
+        [rng.choice(ids) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 4))
+    ]
+
+
+def level_sets_of(g):
+    """The level sets of a witness digraph, read off its canonical form."""
+    form = canonical_form(g)
+    depth = form[-1][0] + 1 if form else 0
+    return [[cid for lvl, cid in form if lvl == level] for level in range(depth)]
+
+
+def random_digraph(rng, csp, n, density):
+    """Random decorations; each ordered vertex pair is an edge with odds density."""
+    ids = [c.id for c in csp.constraints]
+    return WitnessDigraph(
+        tuple(rng.choice(ids) for _ in range(n)),
+        frozenset((a, b) for a in range(n) for b in range(n)
+                  if a != b and rng.random() < density),
+    )
+
+
+def test_edge_rule_matches_the_pairwise_builder():
+    rng = random.Random(71)
+    problems = TINY_FAMILY + [random_tiny_csp(rng) for _ in range(200)]
+    disjoint = Counter()
+    for csp in problems:
+        closed = csp.closed_neighborhoods
+        for level_sets in [random_level_sets(rng, csp) for _ in range(5)]:
+            expected = pairwise_witness_from_levels(level_sets, csp)
+            assert witness_from_levels(level_sets, csp) == expected
+            disjoint[all(
+                b not in closed[a]
+                for level in level_sets
+                for i, a in enumerate(level)
+                for b in level[i + 1:]
+            )] += 1
+    assert disjoint[True] and disjoint[False]
+
+    for csp in TINY_FAMILY:
+        for g in enumerate_all_witnesses(csp, 4):
+            assert witness_from_levels(level_sets_of(g), csp) == g
+        for seq in sequences_upto(csp, 3):
+            expected = pairwise_witness_from_levels(seq.steps, csp)
+            assert full_witness_digraph(seq, csp) == expected
+        for g in enumerate_sink_star(0, csp, max_vertices=4):
+            assert pairwise_witness_from_levels(level_sets_of(g), csp) == g
+
+    csp, seq = first_singleton_cycle_run(400)
+    big = full_witness_digraph(seq, csp)
+    assert big.n > 300
+    assert big == pairwise_witness_from_levels(seq.steps, csp)
+
+
+def broken_copies(rng, g, csp):
+    """A valid witness changed four ways; only a reversed edge can stay valid."""
+    closed = csp.closed_neighborhoods
+    out = []
+    if g.edges:
+        a, b = rng.choice(sorted(g.edges))
+        out.append(("dropped", WitnessDigraph(g.decorations, g.edges - {(a, b)})))
+        reversed_edges = (g.edges - {(a, b)}) | {(b, a)}
+        out.append(("reversed", WitnessDigraph(g.decorations, reversed_edges)))
+    cross = [
+        (x, y)
+        for x in range(g.n)
+        for y in range(g.n)
+        if g.decorations[x] not in closed[g.decorations[y]]
+    ]
+    if cross:
+        added = g.edges | {rng.choice(cross)}
+        out.append(("cross", WitnessDigraph(g.decorations, added)))
+    if g.n:
+        # a twin of x: same decoration, same neighbours, so the same level
+        x, twin = rng.randrange(g.n), g.n
+        edges = set(g.edges)
+        edges.update((a, twin) for a, b in g.edges if b == x)
+        edges.update((twin, b) for a, b in g.edges if a == x)
+        decorations = g.decorations + (g.decorations[x],)
+        out.append(("twin", WitnessDigraph(decorations, frozenset(edges))))
+    return out
+
+
+def test_validate_witness_matches_the_pairwise_validator():
+    rng = random.Random(72)
+    verdicts = Counter()
+
+    def check(kind, g, csp):
+        expected = pairwise_validate_witness(g, csp)
+        assert validate_witness(g, csp) == expected
+        verdicts[kind, expected] += 1
+
+    for csp in TINY_FAMILY + [random_tiny_csp(rng) for _ in range(40)]:
+        for _ in range(30):
+            check("random", random_digraph(rng, csp, rng.randint(0, 5), 0.3), csp)
+        for g in enumerate_all_witnesses(csp, 4):
+            check("witness", g, csp)
+            for kind, broken in broken_copies(rng, g, csp):
+                check(kind, broken, csp)
+
+    csp, seq = first_singleton_cycle_run(400)
+    big = full_witness_digraph(seq, csp)
+    check("witness", big, csp)
+    for kind, broken in broken_copies(rng, big, csp):
+        check(kind, broken, csp)
+
+    assert verdicts["random", True] and verdicts["random", False]
+    assert verdicts["witness", True] and not verdicts["witness", False]
+    for kind in ("dropped", "cross", "twin"):
+        assert verdicts[kind, False] and not verdicts[kind, True]
+    assert verdicts["reversed", True] and verdicts["reversed", False]
+
+
+@pytest.mark.parametrize("cid", [99, -1])
+def test_validate_witness_refuses_decorations_that_name_no_constraint(cid):
+    for g in (
+        WitnessDigraph((cid,), frozenset()),
+        WitnessDigraph((0, cid), frozenset({(0, 1), (1, 0)})),
+    ):
+        with pytest.raises(InvalidParameterError, match=f"no constraint with id {cid}"):
+            validate_witness(g, PAIR)
+
+
+def test_vertex_cells_match_pairwise_in_level_counts():
+    rng = random.Random(73)
+    checked = 0
+    for csp in TINY_FAMILY:
+        digraphs = enumerate_all_witnesses(csp, 4)
+        for g in digraphs + [random_digraph(rng, csp, 4, 0.4) for _ in range(30)]:
+            expected = []
+            for x, cid in enumerate(g.decorations):
+                counts = in_level_counts(g, csp, x)
+                constraint = csp.constraint(cid)
+                cells = tuple((v, counts[v]) for v in constraint.domain)
+                expected.append((constraint, cells))
+            assert _vertex_cells(g, csp) == expected
+            checked += 1
+    assert checked > 300
