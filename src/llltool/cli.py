@@ -5,7 +5,8 @@ Exit codes: 0 success/pass, 1 checked failure (a verification answered
 4 internal fault (InternalInvariantError or any unexpected exception).
 Reports carry the command, sha256 digests of input files, all parameters,
 and any seed, so a report alone suffices to re-run the command. Timing is
-the only non-reproducible field.
+the only non-reproducible field. Each command returns its parameters,
+results and exit code; `main` alone builds and prints the report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import derand, generators, local_goodness, moser_tardos, witness
+from . import derand, generators, local_goodness, witness
 from .csp import csp_stats, dump_problem, lll_condition, load_problem, prob_bad
 from .errors import (
     CapExceededError,
@@ -27,7 +28,6 @@ from .errors import (
     InvalidParameterError,
     MissingVariableError,
     ScriptError,
-    SearchBudgetError,
     UnsatisfiableConstraintError,
 )
 from .exact import format_rational, parse_rational
@@ -90,22 +90,6 @@ class _Inputs:
             raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _report(command: str, inputs: _Inputs, parameters: dict, results: dict,
-            started: float, seed: int | None = None) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs.digests,
-        "parameters": parameters,
-        "results": results,
-        "seed": seed,
-        "timing_seconds": time.perf_counter() - started,
-    }
-
-
 def _rational_map(text: str, ids) -> dict[int, Fraction]:
     """One rational for all ids, or a comma list in id order."""
     parts = [p.strip() for p in text.split(",")]
@@ -120,14 +104,12 @@ def _rational_map(text: str, ids) -> dict[int, Fraction]:
     return dict(zip(ids, values))
 
 
-def _strategy(name: str, seed: int):
-    if name == "mmta":
-        return MAXIMAL_GREEDY
-    if name == "first":
-        return FIRST_SINGLETON
-    if name == "random":
-        return random_strategy(seed)
-    raise InvalidParameterError(f"unknown strategy {name!r}")
+# Resampling strategies by --strategy name, each built from the seed.
+_STRATEGIES = {
+    "mmta": lambda seed: MAXIMAL_GREEDY,
+    "random": random_strategy,
+    "first": lambda seed: FIRST_SINGLETON,
+}
 
 
 def _sequence_from_file(inputs: _Inputs, path: str) -> MtSequence:
@@ -164,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--depth", type=int, required=True)
     m.add_argument("--trials", type=int, default=100)
     m.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    m.add_argument("--strategy", default="mmta",
-                   choices=["mmta", "random", "first"])
+    m.add_argument("--strategy", default="mmta", choices=list(_STRATEGIES))
     m.add_argument("--table", default=None,
                    help="row-matrix JSON: run once on this table instead")
     m.add_argument("--script", default=None,
@@ -228,13 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--budget", type=int,
                     default=local_goodness.DEFAULT_SEARCH_BUDGET)
 
-    so = sub.add_parser("solve", help="deterministic or pipeline solving")
+    so = sub.add_parser("solve", help="deterministic solving by conditional masses")
     so.add_argument("--problem", required=True)
-    so.add_argument("--method", required=True, choices=["double-exp", "pipeline"])
-    so.add_argument("--params", default=None)
-    so.add_argument("--mode", default="rand", choices=["det", "rand"])
-    so.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    so.add_argument("--trials", type=int, default=100)
+    so.add_argument("--method", required=True, choices=["double-exp"])
     so.add_argument("--ledger", action="store_true")
 
     ad = sub.add_parser("advisor", help="derive pipeline parameters from growth")
@@ -253,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate(args, inputs: _Inputs, started: float) -> int:
+def _cmd_generate(args, inputs: _Inputs) -> tuple:
+    """No parameters: the output is the bare problem, itself valid input."""
     if args.kind == "hyp2color":
         hyp = generators.hypergraph_from_obj(inputs.json(args.graph))
         csp = generators.hypergraph_2coloring(hyp)
@@ -261,11 +239,10 @@ def _cmd_generate(args, inputs: _Inputs, started: float) -> int:
         csp = generators.proper_coloring(inputs.graph(args.graph), args.colors)
     else:
         csp = generators.sinkless_orientation(inputs.graph(args.graph))
-    _emit(dump_problem(csp))
-    return EXIT_OK
+    return None, dump_problem(csp), EXIT_OK
 
 
-def _cmd_stats(args, inputs: _Inputs, started: float) -> int:
+def _cmd_stats(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     stats = csp_stats(csp)
     results = {"stats": stats.to_json()}
@@ -280,31 +257,25 @@ def _cmd_stats(args, inputs: _Inputs, started: float) -> int:
             stats.p_max, stats.max_dep_degree, "exponent", parse_rational(args.s)
         ).to_json()
     results["conditions"] = conditions
-    _emit(_report("stats", inputs, {"problem": args.problem, "s": args.s},
-                  results, started))
-    return EXIT_OK
+    return {"problem": args.problem, "s": args.s}, results, EXIT_OK
 
 
-def _cmd_growth(args, inputs: _Inputs, started: float) -> int:
+def _cmd_growth(args, inputs: _Inputs) -> tuple:
     profile = growth_profile(inputs.graph(args.graph), args.r_max)
-    _emit(_report("growth", inputs,
-                  {"graph": args.graph, "r_max": args.r_max},
-                  profile.to_json(), started))
-    return EXIT_OK
+    return {"graph": args.graph, "r_max": args.r_max}, profile.to_json(), EXIT_OK
 
 
-def _cmd_mta(args, inputs: _Inputs, started: float) -> int:
+def _cmd_mta(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     params = {
         "problem": args.problem, "depth": args.depth, "trials": args.trials,
         "strategy": args.strategy, "jobs": args.jobs,
     }
+    strategy = _STRATEGIES[args.strategy](args.seed)
     if args.table is not None:
         table = table_from_json(inputs.json(args.table))
         if args.script is not None:
             strategy = scripted_strategy(_sequence_from_file(inputs, args.script))
-        else:
-            strategy = _strategy(args.strategy, args.seed)
         trace = mta_run(csp, table, strategy, args.max_iters)
         results = {
             "status": trace.status,
@@ -314,26 +285,22 @@ def _cmd_mta(args, inputs: _Inputs, started: float) -> int:
         }
     else:
         results = mt_monte_carlo(
-            csp, args.trials, args.depth, args.seed,
-            _strategy(args.strategy, args.seed), args.max_iters, args.jobs,
+            csp, args.trials, args.depth, args.seed, strategy, args.max_iters,
+            args.jobs,
         )
-    _emit(_report("mta", inputs, params, results, started, args.seed))
-    return EXIT_OK
+    return params, results, EXIT_OK
 
 
-def _cmd_consistency(args, inputs: _Inputs, started: float) -> int:
+def _cmd_consistency(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     table = table_from_json(inputs.json(args.table))
     seq = _sequence_from_file(inputs, args.script)
     ok = check_consistency(csp, table, seq)
-    _emit(_report("consistency", inputs,
-                  {"problem": args.problem, "table": args.table,
-                   "script": args.script},
-                  {"consistent": ok}, started))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    params = {"problem": args.problem, "table": args.table, "script": args.script}
+    return params, {"consistent": ok}, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_witness(args, inputs: _Inputs, started: float) -> int:
+def _cmd_witness(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     params = {"problem": args.problem, "max_vertices": args.max_vertices,
               "cap": args.cap, "sink": args.sink, "script": args.script,
@@ -352,27 +319,23 @@ def _cmd_witness(args, inputs: _Inputs, started: float) -> int:
         reps = witness.enumerate_sink_star(args.sink, csp, args.max_vertices, args.cap)
         results = {"count": len(reps), "digraphs": [r.to_json() for r in reps]}
         code = EXIT_OK
-    _emit(_report("witness", inputs, params, results, started))
-    return code
+    return params, results, code
 
 
-def _cmd_verify_mt1(args, inputs: _Inputs, started: float) -> int:
+def _cmd_verify_mt1(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     g = witness.witness_from_json(inputs.json(args.witness))
-    if args.mode == "exact":
-        results = witness.verify_mt1_exact(g, csp, args.depth, args.cap)
-    else:
-        results = witness.verify_mt1_monte_carlo(
-            g, csp, args.trials, args.seed, args.depth
-        )
+    results = witness.verify_mt1(
+        g, csp, args.mode, depth=args.depth, cap=args.cap, trials=args.trials,
+        seed=args.seed,
+    )
     params = {"problem": args.problem, "witness": args.witness,
               "mode": args.mode, "depth": args.depth, "trials": args.trials,
               "cap": args.cap}
-    _emit(_report("verify-mt1", inputs, params, results, started, args.seed))
-    return EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
+    return params, results, EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
 
 
-def _cmd_verify_mt2(args, inputs: _Inputs, started: float) -> int:
+def _cmd_verify_mt2(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     ids = [c.id for c in csp.constraints]
     results = witness.verify_mt2_partial_sums(
@@ -383,93 +346,57 @@ def _cmd_verify_mt2(args, inputs: _Inputs, started: float) -> int:
     params = {"problem": args.problem, "c": args.c, "alpha": args.alpha,
               "beta": args.beta, "max_vertices": args.max_vertices,
               "cap": args.cap}
-    _emit(_report("verify-mt2", inputs, params, results, started))
-    return EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
+    return params, results, EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
 
 
-def _cmd_locally_good(args, inputs: _Inputs, started: float) -> int:
+def _cmd_locally_good(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     table = table_from_json(inputs.json(args.table))
-    params = local_goodness.LocalParams(
+    local = local_goodness.LocalParams(
         args.c, args.R, args.N, parse_rational(args.eps)
     )
-    good, found = local_goodness.is_locally_good(csp, table, params, args.budget)
+    good, found = local_goodness.is_locally_good(csp, table, local, args.budget)
     results = {
         "locally_good": good,
         "witness": None if found is None else found.to_json(),
     }
-    flag_params = {"problem": args.problem, "table": args.table, "c": args.c,
-                   "R": args.R, "N": args.N, "eps": args.eps,
-                   "budget": args.budget}
-    _emit(_report("locally-good", inputs, flag_params, results, started))
-    return EXIT_OK if good else EXIT_CHECK_FAILED
+    params = {"problem": args.problem, "table": args.table, "c": args.c,
+              "R": args.R, "N": args.N, "eps": args.eps, "budget": args.budget}
+    return params, results, EXIT_OK if good else EXIT_CHECK_FAILED
 
 
-def _cmd_lbad(args, inputs: _Inputs, started: float) -> int:
+def _cmd_lbad(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
-    params = local_goodness.LocalParams(
+    local = local_goodness.LocalParams(
         args.c, args.R, args.N, parse_rational(args.eps), parse_rational(args.eta)
     )
     results = local_goodness.estimate_lbad_prob(
-        csp, params, args.depth, args.trials, args.seed,
+        csp, local, args.depth, args.trials, args.seed,
         parse_rational(args.s), args.budget,
     )
-    flag_params = {"problem": args.problem, "c": args.c, "R": args.R,
-                   "N": args.N, "eps": args.eps, "eta": args.eta, "s": args.s,
-                   "depth": args.depth, "trials": args.trials}
-    _emit(_report("lbad", inputs, flag_params, results, started, args.seed))
-    return EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
+    params = {"problem": args.problem, "c": args.c, "R": args.R,
+              "N": args.N, "eps": args.eps, "eta": args.eta, "s": args.s,
+              "depth": args.depth, "trials": args.trials}
+    return params, results, EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
 
 
-def _serialize_ledger(entries: list) -> list:
-    out = []
-    for entry in entries:
-        row = dict(entry)
-        row["mass"] = format_rational(row["mass"])
-        row["bound"] = format_rational(row["bound"])
-        out.append(row)
-    return out
-
-
-def _cmd_pipeline(args, inputs: _Inputs, started: float) -> int:
-    """`pipeline`, and `solve --method pipeline`, which has no --budget."""
-    csp = inputs.problem(args.problem)
-    params = derand.params_from_json(inputs.json(args.params))
-    mode = "deterministic" if args.mode == "det" else "randomized"
-    budget = getattr(args, "budget", local_goodness.DEFAULT_SEARCH_BUDGET)
-    results = derand.pipeline(csp, params, mode, args.seed, args.trials, budget)
-    flag_params = {"problem": args.problem, "params": args.params,
-                   "mode": args.mode, "trials": args.trials}
-    if args.command == "pipeline":
-        flag_params["budget"] = budget
-    _emit(_report(args.command, inputs, flag_params, results, started, args.seed))
-    if results["status"] == "solved":
-        return EXIT_OK
-    if results["status"] == "infeasible":
-        return EXIT_CAP
-    return EXIT_CHECK_FAILED
-
-
-def _cmd_solve(args, inputs: _Inputs, started: float) -> int:
-    if args.method == "pipeline":
-        if args.params is None:
-            raise InvalidParameterError("--method pipeline requires --params")
-        return _cmd_pipeline(args, inputs, started)
+def _cmd_solve(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     ledger: list | None = [] if args.ledger else None
     labeling = derand.solve_double_exp(csp, ledger)
     results = {"assignment": [labeling[v] for v in csp.variables],
                "is_solution": True}
     if ledger is not None:
-        results["ledger"] = _serialize_ledger(ledger)
-    _emit(_report("solve", inputs,
-                  {"problem": args.problem, "method": args.method,
-                   "ledger": args.ledger},
-                  results, started))
-    return EXIT_OK
+        results["ledger"] = [
+            dict(entry, mass=format_rational(entry["mass"]),
+                 bound=format_rational(entry["bound"]))
+            for entry in ledger
+        ]
+    params = {"problem": args.problem, "method": args.method, "ledger": args.ledger}
+    return params, results, EXIT_OK
 
 
-def _cmd_advisor(args, inputs: _Inputs, started: float) -> int:
+def _cmd_advisor(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     dep = csp.dependency_graph
     p = max((prob_bad(csp, c.id) for c in csp.constraints), default=Fraction(0))
@@ -479,10 +406,22 @@ def _cmd_advisor(args, inputs: _Inputs, started: float) -> int:
     )
     results = {"params": params.to_json(), "analysis": report,
                "growth": profile.to_json()}
-    _emit(_report("advisor", inputs,
-                  {"problem": args.problem, "s": args.s, "r_max": args.r_max},
-                  results, started))
-    return EXIT_OK
+    return {"problem": args.problem, "s": args.s, "r_max": args.r_max}, results, EXIT_OK
+
+
+# Exit codes of pipeline statuses; any other status is a checked failure.
+_PIPELINE_EXITS = {"solved": EXIT_OK, "infeasible": EXIT_CAP}
+
+
+def _cmd_pipeline(args, inputs: _Inputs) -> tuple:
+    csp = inputs.problem(args.problem)
+    params = derand.params_from_json(inputs.json(args.params))
+    mode = "deterministic" if args.mode == "det" else "randomized"
+    results = derand.pipeline(csp, params, mode, args.seed, args.trials, args.budget)
+    flag_params = {"problem": args.problem, "params": args.params,
+                   "mode": args.mode, "trials": args.trials, "budget": args.budget}
+    code = _PIPELINE_EXITS.get(results["status"], EXIT_CHECK_FAILED)
+    return flag_params, results, code
 
 
 _COMMANDS = {
@@ -503,13 +442,22 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     inputs = _Inputs()
     started = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args, inputs, started)
-    except (CapExceededError, SearchBudgetError) as exc:
+        parameters, results, code = _COMMANDS[args.command](args, inputs)
+        report = results if parameters is None else {
+            "command": args.command,
+            "inputs": inputs.digests,
+            "parameters": parameters,
+            "results": results,
+            "seed": getattr(args, "seed", None),
+            "timing_seconds": time.perf_counter() - started,
+        }
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return code
+    except CapExceededError as exc:  # SearchBudgetError included
         print(f"llltool: budget: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (

@@ -40,7 +40,6 @@ from .local_goodness import (
     LocalParams,
     build_lg_csp,
     decode_column,
-    gamma_at_radius,
     is_locally_good,
     lbad_bound,
 )
@@ -379,6 +378,20 @@ def _decode_table(meta_labeling: dict[int, int], k: int, depth: int) -> Table:
     return Table(depth, columns)
 
 
+def _first_not_locally_good(
+    csp: Csp, table: Table, params: PipelineParams, budget: int
+) -> int | None:
+    """The first constraint id where the table is not locally good, or None.
+
+    SearchBudgetError propagates: the verdict is then unknown.
+    """
+    for c in csp.constraints:
+        local = LocalParams(c.id, params.R, params.N, params.eps, params.eta)
+        if not is_locally_good(csp, table, local, budget)[0]:
+            return c.id
+    return None
+
+
 def pipeline(
     csp: Csp,
     params: PipelineParams,
@@ -409,17 +422,11 @@ def pipeline(
             report.update({"status": "infeasible", "cap_failed": str(exc)})
             return report
         table = _decode_table(meta_labeling, csp.label_count, params.depth)
-        for c in csp.constraints:
-            good, _ = is_locally_good(
-                csp,
-                table,
-                LocalParams(c.id, params.R, params.N, params.eps, params.eta),
-                budget,
+        bad = _first_not_locally_good(csp, table, params, budget)
+        if bad is not None:
+            raise InternalInvariantError(
+                f"meta-solution is not locally good at constraint {bad}"
             )
-            if not good:
-                raise InternalInvariantError(
-                    f"meta-solution is not locally good at constraint {c.id}"
-                )
         report["attempts"] = 1
     else:
         if mode != "randomized":
@@ -431,17 +438,7 @@ def pipeline(
                 csp.weights, csp.variables, params.depth, seed, attempt
             )
             try:
-                if all(
-                    is_locally_good(
-                        csp,
-                        candidate,
-                        LocalParams(
-                            c.id, params.R, params.N, params.eps, params.eta
-                        ),
-                        budget,
-                    )[0]
-                    for c in csp.constraints
-                ):
+                if _first_not_locally_good(csp, candidate, params, budget) is None:
                     table = candidate
                     report["attempts"] = attempt + 1
                     break

@@ -44,7 +44,7 @@ from .exact import (
     format_rational,
     rational_pow_leq,
 )
-from .graphs import FiniteGraph, ball, bfs_distances, graph_from_edges
+from .graphs import FiniteGraph, ball, bfs_distances
 from .moser_tardos import MtSequence
 from .tables import Table, sample_table
 
@@ -333,18 +333,18 @@ def lg_degree_check(csp: Csp, R: int) -> dict:
     not only an upper bound.
     """
     dep = csp.dependency_graph
-    domains = {
-        a.id: set(extended_domain(csp, a.id, R)) for a in csp.constraints
-    }
-    m = len(csp.constraints)
-    edges = [
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if domains[i] & domains[j]
-    ]
-    meta = graph_from_edges(m, edges)
-    max_degree = meta.max_degree() if m else 0
+    # The meta-problem's dependency graph, by the one rule of shared
+    # variables: constraint a widened to dom_R(a).
+    meta = Csp(
+        csp.variables,
+        csp.label_count,
+        csp.weights,
+        tuple(
+            Constraint(a.id, extended_domain(csp, a.id, R), AlwaysViolated())
+            for a in csp.constraints
+        ),
+    ).dependency_graph
+    max_degree = meta.max_degree()
     bound = gamma_at_radius(dep, 2 * R) - 1
     safe_bound = gamma_at_radius(dep, 2 * R + 1) - 1
     return {

@@ -12,7 +12,7 @@ import heapq
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .csp import Csp, violates
 from .errors import InvalidInputError, InvalidParameterError, ScriptError

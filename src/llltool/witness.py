@@ -313,11 +313,13 @@ def enumerate_sink_star(
     closed = csp.closed_neighborhoods
     results: list[tuple[tuple[int, ...], ...]] = []
 
-    def independent_subsets(pool: list[int]):
-        """Nonempty subsets of pool with pairwise non-adjacent members."""
+    def independent_subsets(pool: list[int], room: int):
+        """Nonempty subsets of pool, pairwise non-adjacent, of size <= room."""
         subsets: list[tuple[int, ...]] = []
 
         def grow(start: int, chosen: tuple[int, ...]):
+            if len(chosen) == room:
+                return
             for i in range(start, len(pool)):
                 cid = pool[i]
                 if any(cid in closed[other] for other in chosen):
@@ -340,9 +342,7 @@ def enumerate_sink_star(
         # interact with something in the stack
         pool = sorted(set().union(*(closed[b] for level in stack for b in level)))
         bottom = stack[0]
-        for new_level in independent_subsets(pool):
-            if len(new_level) > room:
-                continue
+        for new_level in independent_subsets(pool, room):
             if all(
                 any(a in closed[b] for a in new_level) for b in bottom
             ):

@@ -19,6 +19,7 @@ from conftest import (
     enumerate_all_witnesses,
     make_csp,
     paired_hypergraph,
+    pairwise_neighbors,
     random_tiny_csp,
     realizable_by_sequence,
     sequences_upto,
@@ -26,6 +27,9 @@ from conftest import (
 )
 from llltool.cli import main
 from llltool.csp import (
+    AlwaysViolated,
+    Constraint,
+    Csp,
     build_dependency_graph,
     dump_problem,
     is_solution,
@@ -277,6 +281,30 @@ def test_meta_degree_fits_the_extended_reach_margin_everywhere():
     for name, csp in LG_FAMILY.items():
         rep = lg_degree_check(csp, 1)
         assert rep["safe_pass"], (name, rep)
+
+
+def naive_meta_degree(csp, R):
+    """Meta-degree by definition: R-balls by BFS over pairwise neighbours,
+    then pairwise intersection of the widened domains."""
+    nbrs = pairwise_neighbors(csp)
+    widened = []
+    for a in csp.constraints:
+        reach = frontier = {a.id}
+        for _ in range(R):
+            frontier = {b for f in frontier for b in nbrs[f]} - reach
+            reach = reach | frontier
+        domain = set().union(*(csp.constraint(b).domain for b in reach))
+        widened.append(Constraint(a.id, tuple(sorted(domain)), AlwaysViolated()))
+    meta = Csp(csp.variables, csp.label_count, csp.weights, tuple(widened))
+    return max((len(n) for n in pairwise_neighbors(meta)), default=0)
+
+
+def test_meta_degree_matches_pairwise_widened_domains():
+    rng = random.Random(8)
+    family = list(LG_FAMILY.values()) + [random_tiny_csp(rng) for _ in range(40)]
+    for csp in family:
+        for R in range(4):
+            assert lg_degree_check(csp, R)["max_degree"] == naive_meta_degree(csp, R)
 
 
 def test_criterion_07_bad_locality_frequency_stays_under_the_bound():

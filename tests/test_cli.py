@@ -102,6 +102,89 @@ def test_report_envelope_carries_digests_and_parameters(tmp_path, capsys):
     ]
 
 
+# One passing invocation per report-emitting command. "{name}" stands for
+# an input file written by envelope_inputs; only the seeded commands get
+# --seed.
+ENVELOPE_ARGV = {
+    "stats": ["--problem", "{one}"],
+    "growth": ["--graph", "{c5}", "--r-max", "2"],
+    "mta": ["--problem", "{one}", "--depth", "3", "--trials", "4", "--seed", "7"],
+    "consistency": ["--problem", "{one}", "--table", "{table}", "--script", "{step}"],
+    "witness": ["--problem", "{one}", "--script", "{steps}"],
+    "verify-mt1": ["--problem", "{one}", "--witness", "{witness}", "--depth", "3",
+                   "--mode", "monte_carlo", "--trials", "10", "--seed", "7"],
+    "verify-mt2": ["--problem", "{one}", "--c", "0", "--alpha", "1/4",
+                   "--beta", "1/2", "--max-vertices", "3"],
+    "locally-good": ["--problem", "{sated}", "--table", "{table}", "--c", "0",
+                     "--R", "1", "--N", "1", "--eps", "1/2"],
+    "lbad": ["--problem", "{sated}", "--c", "0", "--R", "1", "--N", "1",
+             "--eps", "1/24", "--eta", "1/64", "--s", "6/5", "--depth", "2",
+             "--trials", "5", "--seed", "7"],
+    "solve": ["--problem", "{one}", "--method", "double-exp"],
+    "advisor": ["--problem", "{sated}", "--s", "6/5", "--r-max", "8"],
+    "pipeline": ["--problem", "{sated}", "--params", "{params}", "--trials", "3",
+                 "--seed", "7"],
+}
+
+
+@pytest.fixture
+def envelope_inputs(tmp_path):
+    one = make_csp(1, [((0,), [(1,)])])
+    return {
+        "one": problem_file(tmp_path, one, "one.json"),
+        "sated": problem_file(tmp_path, make_csp(1, [((0,), [])]), "sated.json"),
+        "c5": write(tmp_path, "c5.txt", C5_TEXT),
+        "table": table_file(tmp_path, [[1], [0], [0]]),
+        "step": write(tmp_path, "step.json", [[0]]),
+        "steps": write(tmp_path, "steps.json", [[0], [0]]),
+        "witness": write(tmp_path, "witness.json", full_witness_digraph(
+            MtSequence.from_lists([[0], [0]]), one).to_json()),
+        "params": write(tmp_path, "params.json", PipelineParams(
+            p=Fraction(0), d=0, s=Fraction(6, 5), eps=Fraction(1, 24),
+            eta=Fraction(1, 64), R=1, N=1, depth=2,
+        ).to_json()),
+    }
+
+
+def test_every_report_emitting_command_has_an_envelope_case():
+    assert set(ENVELOPE_ARGV) == set(cli._COMMANDS) - {"generate"}
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPE_ARGV))
+def test_envelope_names_the_command_its_seed_and_each_input(
+    command, envelope_inputs, capsys
+):
+    template = ENVELOPE_ARGV[command]
+    argv = [command] + [a.format(**envelope_inputs) for a in template]
+    code, payload = run(argv, capsys)
+    assert code == 0
+    assert payload["command"] == argv[0]
+    if "--seed" in argv:
+        assert payload["seed"] == 7
+    else:
+        assert payload["seed"] is None
+        # the command defines no --seed at all
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--seed", "7"])
+        assert info.value.code == 2
+        capsys.readouterr()
+    read = {envelope_inputs[a[1:-1]] for a in template if a.startswith("{")}
+    assert payload["inputs"] == {
+        path: "sha256:" + hashlib.sha256(
+            open(path, encoding="utf-8").read().encode()
+        ).hexdigest()
+        for path in read
+    }
+
+
+def test_solve_has_no_pipeline_method(envelope_inputs, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--problem", envelope_inputs["sated"], "--method",
+              "pipeline", "--params", envelope_inputs["params"]])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_growth_matches_the_library_profile(tmp_path, capsys):
     graph = write(tmp_path, "c9.txt",
                   "".join(f"{i} {(i + 1) % 9}\n" for i in range(9)))
