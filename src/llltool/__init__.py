@@ -27,7 +27,6 @@ from .derand import (
     solve_edgeless,
 )
 from .generators import (
-    generate_problem,
     hypergraph_2coloring,
     proper_coloring,
     sinkless_orientation,

@@ -86,9 +86,6 @@ class Constraint:
                         f"constraint {self.id}: bad row {row} does not match domain"
                     )
 
-    def explicit(self) -> bool:
-        return isinstance(self.bad, frozenset)
-
     def bad_contains(self, row: tuple[int, ...]) -> bool:
         if isinstance(self.bad, frozenset):
             return row in self.bad

@@ -17,7 +17,6 @@ from typing import Mapping
 
 from .csp import (
     Csp,
-    QuotientCsp,
     assignment_rows,
     conditional_mass,
     is_solution,
@@ -33,7 +32,7 @@ from .errors import (
     SearchBudgetError,
     UnsatisfiableConstraintError,
 )
-from .exact import certified_less, float_of, format_rational
+from .exact import float_of, format_rational
 from .graphs import GrowthProfile, greedy_proper_coloring, power_graph
 from .local_goodness import (
     DEFAULT_SEARCH_BUDGET,
@@ -81,38 +80,28 @@ def _square_independent(csp: Csp, ids) -> bool:
 
 
 def induction_step(
-    q: QuotientCsp, color_class, cap: int | None = None
+    csp: Csp, fixed: Mapping[int, int], color_class, cap: int | None = None
 ) -> dict[int, int]:
     """First acceptable assignment per class constraint, merged.
 
     For c in the class (ids ascending) the candidates are the label rows
-    on c's still-free variables, in lexicographic order; a candidate is
-    accepted when every constraint in c's closed neighborhood keeps
+    on c's variables outside `fixed`, in lexicographic order; a candidate
+    is accepted when every constraint in c's closed neighborhood keeps
     conditional bad mass at most (d+1) times its current value. The class
     must be independent in the squared dependency graph, which makes the
-    per-constraint searches non-interacting. Only `q.base` and `q.fixed`
-    are read.
-    """
-    base = q.base
-    for cid in color_class:
-        base.constraint(cid)
-    if not _square_independent(base, color_class):
-        raise InvalidParameterError("class is not square-independent")
-    cap = materialize_cap_default() if cap is None else cap
-    d = base.dependency_graph.max_degree()
-    return _class_step(base, q.fixed, color_class, d, cap)
-
-
-def _class_step(
-    csp: Csp, fixed: Mapping[int, int], color_class, d: int, cap: int | None
-) -> dict[int, int]:
-    """The induction step on a square-independent class, masses kept local.
+    per-constraint searches non-interacting.
 
     A candidate row for c fixes only c's free variables, so it changes
     only the masses on c's closed neighborhood. Those are the only masses
     evaluated, each over a small labeling that holds the fixed labels
     their domains read; each candidate writes its labels into it in place.
     """
+    for cid in color_class:
+        csp.constraint(cid)
+    if not _square_independent(csp, color_class):
+        raise InvalidParameterError("class is not square-independent")
+    cap = materialize_cap_default() if cap is None else cap
+    d = csp.dependency_graph.max_degree()
     merged: dict[int, int] = {}
     for cid in sorted(color_class):
         free = [v for v in csp.constraints[cid].domain if v not in fixed]
@@ -170,7 +159,7 @@ def solve_double_exp(
     touched = [0] * len(csp.constraints)
     for index, color in enumerate(sorted(classes)):
         members = classes[color]
-        fixed.update(_class_step(csp, fixed, members, d, cap))
+        fixed.update(induction_step(csp, fixed, members, cap))
         if ledger is not None:
             reached = set()
             for cid in members:
@@ -278,9 +267,7 @@ def parameter_advisor(
         raise InvalidParameterError("s must exceed 1")
     if not 0 <= p < 1:
         raise InvalidParameterError("p must lie in [0,1)")
-    # Premise: p(e(d+1))^s < 1, decided through e's Taylor enclosure.
-    a, b = s.numerator, s.denominator
-    if not certified_less(p**b * Fraction(d + 1) ** a, a, Fraction(1)):
+    if not lll_condition(p, d, "exponent", s).holds:
         raise HypothesisError(
             "p(e(d+1))^s < 1 fails", failed=["p (e (d+1))**s < 1"]
         )

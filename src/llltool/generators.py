@@ -84,23 +84,3 @@ def hypergraph_2coloring(h: Hypergraph) -> Csp:
         constraints.append(Constraint(idx, e, bad))
     return Csp(tuple(range(h.n)), 2, uniform_weights(2), tuple(constraints))
 
-
-def generate_problem(kind: str, g, k: int | None = None) -> Csp:
-    """Dispatch by kind: proper_coloring(k) | sinkless_orientation | hypergraph_2coloring."""
-    if kind == "proper_coloring":
-        if not isinstance(g, FiniteGraph):
-            raise InvalidInputError("proper_coloring expects a graph")
-        if k is None:
-            raise InvalidParameterError("proper_coloring needs a color count")
-        return proper_coloring(g, k)
-    if kind == "sinkless_orientation":
-        if not isinstance(g, FiniteGraph):
-            raise InvalidInputError("sinkless_orientation expects a graph")
-        return sinkless_orientation(g)
-    if kind == "hypergraph_2coloring":
-        if isinstance(g, FiniteGraph):
-            g = Hypergraph(g.n, tuple(tuple(e) for e in g.edges()))
-        if not isinstance(g, Hypergraph):
-            raise InvalidInputError("hypergraph_2coloring expects a hypergraph")
-        return hypergraph_2coloring(g)
-    raise InvalidParameterError(f"unknown problem kind {kind!r}")

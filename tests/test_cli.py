@@ -148,6 +148,42 @@ def envelope_inputs(tmp_path):
 
 def test_every_report_emitting_command_has_an_envelope_case():
     assert set(ENVELOPE_ARGV) == set(cli._COMMANDS) - {"generate"}
+    assert set(cli._UNREPORTED) <= set(ENVELOPE_ARGV)
+
+
+# The parameter keys each report carries, frozen so that a change to the
+# reported flags shows here and in the benchmark's pinned fingerprints alike.
+REPORTED_KEYS = {
+    "stats": {"problem", "s"},
+    "growth": {"graph", "r_max"},
+    "mta": {"problem", "depth", "trials", "strategy", "jobs"},
+    "consistency": {"problem", "table", "script"},
+    "witness": {"problem", "max_vertices", "cap", "sink", "script", "witness"},
+    "verify-mt1": {"problem", "witness", "mode", "depth", "trials", "cap"},
+    "verify-mt2": {"problem", "c", "alpha", "beta", "max_vertices", "cap"},
+    "locally-good": {"problem", "table", "c", "R", "N", "eps", "budget"},
+    "lbad": {"problem", "c", "R", "N", "eps", "eta", "s", "depth", "trials"},
+    "solve": {"problem", "method", "ledger"},
+    "advisor": {"problem", "s", "r_max"},
+    "pipeline": {"problem", "params", "mode", "trials", "budget"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPE_ARGV))
+def test_parameters_are_every_parsed_flag_but_the_seed(
+    command, envelope_inputs, capsys
+):
+    argv = [command] + [a.format(**envelope_inputs) for a in ENVELOPE_ARGV[command]]
+    flags = vars(cli.build_parser().parse_args(argv))
+    flags.pop("command")
+    unreported = cli._UNREPORTED.get(command, set())
+    # a stale entry would name no flag of the command
+    assert unreported <= set(flags)
+    _, payload = run(argv, capsys)
+    assert set(payload["parameters"]) == REPORTED_KEYS[command]
+    assert payload["parameters"] == {
+        k: v for k, v in flags.items() if k != "seed" and k not in unreported
+    }
 
 
 @pytest.mark.parametrize("command", sorted(ENVELOPE_ARGV))
@@ -513,6 +549,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
          "--R", "1", "--N", "1", "--eps", "banana"]
     ) == 2
     capsys.readouterr()
+
+    # a script replays steps on a given table; without one it is refused
+    # before the script file is read
+    absent = str(tmp_path / "absent-script.json")
+    assert main(["mta", "--problem", prob, "--depth", "2", "--script", absent]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "llltool: error: --script needs --table\n"
 
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

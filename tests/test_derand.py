@@ -91,14 +91,14 @@ def test_edgeless_rejects_full_bad_and_edges():
 
 def test_induction_step_empty_class():
     q = quotient_csp(make_csp(1, [((0,), [])]), {})
-    assert induction_step(q, []) == {}
+    assert induction_step(q.base, q.fixed, []) == {}
 
 
 def test_induction_step_masses_stay_bounded():
     csp = hypergraph_2coloring(chained_hypergraph(1, arity=3))
     q = quotient_csp(csp, {})
     before = {c.id: prob_bad(csp, c.id) for c in csp.constraints}
-    phi = induction_step(q, [0])
+    phi = induction_step(q.base, q.fixed, [0])
     assert set(phi) == set(csp.constraint(0).domain)
     after = quotient_csp(csp, phi)
     d = 1
@@ -110,7 +110,7 @@ def test_induction_step_rejects_adjacent_class_members():
     csp = hypergraph_2coloring(chained_hypergraph(1, arity=3))
     q = quotient_csp(csp, {})
     with pytest.raises(InvalidParameterError):
-        induction_step(q, [0, 1])
+        induction_step(q.base, q.fixed, [0, 1])
 
 
 def test_square_independence_agrees_with_the_squared_graph():
@@ -434,7 +434,9 @@ def test_induction_step_matches_the_quotient_route():
             q = quotient_csp(csp, fixed)
             color_class = rng.sample(ids, rng.randint(0, len(ids)))
             for cap in (None, 1, 2):
-                fast = outcome(lambda: induction_step(q, color_class, cap))
+                fast = outcome(
+                    lambda: induction_step(q.base, q.fixed, color_class, cap)
+                )
                 slow = outcome(lambda: quotient_induction_step(q, color_class, cap))
                 assert fast == slow
                 kinds.add(fast[0])
@@ -460,7 +462,8 @@ def test_square_independence_ignores_repeated_ids():
     csp = hypergraph_2coloring(chained_hypergraph(1, arity=3))
     q = quotient_csp(csp, {})
     assert _square_independent(csp, [0, 0])
-    assert induction_step(q, [0, 0]) == induction_step(q, [0])
+    twice = induction_step(q.base, q.fixed, [0, 0])
+    assert twice == induction_step(q.base, q.fixed, [0])
 
 
 def test_small_cap_deterministic_pipeline_matches_the_quotient_route(monkeypatch):

@@ -4,10 +4,9 @@ import pytest
 
 from conftest import orientation_of
 from llltool.csp import build_dependency_graph, is_solution, prob_bad
-from llltool.errors import InvalidInputError, InvalidParameterError
+from llltool.errors import InvalidInputError
 from llltool.generators import (
     Hypergraph,
-    generate_problem,
     hypergraph_2coloring,
     hypergraph_from_obj,
     proper_coloring,
@@ -94,14 +93,3 @@ def test_hypergraph_from_obj_sorts_edges():
     h = hypergraph_from_obj({"n": 4, "edges": [[3, 1, 2]]})
     assert h.edges == ((1, 2, 3),)
 
-
-def test_generate_problem_dispatch():
-    g = cycle(4)
-    assert len(generate_problem("proper_coloring", g, k=3).constraints) == 4
-    assert len(generate_problem("sinkless_orientation", g).constraints) == 4
-    two = generate_problem("hypergraph_2coloring", g)
-    assert prob_bad(two, 0) == Fraction(1, 2)  # 2-edges, monochromatic pairs
-    with pytest.raises(InvalidParameterError):
-        generate_problem("proper_coloring", g)
-    with pytest.raises(InvalidParameterError):
-        generate_problem("no_such_kind", g)
