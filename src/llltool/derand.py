@@ -32,7 +32,7 @@ from .errors import (
     SearchBudgetError,
     UnsatisfiableConstraintError,
 )
-from .exact import float_of, format_rational
+from .exact import float_of, format_rational, pow_compare
 from .graphs import GrowthProfile, greedy_proper_coloring, power_graph
 from .local_goodness import (
     DEFAULT_SEARCH_BUDGET,
@@ -237,15 +237,32 @@ def params_from_json(obj) -> PipelineParams:
     )
 
 
-N_EXACT_LIMIT = 100_000
-
-
 def least_growth_radius(growth: GrowthProfile, eps: Fraction) -> int | None:
     """Least profile radius with gamma(R) < (1-eps)^-R, None if absent."""
     for r in range(1, len(growth.gamma) + 1):
         if growth.gamma_at(r) * (1 - eps) ** r < 1:
             return r
     return None
+
+
+def _least_power_above(base: Fraction, target: Fraction) -> int:
+    """Least N >= 0 with base**N > target, for base > 1.
+
+    Gallops to a power above the target, then bisects; each step is one
+    exact pow_compare, so no power is built.
+    """
+    if target < 1:
+        return 0
+    lo, hi = 0, 1  # base**lo <= target < base**hi once the gallop stops
+    while pow_compare(base, hi, target, 1) <= 0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pow_compare(base, mid, target, 1) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def parameter_advisor(
@@ -257,9 +274,8 @@ def parameter_advisor(
     proxy's constraint and 1 - 1/s; R is the least profile radius with
     gamma(R) < (1-eps)^-R; eta is the largest 1/2^j separating
     (1-eta)/(1+eta) from p^(1-eps-1/s); N is the least power making
-    (1+eta)^N exceed F * gamma(2R)^gamma(2R). N values past 10^5 are
-    estimated from logarithms and flagged. Raises HypothesisError when a
-    premise fails and InvalidParameterError when the profile is too short.
+    (1+eta)^N exceed F * gamma(2R)^gamma(2R). Raises HypothesisError when
+    a premise fails and InvalidParameterError when the profile is too short.
     """
     if d < 0:
         raise InvalidParameterError("d must be >= 0")
@@ -301,7 +317,7 @@ def parameter_advisor(
             f"no radius up to {len(growth.gamma) - 1} has "
             "gamma(R) < (1-eps)^-R; extend the profile"
         )
-    if 2 * chosen_r >= len(growth.gamma):
+    if 2 * chosen_r > len(growth.gamma):
         raise InvalidParameterError(
             f"profile must reach radius {2 * chosen_r} for the degree factor"
         )
@@ -311,7 +327,7 @@ def parameter_advisor(
     for j in range(1, 65):
         candidate = Fraction(1, 2**j)
         ratio = (1 - candidate) / (1 + candidate)
-        if p == 0 or p**gap.numerator < ratio**gap.denominator:
+        if p == 0 or pow_compare(p, gap.numerator, ratio, gap.denominator) < 0:
             eta = candidate
             break
     if eta is None:
@@ -324,20 +340,9 @@ def parameter_advisor(
     gamma_2r = growth.gamma_at(2 * chosen_r)
     factor = lbad_bound(d, eta, chosen_r, gamma_r, 0)
     target = factor * Fraction(gamma_2r) ** gamma_2r
-    base = 1 + eta
-    acc = Fraction(1)
-    n_value = 0
-    n_exact = True
-    while acc <= target:
-        acc *= base
-        n_value += 1
-        if n_value > N_EXACT_LIMIT:
-            n_exact = False
-            log_target = math.log(target.numerator) - math.log(target.denominator)
-            n_value = math.ceil(log_target / math.log(float(base))) + 1
-            break
+    n_value = _least_power_above(1 + eta, target)
     depth = (d + 1) * n_value + 1
-    feasible = n_exact and n_value <= 30 and depth <= 8
+    feasible = n_value <= 30 and depth <= 8
     params = PipelineParams(p, d, s, eps, eta, chosen_r, max(n_value, 1), depth)
     report = {
         "eps": format_rational(eps),
@@ -346,7 +351,6 @@ def parameter_advisor(
         "gammaR": gamma_r,
         "gamma2R": gamma_2r,
         "N": n_value,
-        "N_exact": n_exact,
         "depth": depth,
         "factor": float_of(factor),
         "factor_exact": format_rational(factor),

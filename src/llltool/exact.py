@@ -1,9 +1,11 @@
-"""Exact rational arithmetic helpers and certified comparisons against e.
+"""Exact rational arithmetic helpers and certified comparisons.
 
 Everything solver-relevant is a fractions.Fraction. The only irrational that
 ever enters a decision is e (and integer powers of it); those comparisons are
 made through rational interval enclosures whose width shrinks on demand, so
-every verdict is certified.
+every verdict is certified. Powers with exponents in the millions, as in
+p**(1-eps-1/s), are compared the same way by pow_compare: through integer
+enclosures that widen on demand, never by building the powers.
 """
 
 from __future__ import annotations
@@ -87,25 +89,148 @@ def certified_less(coeff: Fraction, a: int, threshold: Fraction) -> bool:
     )
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for integers n >= 0, k >= 1."""
+    if k == 1 or n < 2:
+        return n
+    bits = n.bit_length()
+    if k >= bits:
+        return 1
+    width = -(-bits // k)  # the root is below 2**width
+    # Newton converges fast from above once the start is within a factor
+    # 1 + 1/k**2 of the root, so the root of the top bits must carry both
+    # half the width and about 2 log2(k) bits.
+    keep = max((width + 1) // 2, 2 * k.bit_length())
+    if width <= keep:
+        root = 0
+        for i in reversed(range(width)):
+            if (root | 1 << i) ** k <= n:
+                root |= 1 << i
+        return root
+    shift = width - keep
+    x = (_iroot(n >> (k * shift), k) + 1) << shift
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _round(m: int, e: int, bits: int, up: bool) -> tuple[int, int]:
+    """m * 2**e rounded down (or up) to a mantissa of at most `bits` bits.
+
+    Rounding up may carry into one bit more, which does no harm.
+    """
+    drop = m.bit_length() - bits
+    if drop <= 0:
+        return m, e
+    q = m >> drop
+    if up and q << drop != m:
+        q += 1
+    return q, e + drop
+
+
+def _pow_bracket(n: int, a: int, bits: int, up: bool) -> tuple[int, int]:
+    """(m, e) with m * 2**e <= n**a (>= when `up`), for n >= 1, a >= 1.
+
+    Square and multiply, rounding every product the same way, so the
+    result stays on one side of the exact power.
+    """
+    rm, re = 1, 0
+    bm, be = _round(n, 0, bits, up)
+    while True:
+        if a & 1:
+            rm, re = _round(rm * bm, re + be, bits, up)
+        a >>= 1
+        if not a:
+            return rm, re
+        bm, be = _round(bm * bm, 2 * be, bits, up)
+
+
+def _product_bracket(n1, a1, n2, a2, bits: int, up: bool) -> tuple[int, int]:
+    """(m, e) on one side of n1**a1 * n2**a2, as in _pow_bracket."""
+    (m1, e1), (m2, e2) = (_pow_bracket(n1, a1, bits, up),
+                          _pow_bracket(n2, a2, bits, up))
+    return m1 * m2, e1 + e2
+
+
+def _compare_scaled(x: tuple[int, int], y: tuple[int, int]) -> int:
+    """Sign of x[0] * 2**x[1] - y[0] * 2**y[1] for positive mantissas.
+
+    The top-bit positions decide unless they agree; only then are the
+    mantissas aligned, by a shift no longer than a mantissa. Exponents of
+    billions are never shifted into integers.
+    """
+    (m1, e1), (m2, e2) = x, y
+    t1, t2 = m1.bit_length() + e1, m2.bit_length() + e2
+    if t1 != t2:
+        return 1 if t1 > t2 else -1
+    if e1 > e2:
+        m1 <<= e1 - e2
+    else:
+        m2 <<= e2 - e1
+    return (m1 > m2) - (m1 < m2)
+
+
+def _pow_tie(x: Fraction, a: int, y: Fraction, b: int) -> bool:
+    """x**a == y**b for positive rationals x, y.
+
+    With g = gcd(a, b), equality holds exactly when x = t**(b/g) and
+    y = t**(a/g) for one rational t. Both fractions are in lowest terms,
+    so their parts are compared root by root. An integer >= 2 has no k-th
+    root once k reaches its bit length, so giant exponents cost nothing.
+    """
+    g = math.gcd(a, b)
+    parts = ((x.numerator, b // g), (x.denominator, b // g),
+             (y.numerator, a // g), (y.denominator, a // g))
+    roots = [_iroot(n, k) for n, k in parts]
+    return roots[:2] == roots[2:] and all(
+        t**k == n for t, (n, k) in zip(roots, parts)
+    )
+
+
+def pow_compare(x, a: int, y, b: int) -> int:
+    """Sign of x**a - y**b for rationals x, y >= 0 and integers a, b >= 1.
+
+    Exact, without building the powers. With x = P/Q and y = R/S the
+    question is P**a * S**b against R**b * Q**a. Each of the four powers
+    is enclosed between two numbers m * 2**e with `bits`-bit mantissas,
+    starting at 64 bits and doubling until the enclosures of the two
+    sides separate. They must separate unless the sides are equal: once
+    the mantissas hold every bit nothing is rounded. Equality is tested
+    exactly, by roots, the first time the enclosures do not separate.
+    """
+    x, y = Fraction(x), Fraction(y)
+    if x < 0 or y < 0 or a < 1 or b < 1:
+        raise InvalidParameterError("need x, y >= 0 and a, b >= 1")
+    if x == 0 or y == 0:
+        return (x > 0) - (y > 0)
+    p, q, r, s = x.numerator, x.denominator, y.numerator, y.denominator
+    bits = 64
+    while True:
+        lhs_lo, lhs_hi = (_product_bracket(p, a, s, b, bits, up)
+                          for up in (False, True))
+        rhs_lo, rhs_hi = (_product_bracket(r, b, q, a, bits, up)
+                          for up in (False, True))
+        if _compare_scaled(lhs_lo, rhs_hi) > 0:
+            return 1
+        if _compare_scaled(lhs_hi, rhs_lo) < 0:
+            return -1
+        if bits == 64 and _pow_tie(x, a, y, b):
+            return 0
+        bits *= 2
+
+
 def rational_pow_leq(base: Fraction, exponent: Fraction, rhs: Fraction) -> bool:
     """Decide base**exponent <= rhs exactly for base >= 0, rhs > 0, exponent > 0.
 
     Clearing the denominator b of the exponent a/b turns the comparison into
     the integer-power test base**a <= rhs**b (x -> x**b is monotone on
-    positives).
+    positives), which pow_compare decides without building either power.
     """
     if base < 0 or rhs <= 0 or exponent <= 0:
         raise InvalidParameterError("need base >= 0, rhs > 0, exponent > 0")
-    a = exponent.numerator
-    b = exponent.denominator
-    return base**a <= rhs**b
-
-
-def root_compare(g1: int, r1: int, g2: int, r2: int) -> int:
-    """Sign of g1**(1/r1) - g2**(1/r2) for positive integers, computed exactly."""
-    lhs = g1**r2
-    rhs = g2**r1
-    return (lhs > rhs) - (lhs < rhs)
+    return pow_compare(base, exponent.numerator, rhs, exponent.denominator) <= 0
 
 
 def float_of(x: Fraction) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, InvalidParameterError
-from .exact import root_compare
+from .exact import pow_compare
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def growth_profile(g: FiniteGraph, r_max: int) -> GrowthProfile:
     best = 1
     for r in range(2, r_max + 1):
         # gamma(r)**(1/r) < gamma(best)**(1/best), exact cross comparison
-        if root_compare(gamma[r - 1], r, gamma[best - 1], best) < 0:
+        if pow_compare(gamma[r - 1], best, gamma[best - 1], r) < 0:
             best = r
     return GrowthProfile(tuple(gamma), best, gamma[best - 1])
 

@@ -36,6 +36,10 @@ def cycle_graph(n):
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def path_graph(n):
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -588,6 +592,23 @@ def test_advisor_rejects_a_profile_shorter_than_needed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("llltool: check failed:")
+
+
+def test_advisor_needs_a_profile_that_reaches_twice_the_radius(
+    tmp_path, capsys
+):
+    # the dependency graph is a 139-vertex path: gamma(r) = 2r + 1 up to
+    # radius 68, and the advisor picks R = 34 at s = 6/5
+    prob = problem_file(tmp_path, proper_coloring(path_graph(140), 16))
+    argv = ["advisor", "--problem", prob, "--s", "6/5", "--r-max"]
+    assert main(argv + ["67"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "profile must reach radius 68" in captured.err
+    code, payload = run(argv + ["68"], capsys)
+    assert code == 0
+    analysis = payload["results"]["analysis"]
+    assert (analysis["R"], analysis["gamma2R"]) == (34, 137)
 
 
 def test_reports_are_deterministic_apart_from_timing(tmp_path, capsys):

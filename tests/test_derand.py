@@ -48,7 +48,12 @@ from llltool.generators import (
     proper_coloring,
     sinkless_orientation,
 )
-from llltool.graphs import graph_from_edges, growth_profile, power_graph
+from llltool.graphs import (
+    GrowthProfile,
+    graph_from_edges,
+    growth_profile,
+    power_graph,
+)
 
 
 def path_graph(n):
@@ -240,13 +245,39 @@ def test_advisor_derives_consistent_parameters():
     ratio = (1 - params.eta) / (1 + params.eta)
     assert Fraction(1, 1024) ** a < ratio**b
     assert params.depth == 4 * params.N + 1
-    assert report["N_exact"] is True
     target = Fraction(report["factor_exact"]) * \
         Fraction(report["gamma2R"]) ** report["gamma2R"]
     assert (1 + params.eta) ** params.N > target
     assert (1 + params.eta) ** (params.N - 1) <= target  # least such N
     # far past the small-N window where exhaustive solving is realistic
     assert report["feasible_deterministic"] is False
+
+
+def test_advisor_finds_the_least_n_past_a_hundred_thousand():
+    # gamma(2R) = 3000 at R = 1 needs N above 10**5; the least N is
+    # checked against exact powers at N and N - 1
+    growth = GrowthProfile((1, 3000, 3000), 1, 1)
+    params, report = parameter_advisor(
+        Fraction(1, 1024), 2, Fraction(6, 5), growth
+    )
+    assert (params.R, params.eta) == (1, Fraction(1, 4))
+    assert params.N == report["N"] == 107_643
+    target = Fraction(report["factor_exact"]) * Fraction(3000) ** 3000
+    assert (1 + params.eta) ** params.N > target
+    assert (1 + params.eta) ** (params.N - 1) <= target
+
+
+def test_advisor_accepts_a_profile_that_just_reaches_twice_the_radius():
+    # up to radius 68 this path has the profile of any longer one,
+    # gamma(r) = 2r + 1, and the advisor picks R = 34
+    p, s = Fraction(1, 1024), Fraction(6, 5)
+    path = path_graph(140)
+    growth = growth_profile(path, 68)
+    params, report = parameter_advisor(p, 2, s, growth)
+    assert params.R == 34
+    assert report["gamma2R"] == growth.gamma_at(68)
+    with pytest.raises(InvalidParameterError, match="must reach radius 68"):
+        parameter_advisor(p, 2, s, growth_profile(path, 67))
 
 
 def test_pipeline_randomized_solves_easy_instances():

@@ -13,8 +13,8 @@ from llltool.exact import (
     float_of,
     format_rational,
     parse_rational,
+    pow_compare,
     rational_pow_leq,
-    root_compare,
 )
 
 
@@ -102,11 +102,52 @@ def test_rational_pow_leq_matches_integer_powers(base, num, den, rhs):
     )
 
 
-def test_root_compare_orders_growth_rates():
-    # g1^(1/r1) vs g2^(1/r2) by cross powers: 2^3 = 8 < 9 = 9^1
-    assert root_compare(2, 1, 9, 3) == -1
-    assert root_compare(9, 3, 2, 1) == 1
-    assert root_compare(4, 2, 2, 1) == 0
+def test_pow_compare_orders_growth_rates():
+    # g1^(1/r1) vs g2^(1/r2) as g1^r2 vs g2^r1: 2^3 = 8 < 9 = 9^1
+    assert pow_compare(2, 3, 9, 1) == -1
+    assert pow_compare(9, 1, 2, 3) == 1
+    assert pow_compare(4, 1, 2, 2) == 0
+
+
+def sign(u, v):
+    return (u > v) - (u < v)
+
+
+small_rationals = st.fractions(min_value=0, max_value=5, max_denominator=40)
+
+
+@given(small_rationals, st.integers(1, 60), small_rationals, st.integers(1, 60))
+def test_pow_compare_matches_exact_powers(x, a, y, b):
+    assert pow_compare(x, a, y, b) == sign(x**a, y**b)
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.integers(2, 6),
+)
+def test_pow_compare_finds_forced_ties(t, a, b, g):
+    # x = t**b, y = t**a give x**(a*g) == y**(b*g) with gcd(a*g, b*g) >= g
+    x, y = t**b, t**a
+    assert pow_compare(x, a * g, y, b * g) == 0
+    # a nudge either way breaks the tie; it is too small for 64-bit
+    # brackets to see, so they must widen
+    nudge = Fraction(1, x.denominator * 2**100)
+    assert pow_compare(x + nudge, a * g, y, b * g) == 1
+    assert pow_compare(x - nudge, a * g, y, b * g) == -1
+
+
+def test_pow_compare_decides_giant_exponents_without_the_powers():
+    # The exact sides would have billions of bits. Scaling both exponents
+    # by 10**4 keeps the sign of x**a - y**b, so the small case, decided
+    # by exact powers, gives the answer.
+    x, y = Fraction(1, 64), Fraction(7, 9)
+    a, b = 95969, 837093
+    expected = sign(x**a, y**b)
+    assert expected == -1
+    assert pow_compare(x, a * 10**4, y, b * 10**4) == expected
+    assert pow_compare(y, b * 10**4, x, a * 10**4) == -expected
 
 
 def test_float_of_is_true_division():
