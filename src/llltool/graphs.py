@@ -136,14 +136,32 @@ class GrowthProfile:
         }
 
 
+def max_ball_sizes(g: FiniteGraph, r_max: int) -> list[int]:
+    """Largest ball size at each radius 0..r_max (all 0 on empty graphs).
+
+    One BFS per vertex, cut at r_max, counts the vertices at each
+    distance; prefix sums of those counts are that vertex's ball sizes.
+    """
+    if r_max < 0:
+        raise InvalidParameterError("radius must be >= 0")
+    best = [0] * (r_max + 1)
+    for v in range(g.n):
+        at_distance = [0] * (r_max + 1)
+        for d in bfs_distances(g, v, r_max).values():
+            at_distance[d] += 1
+        size = 0
+        for r, count in enumerate(at_distance):
+            size += count
+            if size > best[r]:
+                best[r] = size
+    return best
+
+
 def growth_profile(g: FiniteGraph, r_max: int) -> GrowthProfile:
     """Max ball sizes for radii 1..r_max and the min_r gamma(r)**(1/r) proxy."""
     if r_max < 1:
         raise InvalidParameterError("r_max must be >= 1")
-    gamma = []
-    for r in range(1, r_max + 1):
-        size = max((len(ball(g, v, r)) for v in range(g.n)), default=0)
-        gamma.append(size)
+    gamma = max_ball_sizes(g, r_max)[1:]
     best = 1
     for r in range(2, r_max + 1):
         # gamma(r)**(1/r) < gamma(best)**(1/best), exact cross comparison

@@ -16,6 +16,15 @@ both the consistency guard and the accept test depend only on per-
 constraint firing counts. That turns the search into reachability over
 count vectors, which is finite: a constraint with a nonempty domain can
 fire at most table-depth times.
+
+The same capacity prunes that walk exactly. Levels only rise, so the
+in-ball firings any continuation can still reach are bounded by the
+unused depth on each in-ball domain. A count vector that cannot reach N
+in-ball firings is closed, and one where a further outer-shell firing
+could never be diluted below an eps share fires only inside the ball.
+Neither rule removes a count vector from which a witness is reachable,
+so verdicts and first witnesses are those of the unpruned walk, which
+visits at least as many count vectors.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from .exact import (
     format_rational,
     rational_pow_leq,
 )
-from .graphs import FiniteGraph, ball, bfs_distances
+from .graphs import FiniteGraph, ball, bfs_distances, max_ball_sizes
 from .moser_tardos import MtSequence
 from .tables import Table, sample_table
 
@@ -118,6 +127,23 @@ def _folner_search(
     recursion limit. Returns (witness, nodes visited); witness None when
     none exists. Raises SearchBudgetError past `budget` visited count
     vectors.
+
+    Two capacity rules prune nodes from which no witness is reachable.
+    An in-ball constraint whose domain tops out at level l can fire at
+    most depth - l more times, and levels never fall along a path, so
+    `in_max`, the in-ball firings so far plus that slack summed over the
+    r-ball, bounds the in-ball firings of every continuation and never
+    grows along one:
+    1. a node with `in_max < N` is closed;
+    2. a node with `(1 - eps) * (out + 1) >= eps * in_max` tries no
+       outer-shell firing, since every continuation through one keeps
+       `(1 - eps) * out >= eps * in`, i.e. an outside share of at least
+       eps.
+    Both read only the count vector, so the visited set stays sound.
+    Nothing reachable from a pruned node reaches a witness, so the walk
+    meets the nodes that do in the unpruned order: the verdict and the
+    first witness are those of the unpruned walk, and the node count is
+    at most its count.
     """
     center = csp.constraint(c)
     if not center.domain:
@@ -130,31 +156,43 @@ def _folner_search(
     n_in = len(order)  # positions below n_in lie in the r-ball
     order += [a for a in ids if dist[a] > r]
     constraints = [csp.constraint(a) for a in order]
+    in_domains = [a.domain for a in constraints[:n_in]]
     m = len(order)
     depth = table.depth
+    # out < eps * (in + out)  <=>  (q - p) * out < p * in, with eps = p/q
+    p, q = eps.numerator, eps.denominator
     levels = {v: 0 for a in constraints for v in a.domain}
     counts = [0] * m
     path: list[int] = []  # positions fired, root to current node
     stack: list[int] = []  # per open node, the next position to try
+    limits: list[int] = []  # per open node, the first position not to try
     visited: set[tuple[int, ...]] = set()
     while True:
         key = tuple(counts)
-        if key in visited:
-            stack.append(m)  # seen before: nothing left to try here
-        else:
+        limit = 0  # seen before, or closed: nothing to try here
+        if key not in visited:
             visited.add(key)
             if len(visited) > budget:
                 raise SearchBudgetError(
                     f"search exceeded {budget} count vectors at c={c}, r={r}"
                 )
             in_total = sum(counts[:n_in])
-            if in_total >= N and len(path) - in_total < eps * len(path):
+            out = len(path) - in_total
+            if in_total >= N and (q - p) * out < p * in_total:
                 witness = MtSequence(tuple(frozenset({order[i]}) for i in path))
                 return witness, len(visited)
-            stack.append(0)
+            in_max = in_total + sum(
+                depth - max(levels[v] for v in dom) for dom in in_domains
+            )
+            if in_max >= N:  # else rule 1 closes the node
+                # rule 2: (1 - eps) * (out + 1) >= eps * in_max
+                undiluted = (q - p) * (out + 1) >= p * in_max
+                limit = n_in if undiluted else m
+        stack.append(0)
+        limits.append(limit)
         # Fire the next consistent position, backtracking past exhausted nodes.
         while stack:
-            for i in range(stack[-1], m):
+            for i in range(stack[-1], limits[-1]):
                 dom = constraints[i].domain
                 if any(levels[v] >= depth for v in dom):
                     continue
@@ -165,6 +203,7 @@ def _folner_search(
                     break
             else:
                 stack.pop()
+                limits.pop()
                 if path:
                     j = path.pop()
                     counts[j] -= 1
@@ -314,7 +353,7 @@ def gamma_at_radius(dep: FiniteGraph, radius: int) -> int:
     """Largest dependency ball at the given radius (1 on empty graphs)."""
     if dep.n == 0:
         return 1
-    return max(len(ball(dep, v, radius)) for v in range(dep.n))
+    return max_ball_sizes(dep, radius)[radius]
 
 
 def lg_degree_check(csp: Csp, R: int) -> dict:

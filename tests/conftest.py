@@ -259,6 +259,15 @@ def dump_graph_json(g) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
+def ball_per_radius_sizes(g, r_max: int) -> list[int]:
+    """Largest ball at each radius 0..r_max, one fresh ball per (vertex,
+    radius) pair: the definition `graphs.max_ball_sizes` computes."""
+    return [
+        max((len(ball(g, v, r)) for v in range(g.n)), default=0)
+        for r in range(r_max + 1)
+    ]
+
+
 # The pairwise witness layer that `witness._edges` and `witness._vertex_cells`
 # replaced, kept as their oracle: every pair of tags or vertices is compared,
 # and every vertex scans every edge for its in-neighbours.
@@ -407,8 +416,10 @@ def _folner_reachable(local, table, inside, N, eps, dep):
 
 
 # The recursive count-vector search that `local_goodness._folner_search`
-# replaced, kept word for word as the oracle for the iterative one. Its
-# depth is capped by the recursion limit, so feed it small tables only.
+# replaced, kept word for word as the oracle for the iterative one. It
+# prunes nothing, so it also checks that capacity pruning changes no
+# verdict. Its depth is capped by the recursion limit, so feed it small
+# tables only.
 @dataclass
 class FolnerSearchState:
     """Bookkeeping for one node of the count-vector search."""

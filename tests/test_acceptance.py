@@ -339,6 +339,25 @@ def test_criterion_07_bad_locality_frequency_stays_under_the_bound():
         assert rep["frequency"] <= rep["bound"] + rep["tolerance"]
 
 
+def test_bad_locality_frequency_stays_under_a_bound_below_one():
+    # Criterion 07's bound exceeds 1 at N = 2, and its N = 100 slice
+    # cannot find a witness at all. Here the bound bites: R = 2 lets the
+    # search leave c's ball, and at N = 12 the bound is 0.2297.
+    csp = four_regular_ring()
+    params = LocalParams(0, 2, 12, Fraction(1, 20), Fraction(1, 2))
+    rep = estimate_lbad_prob(
+        csp, params, depth=4, trials=5_000, seed=11, s=Fraction(3),
+    )
+    bound = Fraction(rep["bound_exact"])
+    assert bound == lbad_bound(4, params.eta, 2, 9, 12) == \
+        Fraction(1953125, 8503056)
+    assert rep["unknown"] == 0
+    # One-sided Hoeffding test at level exp(-8), in integers and one
+    # rational: P[X - n*b >= t] <= exp(-2 t**2 / n).
+    x, n = rep["bad"] + rep["unknown"], rep["trials"]
+    assert x <= n * bound or 2 * (x - n * bound) ** 2 < 8 * n
+
+
 def test_criterion_08_degree_one_hypergraphs_solve_deterministically():
     rng = random.Random(88)
     for _ in range(30):

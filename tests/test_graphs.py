@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from conftest import dump_graph_json
+from conftest import ball_per_radius_sizes, dump_graph_json
 from llltool.errors import InvalidInputError, InvalidParameterError
 from llltool.graphs import (
     FiniteGraph,
@@ -15,6 +16,7 @@ from llltool.graphs import (
     growth_profile,
     load_graph_json,
     load_graph_text,
+    max_ball_sizes,
     maximal_independent_set,
     power_graph,
 )
@@ -89,6 +91,41 @@ def test_growth_profile_cycle9():
     assert prof.gamma_at(2) == 5
     with pytest.raises(InvalidParameterError):
         prof.gamma_at(5)
+
+
+def tree_ball(degree, depth):
+    """The ball of the given depth around a vertex of the regular tree."""
+    edges, frontier, n = [], [0], 1
+    for level in range(depth):
+        nxt = []
+        for v in frontier:
+            for _ in range(degree if level == 0 else degree - 1):
+                edges.append((v, n))
+                nxt.append(n)
+                n += 1
+        frontier = nxt
+    return graph_from_edges(n, edges)
+
+
+def test_one_bfs_profile_matches_a_ball_per_radius():
+    rng = random.Random(11)
+    k4 = graph_from_edges(4, [(i, j) for i in range(4) for j in range(i)])
+    graphs = [path(1), path(12), cycle(9), cycle(10), k4, tree_ball(3, 4),
+              graph_from_edges(0, [])]
+    for _ in range(20):
+        n = rng.randint(1, 14)
+        graphs.append(graph_from_edges(n, [
+            (u, v) for u in range(n) for v in range(u) if rng.random() < 0.2
+        ]))
+    for g in graphs:
+        sizes = ball_per_radius_sizes(g, 8)
+        assert max_ball_sizes(g, 8) == sizes
+        assert max_ball_sizes(g, 0) == sizes[:1]
+        assert growth_profile(g, 8).gamma == tuple(sizes[1:])
+    assert max_ball_sizes(tree_ball(3, 4), 8) == \
+        [1, 4, 10, 22, 46, 46, 46, 46, 46]
+    with pytest.raises(InvalidParameterError):
+        max_ball_sizes(cycle(3), -1)
 
 
 def test_growth_proxy_takes_exact_argmin():

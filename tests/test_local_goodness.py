@@ -211,6 +211,10 @@ def _search_outcome(search, *args):
 
 
 def test_iterative_search_matches_the_recursive_oracle():
+    # Dual route: the capacity-pruned search against the unpruned
+    # recursive oracle. Pruning removes only nodes that reach no witness,
+    # so wherever both finish the witness is the same; it never visits
+    # more nodes, and it runs out of budget only where the oracle does.
     rng = random.Random(505)
     problems = TINY_FAMILY + [
         random_tiny_csp(rng, max_bad_rows=3) for _ in range(120)
@@ -227,18 +231,63 @@ def test_iterative_search_matches_the_recursive_oracle():
                 dist = bfs_distances(csp.dependency_graph, c.id, R)
                 for r in range(R):
                     args = (N, eps, budget)
-                    new = _search_outcome(
+                    pruned = _search_outcome(
                         _folner_search, csp, table, c.id, dist, r, *args
                     )
-                    old = _search_outcome(
+                    oracle = _search_outcome(
                         recursive_folner_search, csp, table, c.id, r, R, *args
                     )
-                    assert new == old
-                    if isinstance(new, str):
+                    if isinstance(pruned, str):
+                        assert pruned == oracle
                         seen["budget"] += 1
+                    elif isinstance(oracle, str):
+                        seen["only the pruned search decides"] += 1
                     else:
-                        seen["good" if new[0] is None else "bad"] += 1
-    assert seen.keys() == {"good", "bad", "budget"}
+                        assert pruned[0] == oracle[0]
+                        assert pruned[1] <= oracle[1]
+                        seen["good" if pruned[0] is None else "bad"] += 1
+    assert seen.keys() == {
+        "good", "bad", "budget", "only the pruned search decides"
+    }
+
+
+def test_search_closes_the_root_when_the_ball_cannot_hold_n_firings():
+    # Criterion 07's N = 100 slice: at R = 1 only r = 0 is searched, its
+    # ball is c alone, and c fires at most depth = 3 times.
+    ring = sinkless_orientation(
+        graph_from_edges(10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)])
+    )
+    eps = Fraction(95737, 3046407)
+    for trial in range(50):
+        table = sample_table(ring.weights, ring.variables, 3, 9, trial)
+        for c in ring.constraints:
+            dist = bfs_distances(ring.dependency_graph, c.id, 1)
+            assert _folner_search(ring, table, c.id, dist, 0, 100, eps, 1) \
+                == (None, 1)
+
+
+def test_search_skips_an_outer_firing_that_cannot_be_diluted():
+    # x = 0 and y = 1 under c = 0 (on x), 1 (on x, y) and 2 (on y); at
+    # r = 1, R = 2 only constraint 2 lies in the outer shell. After c
+    # fires once, in_max = 1 + 1 + 1 = 3 >= N = 2, so rule 1 closes
+    # nothing, but (1 - 1/5) * (0 + 1) >= 3/5: rule 2 skips constraint
+    # 2, whose three-node subtree the oracle walks before it backtracks
+    # to the witness [1, 1].
+    csp = make_csp(2, [
+        ((0,), [(0,)]),
+        ((0, 1), [(0, 1), (1, 0)]),
+        ((1,), [(0,), (1,)]),
+    ])
+    table = table_from_rows([[0, 1], [1, 0]])
+    eps = Fraction(1, 5)
+    dist = bfs_distances(csp.dependency_graph, 0, 2)
+    assert dist == {0: 0, 1: 1, 2: 2}
+    witness, nodes = _folner_search(csp, table, 0, dist, 1, 2, eps, 100)
+    oracle_witness, oracle_nodes = recursive_folner_search(
+        csp, table, 0, 1, 2, 2, eps, 100
+    )
+    assert witness == oracle_witness == MtSequence.from_lists([[1], [1]])
+    assert (nodes, oracle_nodes) == (4, 7)
 
 
 def test_deep_table_search_returns_a_verdict():
@@ -426,7 +475,7 @@ def test_estimate_counts_budget_exhaustion_as_bad():
     csp = proper_coloring(path_graph(3), 2)
     rep = estimate_lbad_prob(
         csp, LocalParams(0, 1, 1, Fraction(1, 24), Fraction(1, 64)),
-        depth=2, trials=5, seed=3, s=Fraction(6, 5), budget=1,
+        depth=2, trials=5, seed=3, s=Fraction(6, 5), budget=0,
     )
     assert rep["unknown"] == 5
     assert rep["frequency"] == 1.0
@@ -445,7 +494,7 @@ def test_estimate_matches_a_full_table_run_on_the_ring(monkeypatch):
         return sample_table(weights, ring.variables, depth, seed, trial)
 
     seen = set()
-    for N, budget in ((1, DEFAULT_SEARCH_BUDGET), (2, 3)):
+    for N, budget in ((1, DEFAULT_SEARCH_BUDGET), (2, 1)):
         def run():
             return estimate_lbad_prob(
                 ring, LocalParams(0, 1, N, Fraction(1, 32), Fraction(1, 64)),
