@@ -24,7 +24,13 @@ from .errors import (
     InvalidParameterError,
     MissingVariableError,
 )
-from .exact import certified_less, float_of, format_rational, parse_rational
+from .exact import (
+    certified_less,
+    e_power_less,
+    float_of,
+    format_rational,
+    parse_rational,
+)
 from .graphs import FiniteGraph
 
 DEFAULT_MATERIALIZE_CAP = 2**24
@@ -367,9 +373,9 @@ def lll_condition(p: Fraction, d: int, variant: str, s: Fraction | None = None) 
     if variant == "exponent":
         if s is None or s <= 1:
             raise InvalidParameterError("exponent variant needs rational s > 1")
-        # (p * (e(d+1))**s) ** b = p**b * (d+1)**a * e**a  with s = a/b
+        # with s = a/b: p * (e(d+1))**s < 1  <=>  ((d+1) * e)**a < (1/p)**b
         a, b = s.numerator, s.denominator
-        holds = certified_less(p**b * Fraction(d + 1) ** a, a, Fraction(1))
+        holds = p == 0 or e_power_less(Fraction(d + 1), a, 1 / p, b)
         return LllReport("exponent", holds, p, d, s)
     raise InvalidParameterError(f"unknown variant {variant!r}")
 

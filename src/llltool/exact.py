@@ -51,42 +51,48 @@ def e_interval(terms: int) -> tuple[Fraction, Fraction]:
     return total, total + Fraction(1, fact * terms)
 
 
-def e_power_interval(a: int, terms: int = 24) -> tuple[Fraction, Fraction]:
-    """Enclosure of e**a for integer a (negative a inverts the endpoints)."""
-    lo, hi = e_interval(terms)
-    if a == 0:
-        return Fraction(1), Fraction(1)
-    if a > 0:
-        return lo**a, hi**a
-    return hi**a, lo**a
+def e_power_less(m: Fraction, a: int, y: Fraction, b: int) -> bool:
+    """Decide (m * e)**a < y**b exactly for rationals m, y > 0 and a, b >= 1.
+
+    The two sides are never equal, as e**a is irrational, so the loop
+    ends: it decides the comparison at both ends of a certified enclosure
+    of e with pow_compare, doubling the series terms until the two agree.
+    No power of the enclosure is built.
+    """
+    if m <= 0 or y <= 0 or a < 1 or b < 1:
+        raise InvalidParameterError("need m, y > 0 and a, b >= 1")
+    terms = 12
+    while terms <= 6000:
+        lo, hi = e_interval(terms)
+        if pow_compare(m * hi, a, y, b) < 0:
+            return True
+        if pow_compare(m * lo, a, y, b) >= 0:
+            return False
+        terms *= 2
+    raise InternalInvariantError(
+        "e-power comparison did not resolve; sides may be equal, "
+        "which is impossible for rational m, y and integer a >= 1"
+    )
 
 
 def certified_less(coeff: Fraction, a: int, threshold: Fraction) -> bool:
     """Decide coeff * e**a < threshold exactly, widening precision as needed.
 
-    coeff and threshold are rationals, a an integer. For a != 0 and coeff != 0
-    the two sides are never equal (e**a is irrational), so the loop terminates.
+    coeff and threshold are rationals, a an integer. For a != 0 and
+    coeff != 0 the two sides are never equal (e**a is irrational). A
+    negative a moves e**|a| to the other side; the signs settle the rest,
+    and what is left is one e_power_less question.
     """
     if coeff == 0 or a == 0:
         return coeff < threshold
-    terms = 12
-    while terms <= 6000:
-        lo, hi = e_power_interval(a, terms)
-        if coeff > 0:
-            if coeff * hi < threshold:
-                return True
-            if coeff * lo >= threshold:
-                return False
-        else:
-            if coeff * lo < threshold:
-                return True
-            if coeff * hi >= threshold:
-                return False
-        terms *= 2
-    raise InternalInvariantError(
-        "e-power comparison did not resolve; sides may be equal, "
-        "which is impossible for rational coeff and integer a != 0"
-    )
+    if a < 0:
+        # coeff < threshold * e**|a|, and the sides are never equal
+        return not certified_less(threshold, -a, coeff)
+    if coeff > 0:
+        return threshold > 0 and e_power_less(Fraction(1), a, threshold / coeff, 1)
+    # coeff * e**a is negative: below any threshold >= 0; below a negative
+    # one exactly when e**a > threshold / coeff
+    return threshold >= 0 or not e_power_less(Fraction(1), a, threshold / coeff, 1)
 
 
 def _iroot(n: int, k: int) -> int:

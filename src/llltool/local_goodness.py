@@ -55,7 +55,7 @@ from .exact import (
 )
 from .graphs import FiniteGraph, ball, bfs_distances, max_ball_sizes
 from .moser_tardos import MtSequence
-from .tables import Table, sample_table
+from .tables import CellSampler, CellSource, KeyedTable, Table
 
 DEFAULT_SEARCH_BUDGET = 200_000
 
@@ -110,7 +110,7 @@ def is_folner(
 
 def _folner_search(
     csp: Csp,
-    table: Table,
+    table: CellSource,
     c: int,
     dist: dict[int, int],
     r: int,
@@ -222,7 +222,7 @@ def _folner_search(
 
 def is_locally_good(
     csp: Csp,
-    table: Table,
+    table: CellSource,
     params: LocalParams,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> tuple[bool, MtSequence | None]:
@@ -449,7 +449,8 @@ def estimate_lbad_prob(
     """Monte Carlo frequency of bad locality at c versus the proved bound.
 
     Unknown verdicts (budget exhaustion) are reported and counted as bad,
-    so they can only hurt the pass, never hide a failure.
+    so they can only hurt the pass, never hide a failure. The pass is an
+    exact one-sided Hoeffding test at level exp(-8).
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
@@ -459,13 +460,14 @@ def estimate_lbad_prob(
     check_lbad_hypotheses(p, s, params.eps, params.eta)
     gamma_r = gamma_at_radius(dep, params.R)
     bound = lbad_bound(d, params.eta, params.R, gamma_r, params.N)
-    # Only these columns can change the verdict, and keyed sampling draws
-    # them exactly as a full-table sample would.
+    # Only these columns can change the verdict, and a keyed table draws
+    # the cells the search reads exactly as a full-table sample would.
     read = extended_domain(csp, params.c, params.R)
+    cells = CellSampler(csp.weights, seed)
     bad = 0
     unknown = 0
     for trial in range(trials):
-        table = sample_table(csp.weights, read, depth, seed, trial)
+        table = KeyedTable(cells, read, depth, trial)
         try:
             good, _ = is_locally_good(csp, table, params, budget)
         except SearchBudgetError:
@@ -474,6 +476,12 @@ def estimate_lbad_prob(
         if not good:
             bad += 1
     frequency = Fraction(bad + unknown, trials)
+    # One-sided Hoeffding test at level exp(-8), in integers and the one
+    # rational bound: P[X - n*b >= t] <= exp(-2 t**2 / n). `tolerance`, the
+    # float 4-sigma band it replaces, is only reported. The test accepts
+    # every count the band accepted, bar an exact tie at b = 1/2, since
+    # 4 * sigma * n <= 2 * sqrt(n).
+    excess = bad + unknown - trials * bound
     p_eff = min(bound, Fraction(1))
     tolerance = 4 * binomial_sigma(p_eff, trials)
     return {
@@ -487,7 +495,7 @@ def estimate_lbad_prob(
         "bound": float_of(bound),
         "bound_exact": format_rational(bound),
         "tolerance": tolerance,
-        "pass": float_of(frequency) <= float_of(bound) + tolerance,
+        "pass": excess <= 0 or 2 * excess**2 < 8 * trials,
         "d": d,
         "p": format_rational(p),
         "gammaR": gamma_r,

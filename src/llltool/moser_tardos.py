@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .csp import Csp, violates
 from .errors import InvalidInputError, InvalidParameterError, ScriptError
 from .graphs import maximal_independent_set
-from .tables import Table, derive_u64, sample_table
+from .tables import CellSampler, CellSource, KeyedTable, derive_u64
 
 COMPLETED = "completed"
 DEPTH_EXHAUSTED = "depth_exhausted"
@@ -133,7 +133,7 @@ def _choose(strategy: Strategy, violated: set[int], heap, dep, rng, step_index: 
 
 def mta_run(
     csp: Csp,
-    table: Table,
+    table: CellSource,
     strategy: Strategy = MAXIMAL_GREEDY,
     max_iters: int | None = None,
 ) -> RunTrace:
@@ -205,7 +205,7 @@ def mta_run(
     return RunTrace(status, iterations, labeling, levels)
 
 
-def check_consistency(csp: Csp, table: Table, seq: MtSequence) -> bool:
+def check_consistency(csp: Csp, table: CellSource, seq: MtSequence) -> bool:
     """Replay a step sequence: true iff every fired constraint was violated.
 
     Levels are pure bookkeeping here: variable v sits at row
@@ -230,9 +230,10 @@ def check_consistency(csp: Csp, table: Table, seq: MtSequence) -> bool:
 
 def _run_trial(args):
     csp, trials_slice, depth, seed, strategy, max_iters = args
+    cells = CellSampler(csp.weights, seed)
     out = []
     for trial in trials_slice:
-        table = sample_table(csp.weights, csp.variables, depth, seed, trial)
+        table = KeyedTable(cells, csp.variables, depth, trial)
         trial_strategy = strategy
         if strategy.kind == "random":
             trial_strategy = Strategy("random", seed=derive_u64(strategy.seed, trial))
@@ -250,10 +251,11 @@ def mt_monte_carlo(
     max_iters: int | None = None,
     jobs: int = 1,
 ) -> dict:
-    """Sample fresh tables and tally run outcomes.
+    """Run on fresh keyed tables and tally run outcomes.
 
     Table cells are drawn independently per (seed, trial, variable, row),
-    so trial partitioning across workers cannot change any result.
+    and only when a run reads them, so trial partitioning across workers
+    cannot change any result.
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .exact import binomial_sigma, float_of, format_rational
 from .moser_tardos import MtSequence, _check_step_disjoint
-from .tables import Table, derive_u64, sample_label, weight_thresholds
+from .tables import CellSampler, KeyedTable, Table
 
 
 @dataclass(frozen=True)
@@ -261,13 +261,11 @@ def verify_mt1_monte_carlo(
     for _, row in _distinct_cells(vertex_cells):
         if row >= depth:
             raise DepthExceededError(f"needed row {row} is past depth {depth}")
-    thresholds = weight_thresholds(csp.weights)
+    cells = CellSampler(csp.weights, seed)
     hits = 0
     for trial in range(trials):
-        def cell(v, r, t=trial):
-            return sample_label(thresholds, derive_u64(seed, t, v, r))
-
-        if _compatible_on_cells(vertex_cells, cell):
+        table = KeyedTable(cells, csp.variables, depth, trial)
+        if _compatible_on_cells(vertex_cells, table.get):
             hits += 1
     rhs = Fraction(1)
     for cid in g.decorations:

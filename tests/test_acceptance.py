@@ -356,6 +356,7 @@ def test_bad_locality_frequency_stays_under_a_bound_below_one():
     # rational: P[X - n*b >= t] <= exp(-2 t**2 / n).
     x, n = rep["bad"] + rep["unknown"], rep["trials"]
     assert x <= n * bound or 2 * (x - n * bound) ** 2 < 8 * n
+    assert rep["pass"]
 
 
 def test_criterion_08_degree_one_hypergraphs_solve_deterministically():

@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from llltool.errors import (
     InvalidParameterError,
     MissingVariableError,
 )
+from llltool.exact import e_interval
 
 
 def test_weights_must_sum_to_one():
@@ -194,6 +196,43 @@ def test_lll_condition_exponent():
         lll_condition(Fraction(1, 8), 1, "exponent")
     with pytest.raises(InvalidParameterError):
         lll_condition(Fraction(1, 8), 1, "exponent", s=Fraction(1))
+
+
+def exponent_by_fraction_powers(p, d, s):
+    """p * (e(d+1))**s < 1 through p**b * (d+1)**a * e**a as Fractions."""
+    a, b = s.numerator, s.denominator
+    coeff = p**b * Fraction(d + 1) ** a
+    terms = 12
+    while True:
+        lo, hi = e_interval(terms)
+        if coeff * hi**a < 1:
+            return True
+        if coeff * lo**a >= 1:
+            return False
+        terms *= 2
+
+
+def test_lll_condition_exponent_matches_the_fraction_route():
+    verdicts = set()
+    for p in (Fraction(1, 2), Fraction(1, 8), Fraction(3, 40), Fraction(1, 64),
+              Fraction(1, 729)):
+        for d in range(5):
+            for a in range(2, 8):
+                for b in range(1, a):
+                    s = Fraction(a, b)
+                    holds = lll_condition(p, d, "exponent", s).holds
+                    assert holds == exponent_by_fraction_powers(p, d, s), (p, d, s)
+                    verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+def test_lll_condition_exponent_is_fast_for_s_near_one():
+    # The Fraction route built e**100001 enclosures and took seconds here.
+    start = time.perf_counter()
+    for p, holds in ((Fraction(1, 1024), True), (Fraction(1, 8), False)):
+        rep = lll_condition(p, 2, "exponent", Fraction(100001, 100000))
+        assert rep.holds is holds
+    assert time.perf_counter() - start < 1
 
 
 def test_lll_condition_rejects_nonsense():

@@ -29,7 +29,6 @@ from llltool.errors import (
     InvalidParameterError,
     SearchBudgetError,
 )
-from llltool import local_goodness
 from llltool.generators import proper_coloring, sinkless_orientation
 from llltool.graphs import bfs_distances, graph_from_edges
 from llltool.local_goodness import (
@@ -53,7 +52,7 @@ from llltool.local_goodness import (
 )
 from llltool.local_goodness import _folner_search
 from llltool.moser_tardos import MtSequence, check_consistency
-from llltool.tables import Table, sample_table
+from llltool.tables import CellSampler, KeyedTable, Table, sample_table
 
 
 def path_graph(n):
@@ -481,34 +480,43 @@ def test_estimate_counts_budget_exhaustion_as_bad():
     assert rep["frequency"] == 1.0
 
 
-def test_estimate_matches_a_full_table_run_on_the_ring(monkeypatch):
-    # Keyed sampling draws the extended domain's columns exactly as a full
-    # table would, and no other column can change a verdict.
+def test_estimate_matches_a_full_table_run_on_the_ring():
+    # The estimate reads keyed tables restricted to the extended domain.
+    # Every verdict must equal the one on a stored full table of the same
+    # trial, since no other column can change it.
     ring = sinkless_orientation(
         graph_from_edges(10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)])
     )
-    sampled = []
-
-    def full_table(weights, variables, depth, seed, trial):
-        sampled.append(len(variables))
-        return sample_table(weights, ring.variables, depth, seed, trial)
-
+    depth, trials, seed = 3, 100, 5
+    read = extended_domain(ring, 0, 1)
+    assert len(read) < len(ring.variables)
+    sampler = CellSampler(ring.weights, seed)
     seen = set()
     for N, budget in ((1, DEFAULT_SEARCH_BUDGET), (2, 1)):
-        def run():
-            return estimate_lbad_prob(
-                ring, LocalParams(0, 1, N, Fraction(1, 32), Fraction(1, 64)),
-                depth=3, trials=100, seed=5, s=Fraction(21, 20), budget=budget,
-            )
+        params = LocalParams(0, 1, N, Fraction(1, 32), Fraction(1, 64))
 
-        restricted = run()
-        with monkeypatch.context() as patched:
-            patched.setattr(local_goodness, "sample_table", full_table)
-            assert run() == restricted
-        seen.update(key for key in ("bad", "unknown") if restricted[key])
+        def verdict(table):
+            try:
+                return is_locally_good(ring, table, params, budget)
+            except SearchBudgetError:
+                return "unknown"
+
+        counts = Counter()
+        for trial in range(trials):
+            stored = sample_table(ring.weights, ring.variables, depth, seed, trial)
+            full = verdict(stored)
+            assert verdict(KeyedTable(sampler, read, depth, trial)) == full
+            if full == "unknown":
+                counts["unknown"] += 1
+            elif not full[0]:
+                counts["bad"] += 1
+        rep = estimate_lbad_prob(
+            ring, params, depth=depth, trials=trials, seed=seed,
+            s=Fraction(21, 20), budget=budget,
+        )
+        assert (rep["bad"], rep["unknown"]) == (counts["bad"], counts["unknown"])
+        seen.update(key for key in ("bad", "unknown") if rep[key])
     assert seen == {"bad", "unknown"}
-    assert set(sampled) == {len(extended_domain(ring, 0, 1))}
-    assert len(extended_domain(ring, 0, 1)) < len(ring.variables)
 
 
 def test_lg_predicate_materializes_under_cap():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from llltool.errors import (
     DepthExceededError,
     InvalidInputError,
+    InvalidParameterError,
     MissingVariableError,
 )
 from llltool.tables import (
+    CellSampler,
+    KeyedTable,
     Table,
     derive_u64,
     sample_label,
@@ -113,3 +117,73 @@ def test_sample_label_respects_threshold_boundaries(u):
     if lab > 0:
         assert u >= th[lab - 1]
     assert u < th[lab]
+
+
+@pytest.mark.parametrize(
+    "weights, variables, depth, seed, trial",
+    [
+        ((Fraction(1, 2), Fraction(1, 2)), range(6), 5, 0, 0),
+        ((Fraction(1, 3),) * 3, [4, 9, 2], 7, -5, 3),
+        ((Fraction(1, 7), Fraction(5, 7), Fraction(1, 7)), range(4), 6, 2**64 + 3, -2),
+        ((Fraction(1, 16), Fraction(15, 16)), [0, 11], 1, 12345, 7),
+    ],
+)
+def test_keyed_table_reads_what_sample_table_stores(
+    weights, variables, depth, seed, trial
+):
+    # Dual route: a keyed table read in any order, against the stored draw.
+    stored = sample_table(weights, variables, depth, seed, trial)
+    cells = [(v, r) for v in variables for r in range(depth)]
+    shuffled = cells[:]
+    random.Random(seed).shuffle(shuffled)
+    sampler = CellSampler(weights, seed)
+    for order in (shuffled, cells[::-1]):
+        keyed = KeyedTable(sampler, variables, depth, trial)
+        assert keyed.depth == depth
+        for v, r in order:
+            assert keyed.get(v, r) == stored.get(v, r)
+        # a second read comes from the cache and agrees
+        assert all(keyed.get(v, r) == stored.get(v, r) for v, r in cells)
+    # one cell alone, with nothing else drawn first
+    v, r = shuffled[0]
+    assert KeyedTable(sampler, variables, depth, trial).get(v, r) == stored.get(v, r)
+
+
+def test_keyed_table_raises_what_the_stored_table_raises():
+    w = (Fraction(1, 2), Fraction(1, 2))
+    stored = sample_table(w, [0, 3], 4, seed=1)
+    keyed = KeyedTable(CellSampler(w, 1), [0, 3], 4, trial=0)
+    for v, row, error in ((1, 0, MissingVariableError), (2, 9, MissingVariableError),
+                          (0, -1, DepthExceededError), (3, 4, DepthExceededError)):
+        with pytest.raises(error) as expected:
+            stored.get(v, row)
+        with pytest.raises(error) as got:
+            keyed.get(v, row)
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(InvalidParameterError):
+        KeyedTable(CellSampler(w, 1), [0], 0, trial=0)
+
+
+def test_keyed_table_draws_only_the_cells_it_reads():
+    w = (Fraction(1, 2), Fraction(1, 2))
+    sampler = CellSampler(w, 5)
+    drawn = []
+    label = sampler.label
+    sampler.label = lambda *cell: drawn.append(cell) or label(*cell)
+    keyed = KeyedTable(sampler, range(10), 64, trial=2)
+    for _ in range(3):
+        keyed.get(7, 40)
+        keyed.get(1, 0)
+    for v, row in ((10, 0), (7, 64), (7, -1)):
+        with pytest.raises((MissingVariableError, DepthExceededError)):
+            keyed.get(v, row)
+    assert drawn == [(2, 7, 40), (2, 1, 0)]
+
+
+def test_cell_sampler_packs_cells_as_derive_u64_does():
+    w = (Fraction(1, 4), Fraction(3, 4))
+    th = weight_thresholds(w)
+    for seed in (0, -1, 2**64 + 9):
+        sampler = CellSampler(w, seed)
+        for cell in ((0, 0, 0), (-3, 5, 2), (2**40, -7, 63)):
+            assert sampler.label(*cell) == sample_label(th, derive_u64(seed, *cell))
