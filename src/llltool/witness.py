@@ -13,6 +13,7 @@ single-sink enumerator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -202,41 +203,80 @@ def compatibility_check(g: WitnessDigraph, csp: Csp, table: Table) -> bool:
     return _compatible_on_cells(_vertex_cells(g, csp), table.get)
 
 
+def _pruned_mass(checks, numerators) -> int:
+    """Sum of the label-numerator products of every labelling that passes.
+
+    Position i takes each label in turn; the checks at i, each a constraint
+    and the positions it reads, must then hold, or the subtree is skipped.
+    Depth first and iterative, since positions may number in the thousands
+    when there is one label.
+    """
+    m = len(checks)
+    if m == 0:
+        return 1
+    k = len(numerators)
+    total = 0
+    labels = [-1] * m
+    mass = [1] * m
+    i = 0
+    while i >= 0:
+        label = labels[i] + 1
+        if label == k:
+            labels[i] = -1
+            i -= 1
+            continue
+        labels[i] = label
+        if all(
+            constraint.bad_contains(tuple(labels[j] for j in read))
+            for constraint, read in checks[i]
+        ):
+            if i + 1 == m:
+                total += mass[i] * numerators[label]
+            else:
+                mass[i + 1] = mass[i] * numerators[label]
+                i += 1
+    return total
+
+
 def verify_mt1_exact(
     g: WitnessDigraph, csp: Csp, depth: int, cap: int | None = None
 ) -> dict:
-    """Exact compatibility probability versus the product of bad masses."""
+    """Exact compatibility probability versus the product of bad masses.
+
+    Cells are labelled vertex by vertex, and each vertex is tested as soon
+    as its last cell is set, so no subtree below an incompatible prefix is
+    walked. `cap` bounds the full k**cells assignment count all the same.
+    """
     if cap is None:
         cap = materialize_cap_default()
     vertex_cells = _vertex_cells(g, csp)
-    cells = _distinct_cells(vertex_cells)
-    for _, row in cells:
+    for _, row in _distinct_cells(vertex_cells):
         if row >= depth:
             raise DepthExceededError(f"needed row {row} is past depth {depth}")
+    # Cell positions in first-read order, and at each position the vertices
+    # whose last cell it is, with the positions they read. A vertex that
+    # reads no cell is tested here.
+    position: dict[tuple[int, int], int] = {}
+    for _, cells in vertex_cells:
+        for cell in cells:
+            position.setdefault(cell, len(position))
+    m = len(position)
     k = csp.label_count
-    if k ** len(cells) > cap:
-        raise CapExceededError(
-            f"{k}**{len(cells)} cell assignments exceed cap {cap}"
-        )
-    # Leaf masses are products of integer weight numerators over the
-    # common denominator scale**len(cells), divided out once at the end.
+    if k ** m > cap:
+        raise CapExceededError(f"{k}**{m} cell assignments exceed cap {cap}")
+    checks: list[list[tuple[Constraint, tuple[int, ...]]]] = [[] for _ in range(m)]
+    compatible = True
+    for constraint, cells in vertex_cells:
+        read = tuple(position[cell] for cell in cells)
+        if read:
+            checks[max(read)].append((constraint, read))
+        elif not constraint.bad_contains(()):
+            compatible = False
+    # Masses are products of integer weight numerators over the common
+    # denominator scale**m, divided out once at the end.
     scale, numerators = csp.weight_scale
-    total = 0
-    assignment = {}
-
-    def fill(i: int, mass: int):
-        nonlocal total
-        if i == len(cells):
-            if _compatible_on_cells(vertex_cells, lambda v, r: assignment[(v, r)]):
-                total += mass
-            return
-        for label in range(k):
-            assignment[cells[i]] = label
-            fill(i + 1, mass * numerators[label])
-        del assignment[cells[i]]
-
-    fill(0, 1)
-    lhs = Fraction(total, scale ** len(cells))
+    total = _pruned_mass(checks, numerators) if compatible else 0
+    lhs = Fraction(total, scale**m)
     rhs = Fraction(1)
     for cid in g.decorations:
         rhs *= prob_bad(csp, cid, cap)
@@ -246,7 +286,7 @@ def verify_mt1_exact(
         "rhs": float_of(rhs),
         "lhs_exact": format_rational(lhs),
         "rhs_exact": format_rational(rhs),
-        "cells": len(cells),
+        "cells": m,
         "pass": lhs == rhs,
     }
 
@@ -254,7 +294,10 @@ def verify_mt1_exact(
 def verify_mt1_monte_carlo(
     g: WitnessDigraph, csp: Csp, trials: int, seed: int, depth: int
 ) -> dict:
-    """Empirical compatibility frequency, pass band 4 binomial sigmas."""
+    """Empirical compatibility frequency versus the product of bad masses.
+
+    The pass is an exact two-sided Hoeffding test at level 2*exp(-8).
+    """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     vertex_cells = _vertex_cells(g, csp)
@@ -270,17 +313,21 @@ def verify_mt1_monte_carlo(
     rhs = Fraction(1)
     for cid in g.decorations:
         rhs *= prob_bad(csp, cid, materialize_cap_default())
-    lhs = hits / trials
-    tolerance = 4 * binomial_sigma(rhs, trials)
+    # Two-sided Hoeffding test, in integers and the exact rhs:
+    # P[|X - n*rhs| >= t] <= 2 exp(-2 t**2 / n), here at t = 2 sqrt(n).
+    # `tolerance`, the float 4-sigma band it replaces, is only reported.
+    # The test accepts every count the band accepted, bar an exact tie at
+    # rhs = 1/2, since 4 * sigma * n <= 2 * sqrt(n).
+    deviation = hits - trials * rhs
     return {
         "mode": "monte_carlo",
         "trials": trials,
         "seed": seed,
-        "lhs": lhs,
+        "lhs": hits / trials,
         "rhs": float_of(rhs),
         "rhs_exact": format_rational(rhs),
-        "tolerance": tolerance,
-        "pass": abs(lhs - float_of(rhs)) <= tolerance,
+        "tolerance": 4 * binomial_sigma(rhs, trials),
+        "pass": 2 * deviation**2 < 8 * trials,
     }
 
 
@@ -297,19 +344,33 @@ def enumerate_sink_star(
 ) -> list[WitnessDigraph]:
     """All single-sink witness digraphs with sink decoration c, up to iso.
 
+    One digraph per level stack of `_sink_stacks`, in its order.
+    Raises InvalidParameterError when c names no constraint and
+    CapExceededError past `cap` representatives.
+    """
+    return [
+        witness_from_levels(stack, csp)
+        for stack in _sink_stacks(c, csp, max_vertices, cap)
+    ]
+
+
+def _sink_stacks(
+    c: int, csp: Csp, max_vertices: int, cap: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Level stacks of the single-sink witnesses at c, bottom level first.
+
     Grows level stacks downward from the top level {c}. A stack is valid
     when each level is domain-disjoint, each non-bottom vertex has a
     neighbor directly below (so levels are longest-path levels) and each
     non-top vertex has a neighbor somewhere above (so the sink is unique).
-    Distinct stacks are automatically non-isomorphic.
-    Raises InvalidParameterError when c names no constraint and
-    CapExceededError past `cap` representatives.
+    Distinct stacks are automatically non-isomorphic. Stacks come sorted
+    by vertex count, then as tuples.
     """
     csp.constraint(c)
     if max_vertices < 1:
         raise InvalidParameterError("max_vertices must be >= 1")
     closed = csp.closed_neighborhoods
-    results: list[tuple[tuple[int, ...], ...]] = []
+    results: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
 
     def independent_subsets(pool: list[int], room: int):
         """Nonempty subsets of pool, pairwise non-adjacent, of size <= room."""
@@ -330,7 +391,7 @@ def enumerate_sink_star(
         return subsets
 
     def extend_down(stack: tuple[tuple[int, ...], ...], size: int):
-        results.append(stack)
+        results.append((size, stack))
         if len(results) > cap:
             raise CapExceededError(f"more than {cap} representatives")
         room = max_vertices - size
@@ -347,8 +408,8 @@ def enumerate_sink_star(
                 extend_down((new_level,) + stack, size + len(new_level))
 
     extend_down(((c,),), 1)
-    results.sort(key=lambda stack: (sum(len(s) for s in stack), stack))
-    return [witness_from_levels(stack, csp) for stack in results]
+    results.sort()
+    return [stack for _, stack in results]
 
 
 def verify_mt2_partial_sums(
@@ -369,6 +430,7 @@ def verify_mt2_partial_sums(
     """
     csp.constraint(c)
     dep = csp.dependency_graph
+    alphas: dict[int, Fraction] = {}
     offenders = []
     for a in csp.constraints:
         av, bv = Fraction(alpha[a.id]), Fraction(beta[a.id])
@@ -381,23 +443,37 @@ def verify_mt2_partial_sums(
             allowed *= 1 - Fraction(beta[other])
         if av > allowed:
             offenders.append(a.id)
+        alphas[a.id] = av
     if offenders:
         raise HypothesisError(
             "alpha exceeds beta times the neighbor slack", failed=offenders
         )
-    digraphs = enumerate_sink_star(c, csp, max_vertices, cap)
-    partial = Fraction(0)
-    for g in digraphs:
-        term = Fraction(1)
-        for cid in g.decorations:
-            term *= Fraction(alpha[cid])
-        partial += term
+    # A stack's term is the product of its vertices' alphas. Over their
+    # common denominator L, a term with n vertices is an integer over L**n,
+    # so the integers are summed per n and divided once per n.
+    common = math.lcm(*(av.denominator for av in alphas.values()))
+    numerator = {
+        cid: av.numerator * (common // av.denominator) for cid, av in alphas.items()
+    }
+    stacks = _sink_stacks(c, csp, max_vertices, cap)
+    sums: dict[int, int] = {}
+    for stack in stacks:
+        term = 1
+        n = 0
+        for level in stack:
+            n += len(level)
+            for cid in level:
+                term *= numerator[cid]
+        sums[n] = sums.get(n, 0) + term
+    partial = sum(
+        (Fraction(total, common**n) for n, total in sums.items()), Fraction(0)
+    )
     bc = Fraction(beta[c])
     bound = bc / (1 - bc)
     return {
         "constraint": c,
         "max_vertices": max_vertices,
-        "digraphs": len(digraphs),
+        "digraphs": len(stacks),
         "partial_sum": float_of(partial),
         "partial_sum_exact": format_rational(partial),
         "bound": float_of(bound),

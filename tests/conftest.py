@@ -10,6 +10,7 @@ and the replay primitives they are checking against.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -308,6 +309,34 @@ def in_level_counts(g: WitnessDigraph, csp: Csp, x: int) -> dict[int, int]:
             if v in counts:
                 counts[v] += 1
     return counts
+
+
+def leaf_mt1_lhs(g: WitnessDigraph, csp: Csp) -> Fraction:
+    """Compatibility mass of g, walking every leaf of the cell-labelling tree.
+
+    Vertex x reads row `in_level_counts(g, csp, x)[v]` of each variable v
+    of its constraint. A leaf labels every distinct cell read; it counts,
+    with the product of its labels' weights, when every vertex's row is
+    bad. This is the full-leaf walk that `verify_mt1_exact` prunes.
+    """
+    reads = []
+    for x, cid in enumerate(g.decorations):
+        constraint = csp.constraint(cid)
+        counts = in_level_counts(g, csp, x)
+        reads.append((constraint, [(v, counts[v]) for v in constraint.domain]))
+    cells = sorted({cell for _, read in reads for cell in read})
+    total = Fraction(0)
+    for labels in itertools.product(range(csp.label_count), repeat=len(cells)):
+        label_of = dict(zip(cells, labels))
+        if all(
+            constraint.bad_contains(tuple(label_of[cell] for cell in read))
+            for constraint, read in reads
+        ):
+            mass = Fraction(1)
+            for label in labels:
+                mass *= csp.weights[label]
+            total += mass
+    return total
 
 
 def canonical_form(g: WitnessDigraph) -> tuple[tuple[int, int], ...]:

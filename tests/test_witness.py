@@ -10,6 +10,7 @@ from conftest import (
     enumerate_all_witnesses,
     in_level_counts,
     is_isomorphic,
+    leaf_mt1_lhs,
     make_csp,
     naive_longest_path_levels,
     pairwise_validate_witness,
@@ -20,6 +21,7 @@ from conftest import (
     some_tables,
     table_from_rows,
 )
+from llltool import witness as witness_module
 from llltool.csp import AlwaysViolated
 from llltool.errors import (
     CapExceededError,
@@ -192,6 +194,60 @@ def test_mt1_exact_cell_cap():
         verify_mt1_exact(g, PAIR, depth=3, cap=7)
 
 
+def truncation_safe(g, csp, depth):
+    """Whether every row g reads, by the pairwise in-level counts, is < depth."""
+    return all(
+        row < depth
+        for x in range(g.n)
+        for row in in_level_counts(g, csp, x).values()
+    )
+
+
+# Beside TINY_FAMILY: skewed weights on overlapping domains, an
+# always-violated constraint, and an empty-domain constraint with no bad
+# row, which no witness that holds it can meet.
+MT1_EXTRA = [
+    make_csp(3, [((0, 1), [(0, 1), (1, 1)]), ((1, 2), [(0, 0)])],
+             weights=(Fraction(1, 4), Fraction(3, 4))),
+    make_csp(3, [((0, 1), AlwaysViolated()), ((1, 2), [(1, 0)])]),
+    make_csp(2, [((), []), ((0, 1), [(1, 1)])]),
+]
+
+
+def test_mt1_exact_matches_the_full_leaf_walk():
+    checked = 0
+    for csp in TINY_FAMILY + MT1_EXTRA:
+        for g in enumerate_all_witnesses(csp, 4):
+            if not truncation_safe(g, csp, 3):
+                continue
+            rep = verify_mt1_exact(g, csp, depth=3)
+            assert Fraction(rep["lhs_exact"]) == leaf_mt1_lhs(g, csp)
+            checked += 1
+    assert checked >= 240
+
+
+def test_mt1_exact_matches_the_full_leaf_walk_on_ten_cells():
+    # the benchmark's shape: five single firings on the 3-coloured 8-cycle
+    cycle = proper_coloring(
+        graph_from_edges(8, [(i, (i + 1) % 8) for i in range(8)]), 3
+    )
+    for steps in ([[0], [1], [0], [5], [4]], [[2], [2], [3], [2], [7]]):
+        g = full_witness_digraph(MtSequence.from_lists(steps), cycle)
+        rep = verify_mt1_exact(g, cycle, depth=6)
+        assert rep["cells"] == 10
+        assert rep["pass"] and rep["lhs_exact"] == "1/243"
+        assert Fraction(rep["lhs_exact"]) == leaf_mt1_lhs(g, cycle)
+
+
+def test_mt1_exact_walks_many_cells_of_a_single_label():
+    # k = 1 puts no cap on the cell count; the walk must not recurse per cell
+    n = 1500
+    csp = make_csp(n, [((v,), [(0,)]) for v in range(n)], k=1)
+    rep = verify_mt1_exact(witness_from_levels([range(n)], csp), csp, depth=1)
+    assert rep["cells"] == n
+    assert rep["pass"] and rep["lhs_exact"] == "1"
+
+
 def test_mt1_monte_carlo_within_band():
     g = witness_from_levels([{0}], CHAIN)
     rep = verify_mt1_monte_carlo(g, CHAIN, trials=2000, seed=4, depth=3)
@@ -199,6 +255,43 @@ def test_mt1_monte_carlo_within_band():
     assert rep["rhs_exact"] == "1/2"
     again = verify_mt1_monte_carlo(g, CHAIN, trials=2000, seed=4, depth=3)
     assert rep == again
+
+
+def test_mt1_monte_carlo_verdict_is_the_integer_hoeffding_test():
+    cases = [
+        (witness_from_levels([{0}], CHAIN), CHAIN),
+        (witness_from_levels([{0}, {0}], CHAIN), CHAIN),
+        (witness_from_levels([{0, 1}], PAIR), PAIR),
+        (witness_from_levels([{0}, {1}, {0}], PAIR), PAIR),
+    ]
+    for g, csp in cases:
+        for seed in (0, 3, -7, 2**70 + 1):
+            trials = 300
+            rep = verify_mt1_monte_carlo(g, csp, trials, seed, depth=4)
+            hits = round(rep["lhs"] * trials)
+            assert hits / trials == rep["lhs"]
+            rhs = Fraction(rep["rhs_exact"])
+            deviation = hits - trials * rhs
+            assert rep["pass"] == (2 * deviation**2 < 8 * trials)
+            # the old 4-sigma band never accepted what this test rejects
+            if abs(rep["lhs"] - rep["rhs"]) <= rep["tolerance"]:
+                assert rep["pass"]
+
+
+def test_mt1_monte_carlo_rejects_a_deviation_of_two_root_n(monkeypatch):
+    # Force the hit count: the first `hits` trials are compatible. The
+    # witness has rhs = 1/2, so with 100 trials the cut is |hits - 50| < 20.
+    g = witness_from_levels([{0}], CHAIN)
+    for hits, verdict in ((50, True), (69, True), (70, False), (31, True),
+                          (30, False), (100, False)):
+        calls = iter(range(100))
+        monkeypatch.setattr(
+            witness_module, "_compatible_on_cells",
+            lambda vertex_cells, cell: next(calls) < hits,
+        )
+        rep = verify_mt1_monte_carlo(g, CHAIN, trials=100, seed=1, depth=2)
+        assert rep["lhs"] == hits / 100
+        assert rep["pass"] is verdict
 
 
 def test_mt1_dispatcher_modes():
@@ -264,6 +357,43 @@ def test_mt2_range_check():
         verify_mt2_partial_sums(
             0, CHAIN, {0: Fraction(1)}, {0: Fraction(1, 4)}, max_vertices=2
         )
+
+
+def test_mt2_sum_matches_the_fraction_sum_over_digraphs():
+    ring = sinkless_orientation(
+        graph_from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
+    )
+    candidates = [Fraction(1, 3), Fraction(2, 7), Fraction(1, 16),
+                  Fraction(3, 100), Fraction(1, 96)]
+    betas = [Fraction(1, 2), Fraction(1, 16), Fraction(1, 5)]
+    denominators = set()
+    checked = 0
+    for csp in TINY_FAMILY + [ring]:
+        dep = csp.dependency_graph
+        beta = {c.id: betas[c.id % len(betas)] for c in csp.constraints}
+        alpha = {}
+        for c in csp.constraints:
+            allowed = beta[c.id]
+            for other in dep.adjacency[c.id]:
+                allowed *= 1 - beta[other]
+            alpha[c.id] = max(x for x in candidates if x <= allowed)
+            denominators.add(alpha[c.id].denominator)
+        for cid in alpha:
+            for max_vertices in (1, 2, 4, 6):
+                rep = verify_mt2_partial_sums(cid, csp, alpha, beta, max_vertices)
+                digraphs = enumerate_sink_star(cid, csp, max_vertices)
+                expected = Fraction(0)
+                for g in digraphs:
+                    term = Fraction(1)
+                    for x in g.decorations:
+                        term *= alpha[x]
+                    expected += term
+                assert Fraction(rep["partial_sum_exact"]) == expected
+                assert rep["digraphs"] == len(digraphs)
+                assert rep["pass"] == (expected <= Fraction(rep["bound_exact"]))
+                checked += 1
+    assert len(denominators) >= 3
+    assert checked >= 80
 
 
 def test_mt2_zero_alpha_sums_to_zero():
