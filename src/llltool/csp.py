@@ -254,13 +254,18 @@ def conditional_mass(
     agrees with the quotient's on the domain. A predicate's `exact_prob`
     shortcut is the unconditional mass, so it applies only while no
     domain variable is fixed; otherwise the predicate is enumerated over
-    the free variables, under the cap.
+    the free variables, under the cap. An explicit bad set is read from
+    the cheaper side: its rows, or the free assignments looked up in it
+    when those are fewer (a fully pinned call is one lookup). Either way
+    it is exempt from the cap.
     """
     c = csp.constraint(cid)
     scale, numerators = csp.weight_scale
     free = [i for i, v in enumerate(c.domain) if v not in fixed]
+    assignments = csp.label_count ** len(free)
     total = 0
-    if isinstance(c.bad, frozenset):
+    explicit = isinstance(c.bad, frozenset)
+    if explicit and len(c.bad) <= assignments:
         pinned = [(i, fixed[v]) for i, v in enumerate(c.domain) if v in fixed]
         for row in c.bad:
             for i, lab in pinned:
@@ -272,16 +277,17 @@ def conditional_mass(
                     mass *= numerators[row[i]]
                 total += mass
         return Fraction(total, scale ** len(free))
-    if len(free) == len(c.domain):
-        shortcut = c.bad.exact_prob(csp, c.domain)
-        if shortcut is not None:
-            return shortcut
-    _check_row_cap(cid, csp.label_count ** len(free), cap)
+    if not explicit:
+        if len(free) == len(c.domain):
+            shortcut = c.bad.exact_prob(csp, c.domain)
+            if shortcut is not None:
+                return shortcut
+        _check_row_cap(cid, assignments, cap)
     full = [fixed.get(v) for v in c.domain]
     for labels in assignment_rows(csp.label_count, len(free)):
         for i, lab in zip(free, labels):
             full[i] = lab
-        if c.bad.contains(tuple(full)):
+        if c.bad_contains(tuple(full)):
             mass = 1
             for lab in labels:
                 mass *= numerators[lab]

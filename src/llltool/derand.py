@@ -161,6 +161,7 @@ def solve_double_exp(
         members = classes[color]
         fixed.update(induction_step(csp, fixed, members, cap))
         if ledger is not None:
+            class_ids = sorted(members)
             reached = set()
             for cid in members:
                 reached.update(csp.closed_neighborhoods[cid])
@@ -173,7 +174,7 @@ def solve_double_exp(
                 ledger.append(
                     {
                         "class_index": index,
-                        "class": sorted(members),
+                        "class": class_ids,
                         "constraint": c.id,
                         "mass": mass[c.id],
                         "k": touched[c.id],

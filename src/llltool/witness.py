@@ -354,6 +354,32 @@ def enumerate_sink_star(
     ]
 
 
+def _levels_below(bottom, reach, room: int, closed):
+    """The levels that may go directly below `bottom` in a level stack.
+
+    A level is a nonempty tuple of ascending ids from `reach` (the ids that
+    interact with something in the stack, since closed neighbourhoods are
+    symmetric), pairwise non-adjacent, of at most `room` ids, and every
+    vertex of `bottom` has a neighbour in it. Depth first with an explicit
+    stack, so a large room cannot exhaust the interpreter's recursion.
+    """
+    if room < 1:
+        return
+    pool = sorted(reach)
+    todo = [(0, ())]
+    while todo:
+        start, chosen = todo.pop()
+        for i in range(start, len(pool)):
+            cid = pool[i]
+            if not closed[cid].isdisjoint(chosen):
+                continue
+            picked = chosen + (cid,)
+            if all(not closed[b].isdisjoint(picked) for b in bottom):
+                yield picked
+            if len(picked) < room:
+                todo.append((i + 1, picked))
+
+
 def _sink_stacks(
     c: int, csp: Csp, max_vertices: int, cap: int
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -371,45 +397,91 @@ def _sink_stacks(
         raise InvalidParameterError("max_vertices must be >= 1")
     closed = csp.closed_neighborhoods
     results: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
-
-    def independent_subsets(pool: list[int], room: int):
-        """Nonempty subsets of pool, pairwise non-adjacent, of size <= room."""
-        subsets: list[tuple[int, ...]] = []
-
-        def grow(start: int, chosen: tuple[int, ...]):
-            if len(chosen) == room:
-                return
-            for i in range(start, len(pool)):
-                cid = pool[i]
-                if any(cid in closed[other] for other in chosen):
-                    continue
-                picked = chosen + (cid,)
-                subsets.append(picked)
-                grow(i + 1, picked)
-
-        grow(0, ())
-        return subsets
-
-    def extend_down(stack: tuple[tuple[int, ...], ...], size: int):
+    todo = [(((c,),), 1, closed[c])]
+    while todo:
+        stack, size, reach = todo.pop()
         results.append((size, stack))
         if len(results) > cap:
             raise CapExceededError(f"more than {cap} representatives")
-        room = max_vertices - size
-        if room == 0:
-            return
-        # closed neighbourhoods are symmetric: these are the ids that
-        # interact with something in the stack
-        pool = sorted(set().union(*(closed[b] for level in stack for b in level)))
-        bottom = stack[0]
-        for new_level in independent_subsets(pool, room):
-            if all(
-                any(a in closed[b] for a in new_level) for b in bottom
-            ):
-                extend_down((new_level,) + stack, size + len(new_level))
-
-    extend_down(((c,),), 1)
+        for level in _levels_below(stack[0], reach, max_vertices - size, closed):
+            todo.append(
+                (
+                    (level,) + stack,
+                    size + len(level),
+                    reach.union(*(closed[a] for a in level)),
+                )
+            )
     results.sort()
     return [stack for _, stack in results]
+
+
+def _stack_sums(
+    c: int, csp: Csp, max_vertices: int, weight: dict[int, int], cap: int
+) -> tuple[list[int], list[int]]:
+    """Count and weight sum of the stacks of `_sink_stacks`, per vertex count.
+
+    Entry n of the two lists is the number of stacks with n vertices and
+    the sum, over those stacks, of the product of `weight` over their
+    vertices. The stacks that can go below a stack depend only on its
+    bottom level, the ids it reaches and the room left, so each such
+    state is counted once and memoised, per number of vertices added
+    below it. Depth first with an explicit stack of frames. No stack is
+    listed. Raises CapExceededError exactly when there are more than
+    `cap` stacks: every state lies on some stack, so the stacks below it
+    are never more than the total.
+    """
+    csp.constraint(c)
+    if max_vertices < 1:
+        raise InvalidParameterError("max_vertices must be >= 1")
+    closed = csp.closed_neighborhoods
+    # A state maps to [stacks, counts, sums], the lists indexed by the
+    # vertices added below its bottom level; entry 0 is the stack that
+    # ends there.
+    memo: dict[tuple, list] = {}
+
+    def open_frame(state):
+        bottom, reach, room = state
+        totals = [1, [1] + [0] * room, [1] + [0] * room]
+        return state, _levels_below(bottom, reach, room, closed), totals
+
+    def add(totals: list, level: tuple[int, ...], below: list) -> None:
+        w = 1
+        for a in level:
+            w *= weight[a]
+        counts, sums = totals[1], totals[2]
+        for j, (n, total) in enumerate(zip(below[1], below[2]), len(level)):
+            counts[j] += n
+            sums[j] += total * w
+        totals[0] += below[0]
+        if totals[0] > cap:
+            raise CapExceededError(f"more than {cap} representatives")
+
+    root = ((c,), closed[c], max_vertices - 1)
+    frames = [open_frame(root)]
+    pending: list[tuple[int, ...]] = []  # the level each open parent waits on
+    while frames:
+        (_, reach, room), levels, totals = frames[-1]
+        for level in levels:
+            child = (
+                level,
+                reach.union(*(closed[a] for a in level)),
+                room - len(level),
+            )
+            below = memo.get(child)
+            if below is None:
+                pending.append(level)
+                frames.append(open_frame(child))
+                break
+            add(totals, level, below)
+        else:
+            state, _, totals = frames.pop()
+            memo[state] = totals
+            if frames:
+                add(frames[-1][2], pending.pop(), totals)
+    stacks, counts, sums = memo[root]
+    if stacks > cap:
+        raise CapExceededError(f"more than {cap} representatives")
+    return [0] + counts, [0] + [total * weight[c] for total in sums]
 
 
 def verify_mt2_partial_sums(
@@ -455,25 +527,17 @@ def verify_mt2_partial_sums(
     numerator = {
         cid: av.numerator * (common // av.denominator) for cid, av in alphas.items()
     }
-    stacks = _sink_stacks(c, csp, max_vertices, cap)
-    sums: dict[int, int] = {}
-    for stack in stacks:
-        term = 1
-        n = 0
-        for level in stack:
-            n += len(level)
-            for cid in level:
-                term *= numerator[cid]
-        sums[n] = sums.get(n, 0) + term
+    counts, sums = _stack_sums(c, csp, max_vertices, numerator, cap)
     partial = sum(
-        (Fraction(total, common**n) for n, total in sums.items()), Fraction(0)
+        (Fraction(total, common**n) for n, total in enumerate(sums) if total),
+        Fraction(0),
     )
     bc = Fraction(beta[c])
     bound = bc / (1 - bc)
     return {
         "constraint": c,
         "max_vertices": max_vertices,
-        "digraphs": len(stacks),
+        "digraphs": sum(counts),
         "partial_sum": float_of(partial),
         "partial_sum_exact": format_rational(partial),
         "bound": float_of(bound),

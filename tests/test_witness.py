@@ -47,7 +47,12 @@ from llltool.witness import (
     witness_from_json,
     witness_from_levels,
 )
-from llltool.witness import _topological_levels, _vertex_cells
+from llltool.witness import (
+    _sink_stacks,
+    _stack_sums,
+    _topological_levels,
+    _vertex_cells,
+)
 
 CHAIN = make_csp(1, [((0,), [(0,)])])
 PAIR = make_csp(3, [((0, 1), [(0, 0)]), ((1, 2), [(1, 1)])])
@@ -394,6 +399,103 @@ def test_mt2_sum_matches_the_fraction_sum_over_digraphs():
                 checked += 1
     assert len(denominators) >= 3
     assert checked >= 80
+
+
+def random_sink_problems(seed, count):
+    """Sinkless orientations and 3-colourings of random graphs on 5-8 vertices."""
+    rng = random.Random(seed)
+    problems = []
+    for i in range(count):
+        n = rng.randint(5, 8)
+        edges = {
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3
+        }
+        for v in range(n):
+            if not any(v in e for e in edges):
+                u = rng.choice([u for u in range(n) if u != v])
+                edges.add((min(u, v), max(u, v)))
+        g = graph_from_edges(n, sorted(edges))
+        problems.append(
+            sinkless_orientation(g) if i % 2 == 0 else proper_coloring(g, 3)
+        )
+    return problems
+
+
+def capped(run):
+    """A call's result, or the text of the CapExceededError it raised."""
+    try:
+        return "value", run()
+    except CapExceededError as exc:
+        return "cap", str(exc)
+
+
+def test_stack_counter_matches_the_digraph_listing():
+    rng = random.Random(71)
+    checked = 0
+    for csp in random_sink_problems(72, 5):
+        dep = csp.dependency_graph
+        weight = {c.id: rng.randrange(5) for c in csp.constraints}
+        beta = {c.id: Fraction(1, 4) for c in csp.constraints}
+        # alpha(a) <= beta(a) * (1 - 1/4)**deg(a), as the series requires
+        alpha = {
+            c.id: Fraction(rng.randrange(4), 12)
+            * Fraction(3, 4) ** len(dep.adjacency[c.id])
+            for c in csp.constraints
+        }
+        for cid in alpha:
+            # The Fraction sum over the digraphs of each vertex count, from
+            # the largest listing; the counts below confirm that a smaller
+            # max_vertices lists exactly the digraphs of at most that size.
+            alpha_per_n = [Fraction(0)] * 7
+            for g in enumerate_sink_star(cid, csp, 6, 10**6):
+                term = Fraction(1)
+                for x in g.decorations:
+                    term *= alpha[x]
+                alpha_per_n[g.n] += term
+            for max_vertices in range(1, 7):
+                counts, sums = _stack_sums(cid, csp, max_vertices, weight, 10**6)
+                total = sum(counts)
+                # The listing runs under the counter's own count as its cap,
+                # so an undercount surfaces as a refusal.
+                digraphs = enumerate_sink_star(cid, csp, max_vertices, total)
+                assert len(digraphs) == total
+                per_n = [0] * (max_vertices + 1)
+                weighted = [0] * (max_vertices + 1)
+                for g in digraphs:
+                    per_n[g.n] += 1
+                    term = 1
+                    for x in g.decorations:
+                        term *= weight[x]
+                    weighted[g.n] += term
+                assert counts == per_n and sums == weighted
+                rep = verify_mt2_partial_sums(cid, csp, alpha, beta, max_vertices)
+                assert rep["digraphs"] == total
+                assert Fraction(rep["partial_sum_exact"]) == sum(
+                    alpha_per_n[: max_vertices + 1]
+                )
+                # Under caps of total - 1 and total, both routes refuse alike.
+                refused = capped(
+                    lambda: enumerate_sink_star(cid, csp, max_vertices, total - 1)
+                )
+                assert refused[0] == "cap"
+                for cap, listed in ((total - 1, refused), (total, ("value", total))):
+                    summed = capped(
+                        lambda: verify_mt2_partial_sums(
+                            cid, csp, alpha, beta, max_vertices, cap
+                        )["digraphs"]
+                    )
+                    assert summed == listed
+                checked += 1
+    assert checked >= 150
+
+
+def test_deep_stacks_do_not_exhaust_the_recursion_limit():
+    iso = make_csp(1, [((0,), [(1,)])])
+    half = {0: Fraction(1, 2)}
+    rep = verify_mt2_partial_sums(0, iso, half, half, max_vertices=1500, cap=10**6)
+    assert rep["digraphs"] == 1500
+    assert Fraction(rep["partial_sum_exact"]) == 1 - Fraction(1, 2**1500)
+    assert len(_sink_stacks(0, iso, 1500, 10**6)) == 1500
 
 
 def test_mt2_zero_alpha_sums_to_zero():
