@@ -24,7 +24,6 @@ from .derand import (
     parameter_advisor,
     pipeline,
     solve_double_exp,
-    solve_edgeless,
 )
 from .generators import (
     hypergraph_2coloring,

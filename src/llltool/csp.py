@@ -248,16 +248,27 @@ def conditional_mass(
 ) -> Fraction:
     """Exact mass of the constraint's bad set given the partial labeling.
 
-    Equals `prob_bad(quotient_csp(csp, fixed).csp, cid, cap)` but reads
-    only the constraint's own domain and bad rows: entries of `fixed`
-    off the domain are ignored, so a caller may pass any labeling that
-    agrees with the quotient's on the domain. A predicate's `exact_prob`
-    shortcut is the unconditional mass, so it applies only while no
-    domain variable is fixed; otherwise the predicate is enumerated over
-    the free variables, under the cap. An explicit bad set is read from
-    the cheaper side: its rows, or the free assignments looked up in it
-    when those are fewer (a fully pinned call is one lookup). Either way
-    it is exempt from the cap.
+    Equals `prob_bad(quotient_csp(csp, fixed).csp, cid, cap)`: the
+    integer pair of `conditional_weight`, reduced to one Fraction.
+    """
+    return Fraction(*conditional_weight(csp, cid, fixed, cap))
+
+
+def conditional_weight(
+    csp: Csp, cid: int, fixed: Mapping[int, int], cap: int | None = None
+) -> tuple[int, int]:
+    """The conditional bad mass as an unreduced pair (numerator, denominator).
+
+    Reads only the constraint's own domain and bad rows: entries of
+    `fixed` off the domain are ignored, so a caller may pass any labeling
+    that agrees with the quotient's on the domain. The denominator is
+    `scale ** free`, with `scale` the weight scale's common denominator,
+    except where a predicate's `exact_prob` shortcut answers: it is the
+    unconditional mass, so it applies only while no domain variable is
+    fixed; otherwise the predicate is enumerated over the free variables,
+    under the cap. An explicit bad set is read from the cheaper side: its
+    rows, or the free assignments looked up in it when those are fewer (a
+    fully pinned call is one lookup). Either way it is exempt from the cap.
     """
     c = csp.constraint(cid)
     scale, numerators = csp.weight_scale
@@ -276,12 +287,12 @@ def conditional_mass(
                 for i in free:
                     mass *= numerators[row[i]]
                 total += mass
-        return Fraction(total, scale ** len(free))
+        return total, scale ** len(free)
     if not explicit:
         if len(free) == len(c.domain):
             shortcut = c.bad.exact_prob(csp, c.domain)
             if shortcut is not None:
-                return shortcut
+                return shortcut.numerator, shortcut.denominator
         _check_row_cap(cid, assignments, cap)
     full = [fixed.get(v) for v in c.domain]
     for labels in assignment_rows(csp.label_count, len(free)):
@@ -292,7 +303,7 @@ def conditional_mass(
             for lab in labels:
                 mass *= numerators[lab]
             total += mass
-    return Fraction(total, scale ** len(free))
+    return total, scale ** len(free)
 
 
 def build_dependency_graph(csp: Csp) -> FiniteGraph:

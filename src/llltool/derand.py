@@ -19,9 +19,9 @@ from .csp import (
     Csp,
     assignment_rows,
     conditional_mass,
+    conditional_weight,
     is_solution,
     lll_condition,
-    materialize_cap_default,
     prob_bad,
 )
 from .errors import (
@@ -30,7 +30,6 @@ from .errors import (
     InternalInvariantError,
     InvalidParameterError,
     SearchBudgetError,
-    UnsatisfiableConstraintError,
 )
 from .exact import float_of, format_rational, pow_compare
 from .graphs import GrowthProfile, greedy_proper_coloring, power_graph
@@ -46,28 +45,6 @@ from .moser_tardos import COMPLETED, MAXIMAL_GREEDY, mta_run
 from .tables import Table, sample_table
 
 
-def solve_edgeless(csp: Csp) -> dict[int, int]:
-    """Label each isolated constraint with its first non-bad assignment.
-
-    Variables under no constraint get label 0. Raises
-    UnsatisfiableConstraintError when some bad set is everything, and
-    InvalidParameterError if the dependency graph has an edge.
-    """
-    if csp.dependency_graph.max_degree() > 0:
-        raise InvalidParameterError("dependency graph must be edgeless")
-    labeling = {v: 0 for v in csp.variables}
-    for c in csp.constraints:
-        for row in assignment_rows(csp.label_count, len(c.domain)):
-            if not c.bad_contains(row):
-                labeling.update(zip(c.domain, row))
-                break
-        else:
-            raise UnsatisfiableConstraintError(
-                f"constraint {c.id} forbids every assignment"
-            )
-    return labeling
-
-
 def _square_independent(csp: Csp, ids) -> bool:
     """No two distinct ids within distance 2, i.e. closed neighborhoods disjoint."""
     closed = csp.closed_neighborhoods
@@ -77,6 +54,45 @@ def _square_independent(csp: Csp, ids) -> bool:
             return False
         covered.update(closed[cid])
     return True
+
+
+def _pick(
+    csp: Csp,
+    cid: int,
+    fixed: Mapping[int, int],
+    current: Mapping[int, Fraction] | list[Fraction],
+    d: int,
+    cap: int | None,
+) -> tuple[dict[int, int], list[tuple[int, Fraction]]]:
+    """First acceptable row for c's free variables, with its target masses.
+
+    `current[a]` is the conditional mass of a given `fixed`. The targets
+    are c's closed neighborhood, ascending; a row is accepted when each
+    keeps mass at most (d+1) * current[a], decided in integers. Returns
+    the row as labels and the accepted masses, which are the targets'
+    masses once the row is fixed. Each candidate writes its labels into
+    one small labeling of the fixed labels the targets' domains read.
+    """
+    targets = sorted(csp.closed_neighborhoods[cid])
+    free = [v for v in csp.constraints[cid].domain if v not in fixed]
+    local = {
+        v: fixed[v] for a in targets for v in csp.constraints[a].domain if v in fixed
+    }
+    limits = [
+        (a, (d + 1) * current[a].numerator, current[a].denominator) for a in targets
+    ]
+    for row in assignment_rows(csp.label_count, len(free)):
+        local.update(zip(free, row))
+        weights = []
+        for a, top, bottom in limits:
+            total, scale = conditional_weight(csp, a, local, cap)
+            if total * bottom > top * scale:
+                break
+            weights.append((a, total, scale))
+        else:
+            labels = dict(zip(free, row))
+            return labels, [(a, Fraction(total, scale)) for a, total, scale in weights]
+    raise InternalInvariantError(f"no qualifying assignment for constraint {cid}")
 
 
 def induction_step(
@@ -92,40 +108,22 @@ def induction_step(
     per-constraint searches non-interacting.
 
     A candidate row for c fixes only c's free variables, so it changes
-    only the masses on c's closed neighborhood. Those are the only masses
-    evaluated, each over a small labeling that holds the fixed labels
-    their domains read; each candidate writes its labels into it in place.
+    only the masses on c's closed neighborhood. This step computes those
+    current masses itself; `solve_double_exp` carries them from class to
+    class instead, and both pick rows with the same `_pick`.
     """
     for cid in color_class:
         csp.constraint(cid)
     if not _square_independent(csp, color_class):
         raise InvalidParameterError("class is not square-independent")
-    cap = materialize_cap_default() if cap is None else cap
     d = csp.dependency_graph.max_degree()
     merged: dict[int, int] = {}
     for cid in sorted(color_class):
-        free = [v for v in csp.constraints[cid].domain if v not in fixed]
-        targets = sorted(csp.closed_neighborhoods[cid])
-        local = {
-            v: fixed[v]
-            for a in targets
-            for v in csp.constraints[a].domain
-            if v in fixed
+        current = {
+            a: conditional_mass(csp, a, fixed, cap)
+            for a in sorted(csp.closed_neighborhoods[cid])
         }
-        limits = [
-            (a, (d + 1) * conditional_mass(csp, a, local, cap)) for a in targets
-        ]
-        for row in assignment_rows(csp.label_count, len(free)):
-            local.update(zip(free, row))
-            if all(
-                conditional_mass(csp, a, local, cap) <= limit for a, limit in limits
-            ):
-                merged.update(zip(free, row))
-                break
-        else:
-            raise InternalInvariantError(
-                f"no qualifying assignment for constraint {cid}"
-            )
+        merged.update(_pick(csp, cid, fixed, current, d, cap)[0])
     return merged
 
 
@@ -137,8 +135,19 @@ def solve_double_exp(
     Pass a list as `ledger` to collect per-class exact mass records; each
     entry checks the running mass of a constraint against
     (d+1)^k times its starting mass, k counting the classes whose closed
-    neighborhood reached it so far. A class changes only the masses it
-    reached, so only those are recomputed, and only for the ledger.
+    neighborhood reached it so far.
+
+    The conditional masses are carried from class to class in one array.
+    Classes are square-independent, so no other member of a class fixes a
+    variable in the domain of a constraint that c reaches: the masses of
+    the row accepted for c are the reached constraints' masses after the
+    class, and the inputs of their limits at the next class that reaches
+    them. Each class thus evaluates only candidate masses; the ledger
+    reads the array and recomputes nothing, and re-decides `ok` only for
+    the reached constraints, whose mass and bound alone have moved. A
+    limit needs no cap check of its own: a constraint's domain changes
+    only when a class reaches it, and the accepted row's evaluation then
+    read it with the same free variables, under the same cap.
     """
     dep = csp.dependency_graph
     d = dep.max_degree()
@@ -156,30 +165,34 @@ def solve_double_exp(
     fixed: dict[int, int] = {}
     mass = list(base_mass)
     bound = list(base_mass)
-    touched = [0] * len(csp.constraints)
+    ok = [True] * len(base_mass)
+    touched = [0] * len(base_mass)
     for index, color in enumerate(sorted(classes)):
+        # Members are ascending already; fixing each member's row at once
+        # leaves the others' searches as they were, by square-independence.
         members = classes[color]
-        fixed.update(induction_step(csp, fixed, members, cap))
+        reached = []
+        for cid in members:
+            labels, masses = _pick(csp, cid, fixed, mass, d, cap)
+            fixed.update(labels)
+            for a, after in masses:
+                mass[a] = after
+                reached.append(a)
         if ledger is not None:
-            class_ids = sorted(members)
-            reached = set()
-            for cid in members:
-                reached.update(csp.closed_neighborhoods[cid])
             for a in reached:
                 touched[a] += 1
                 bound[a] *= d + 1
-            for c in csp.constraints:
-                if c.id in reached:
-                    mass[c.id] = conditional_mass(csp, c.id, fixed, cap)
+                ok[a] = mass[a] <= bound[a]
+            for c in range(len(mass)):
                 ledger.append(
                     {
                         "class_index": index,
-                        "class": class_ids,
-                        "constraint": c.id,
-                        "mass": mass[c.id],
-                        "k": touched[c.id],
-                        "bound": bound[c.id],
-                        "ok": mass[c.id] <= bound[c.id],
+                        "class": members,
+                        "constraint": c,
+                        "mass": mass[c],
+                        "k": touched[c],
+                        "bound": bound[c],
+                        "ok": ok[c],
                     }
                 )
     labeling = {v: 0 for v in csp.variables}

@@ -345,13 +345,20 @@ def enumerate_sink_star(
     """All single-sink witness digraphs with sink decoration c, up to iso.
 
     One digraph per level stack of `_sink_stacks`, in its order.
-    Raises InvalidParameterError when c names no constraint and
-    CapExceededError past `cap` representatives.
+    Raises InvalidParameterError when c names no constraint, and
+    CapExceededError past `cap` representatives or, before any digraph
+    is built, when the digraphs' vertex pairs (an n-vertex digraph has
+    n(n-1)/2, a bound on its edges) exceed `materialize_cap_default()`.
     """
-    return [
-        witness_from_levels(stack, csp)
-        for stack in _sink_stacks(c, csp, max_vertices, cap)
-    ]
+    stacks = _sink_stacks(c, csp, max_vertices, cap)
+    sizes = (sum(map(len, stack)) for stack in stacks)
+    pairs = sum(n * (n - 1) // 2 for n in sizes)
+    limit = materialize_cap_default()
+    if pairs > limit:
+        raise CapExceededError(
+            f"{len(stacks)} digraphs have {pairs} vertex pairs, cap {limit}"
+        )
+    return [witness_from_levels(stack, csp) for stack in stacks]
 
 
 def _levels_below(bottom, reach, room: int, closed):

@@ -23,6 +23,7 @@ from llltool.errors import (
     InvalidParameterError,
     ScriptError,
     SearchBudgetError,
+    UnsatisfiableConstraintError,
 )
 from llltool.csp import (
     BadPredicate,
@@ -721,6 +722,29 @@ def naive_mta_run(csp, table, strategy, max_iters=None):
         for v in touched:
             levels[v] += 1
         step_index += 1
+
+
+def solve_edgeless(csp: Csp) -> dict[int, int]:
+    """Label each isolated constraint with its first non-bad assignment.
+
+    The oracle for the derandomizer on problems with no dependency edge.
+    Variables under no constraint get label 0. Raises
+    UnsatisfiableConstraintError when some bad set is everything, and
+    InvalidParameterError if the dependency graph has an edge.
+    """
+    if csp.dependency_graph.max_degree() > 0:
+        raise InvalidParameterError("dependency graph must be edgeless")
+    labeling = {v: 0 for v in csp.variables}
+    for c in csp.constraints:
+        for row in assignment_rows(csp.label_count, len(c.domain)):
+            if not c.bad_contains(row):
+                labeling.update(zip(c.domain, row))
+                break
+        else:
+            raise UnsatisfiableConstraintError(
+                f"constraint {c.id} forbids every assignment"
+            )
+    return labeling
 
 
 # The global-quotient derandomizer that `derand.induction_step` and

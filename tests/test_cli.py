@@ -442,6 +442,25 @@ def test_search_budget_exhaustion_exits_three(tmp_path, capsys):
     assert err.startswith("llltool: budget:")
 
 
+def test_a_sink_listing_past_the_vertex_pair_cap_exits_three(
+    tmp_path, capsys, monkeypatch
+):
+    # 1,500 chains of 1 to 1,500 vertices: about 5.6e8 vertex pairs, so the
+    # listing is refused before any digraph is built
+    monkeypatch.delenv("LLLTOOL_MATERIALIZE_CAP", raising=False)
+    prob = problem_file(tmp_path, make_csp(1, [((0,), [(1,)])]))
+    code = main(
+        ["witness", "--problem", prob, "--sink", "0", "--max-vertices", "1500"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "llltool: budget: 1500 digraphs have 562499750 vertex pairs, "
+        f"cap {2**24}\n"
+    )
+
+
 def test_lbad_report_and_exit_zero_on_trivially_good_input(tmp_path, capsys):
     csp = make_csp(2, [((0,), []), ((1,), [])])
     prob = problem_file(tmp_path, csp)

@@ -12,6 +12,7 @@ from conftest import (
     quotient_induction_step,
     quotient_solve_double_exp,
     random_tiny_csp,
+    solve_edgeless,
 )
 from llltool import derand
 from llltool.csp import (
@@ -40,7 +41,6 @@ from llltool.derand import (
     params_from_json,
     pipeline,
     solve_double_exp,
-    solve_edgeless,
 )
 from llltool.generators import (
     Hypergraph,
@@ -449,6 +449,57 @@ def test_double_exp_matches_the_quotient_route():
     # a whole 6-edge past the cap, and one conditioned on a fixed variable
     assert any("needs 64 rows" in text for text in refusals)
     assert any("needs 32 rows" in text for text in refusals)
+
+
+def fixed_after_each_class(csp, ledger, labeling):
+    """What classes 0..i of the ledger fixed, read from the final labeling.
+
+    A class fixes the still-free variables of its members' domains, so
+    after class i every variable in a domain of classes 0..i is fixed.
+    """
+    classes = {entry["class_index"]: entry["class"] for entry in ledger}
+    fixed, after = {}, []
+    for index in sorted(classes):
+        for cid in classes[index]:
+            fixed.update((v, labeling[v]) for v in csp.constraints[cid].domain)
+        after.append(dict(fixed))
+    return after
+
+
+def test_carried_masses_equal_the_masses_recomputed_after_each_class():
+    rng = random.Random(67)
+    names = rng.sample(range(96), 96)
+    cycle = proper_coloring(
+        graph_from_edges(96, [(names[i], names[(i + 1) % 96]) for i in range(96)]),
+        32,
+    )
+    runs = [(cycle, None)]
+    for _ in range(4):
+        plain = hypergraph_2coloring(paired_hypergraph(rng))
+        runs.append((plain, None))
+        for bad in (AllZero, AllZeroWithMass):
+            for cap in (None, 64, 16, 4):
+                runs.append((with_bad(plain, bad), cap))
+    kinds = set()
+    checked = 0
+    for csp, cap in runs:
+        ledgers = ([], [])
+        fast = outcome(lambda: solve_double_exp(csp, ledgers[0], cap))
+        slow = outcome(lambda: quotient_solve_double_exp(csp, ledgers[1], cap))
+        assert fast == slow
+        assert ledgers[0] == ledgers[1]
+        kinds.add(fast[0])
+        for entry in ledgers[0]:
+            assert entry["ok"] == (entry["mass"] <= entry["bound"])
+        if fast[0] != "value":
+            continue
+        after = fixed_after_each_class(csp, ledgers[0], fast[1])
+        for entry in ledgers[0]:
+            fixed = after[entry["class_index"]]
+            assert entry["mass"] == conditional_mass(csp, entry["constraint"], fixed)
+            checked += 1
+    assert kinds == {"value", "CapExceededError"}
+    assert checked > 500
 
 
 def test_induction_step_matches_the_quotient_route():

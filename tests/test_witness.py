@@ -349,6 +349,16 @@ def test_sink_star_cap_fires():
         enumerate_sink_star(0, CHAIN, max_vertices=5, cap=2)
 
 
+def test_sink_star_refuses_past_the_vertex_pair_cap(monkeypatch):
+    # chains of 1, 2 and 3 vertices: 0 + 1 + 3 vertex pairs, 0 + 1 + 3 edges
+    monkeypatch.setenv("LLLTOOL_MATERIALIZE_CAP", "4")
+    reps = enumerate_sink_star(0, CHAIN, max_vertices=3)
+    assert sum(len(g.edges) for g in reps) == 4
+    monkeypatch.setenv("LLLTOOL_MATERIALIZE_CAP", "3")
+    with pytest.raises(CapExceededError, match="3 digraphs have 4 vertex pairs, cap 3"):
+        enumerate_sink_star(0, CHAIN, max_vertices=3)
+
+
 def test_mt2_rejects_alpha_over_the_slack():
     alpha = {0: Fraction(1, 2)}
     beta = {0: Fraction(1, 4)}
