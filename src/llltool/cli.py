@@ -13,6 +13,7 @@ code; `main` alone builds and prints the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -234,6 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` reuses: building it costs a few ms per call."""
+    return build_parser()
+
+
 def _cmd_generate(args, inputs: _Inputs) -> tuple:
     """Emits the bare problem, itself valid input; `main` adds no envelope."""
     if args.kind == "hyp2color":
@@ -425,7 +432,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     inputs = _Inputs()
     started = time.perf_counter()
     try:

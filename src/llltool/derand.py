@@ -289,7 +289,8 @@ def parameter_advisor(
     gamma(R) < (1-eps)^-R; eta is the largest 1/2^j separating
     (1-eta)/(1+eta) from p^(1-eps-1/s); N is the least power making
     (1+eta)^N exceed F * gamma(2R)^gamma(2R). Raises HypothesisError when
-    a premise fails and InvalidParameterError when the profile is too short.
+    a premise fails, and InvalidParameterError when the profile is too
+    short or all zeros (a problem with no constraints needs no parameters).
     """
     if d < 0:
         raise InvalidParameterError("d must be >= 0")
@@ -297,6 +298,11 @@ def parameter_advisor(
         raise InvalidParameterError("s must exceed 1")
     if not 0 <= p < 1:
         raise InvalidParameterError("p must lie in [0,1)")
+    if growth.proxy_gamma == 0:
+        raise InvalidParameterError(
+            "the problem has no constraints (its growth profile is all "
+            "zeros), so there are no parameters to advise"
+        )
     if not lll_condition(p, d, "exponent", s).holds:
         raise HypothesisError(
             "p(e(d+1))^s < 1 fails", failed=["p (e (d+1))**s < 1"]

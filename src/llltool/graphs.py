@@ -10,6 +10,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import InvalidInputError, InvalidParameterError
 from .exact import pow_compare
@@ -107,6 +108,36 @@ def ball(g: FiniteGraph, v: int, radius: int) -> frozenset[int]:
     return frozenset(bfs_distances(g, v, limit=radius))
 
 
+# Target vertices per block of `_grown_masks`: a block's masks take about
+# n * _BLOCK_BITS / 8 bytes, where one block of all n targets takes n**2 / 8.
+_BLOCK_BITS = 4096
+
+
+def _grown_masks(g: FiniteGraph, lo: int, r_max: int):
+    """Yield every vertex's ball, cut to the targets lo..lo+_BLOCK_BITS-1.
+
+    Round r yields a list whose entry v has bit i set exactly when
+    dist(v, lo + i) <= r. Rounds start from B_0(v) = {v} and take
+    B_{r+1}(v) = B_r(v) | B_r(u) over the neighbours u of v; cutting to the
+    targets commutes with that step. They stop after r_max, or before the
+    first round that changes no mask: every later radius repeats it.
+    """
+    n, adjacency = g.n, g.adjacency
+    width = min(_BLOCK_BITS, n - lo)
+    masks = [0] * lo + [1 << i for i in range(width)] + [0] * (n - lo - width)
+    yield masks
+    for _ in range(r_max):
+        grown = []
+        for mask, nbrs in zip(masks, adjacency):
+            for u in nbrs:
+                mask |= masks[u]
+            grown.append(mask)
+        if grown == masks:
+            return
+        masks = grown
+        yield masks
+
+
 @dataclass(frozen=True)
 class GrowthProfile:
     gamma: tuple[int, ...]  # gamma[i] is the max ball size at radius i+1
@@ -139,22 +170,26 @@ class GrowthProfile:
 def max_ball_sizes(g: FiniteGraph, r_max: int) -> list[int]:
     """Largest ball size at each radius 0..r_max (all 0 on empty graphs).
 
-    One BFS per vertex, cut at r_max, counts the vertices at each
-    distance; prefix sums of those counts are that vertex's ball sizes.
+    The balls of all vertices grow together as bitmasks (`_grown_masks`),
+    one block of target vertices at a time; a vertex's ball size at a
+    radius is the sum over blocks of its mask's popcount.
     """
     if r_max < 0:
         raise InvalidParameterError("radius must be >= 0")
-    best = [0] * (r_max + 1)
-    for v in range(g.n):
-        at_distance = [0] * (r_max + 1)
-        for d in bfs_distances(g, v, r_max).values():
-            at_distance[d] += 1
-        size = 0
-        for r, count in enumerate(at_distance):
-            size += count
-            if size > best[r]:
-                best[r] = size
-    return best
+    rows: list[list[int]] = []  # rows[r][v]: |B_r(v)| over the blocks so far
+    for lo in range(0, g.n, _BLOCK_BITS):
+        counts = [list(map(int.bit_count, masks))
+                  for masks in _grown_masks(g, lo, r_max)]
+        if not rows:
+            rows = counts
+            continue
+        # Blocks stop at different rounds; each block's last round repeats.
+        rows += rows[-1:] * (len(counts) - len(rows))
+        last = len(counts) - 1
+        rows = [list(map(add, row, counts[min(r, last)]))
+                for r, row in enumerate(rows)]
+    best = [max(row) for row in rows] or [0]
+    return best + best[-1:] * (r_max + 1 - len(best))
 
 
 def growth_profile(g: FiniteGraph, r_max: int) -> GrowthProfile:
@@ -174,11 +209,19 @@ def power_graph(g: FiniteGraph, r: int) -> FiniteGraph:
     """Graph with an edge wherever 1 <= dist <= r in g."""
     if r < 1:
         raise InvalidParameterError("r must be >= 1")
-    adj = []
-    for v in range(g.n):
-        reach = sorted(u for u in ball(g, v, r) if u != v)
-        adj.append(tuple(reach))
-    return FiniteGraph(g.n, tuple(adj))
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for lo in range(0, g.n, _BLOCK_BITS):
+        for masks in _grown_masks(g, lo, r):
+            pass  # keep the last round: radius r, or an earlier saturation
+        for v, mask in enumerate(masks):
+            if lo <= v < lo + _BLOCK_BITS:
+                mask ^= 1 << (v - lo)
+            nbrs = adj[v]
+            while mask:
+                low = mask & -mask
+                nbrs.append(lo + low.bit_length() - 1)
+                mask ^= low
+    return FiniteGraph(g.n, tuple(map(tuple, adj)))
 
 
 def greedy_proper_coloring(g: FiniteGraph) -> list[int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .csp import Csp, violates
@@ -265,6 +264,9 @@ def mt_monte_carlo(
     if jobs == 1:
         batches = [_run_trial((csp, all_trials, depth, seed, strategy, max_iters))]
     else:
+        # Imported here: the pool costs every `import llltool` tens of ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [all_trials[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             batches = list(

@@ -630,6 +630,34 @@ def test_advisor_needs_a_profile_that_reaches_twice_the_radius(
     assert (analysis["R"], analysis["gamma2R"]) == (34, 137)
 
 
+def test_advisor_refuses_a_problem_with_no_constraints(tmp_path, capsys):
+    prob = problem_file(tmp_path, make_csp(2, []))
+    assert main(["advisor", "--problem", prob, "--s", "3/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("llltool: error: the problem has no constraints")
+
+
+def test_one_parser_serves_back_to_back_commands(
+    envelope_inputs, capsys, monkeypatch
+):
+    assert cli._parser() is cli._parser()
+    argvs = [[command] + [a.format(**envelope_inputs) for a in template]
+             for command, template in sorted(ENVELOPE_ARGV.items())]
+
+    def reports():
+        out = []
+        for argv in argvs:
+            code, payload = run(argv, capsys)
+            payload.pop("timing_seconds")
+            out.append((code, payload))
+        return out
+
+    cached = reports()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cached == reports()
+
+
 def test_reports_are_deterministic_apart_from_timing(tmp_path, capsys):
     csp = make_csp(1, [((0,), [(1,)])])
     prob = problem_file(tmp_path, csp)

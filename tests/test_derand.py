@@ -217,6 +217,13 @@ def test_advisor_rejects_failed_premise():
         parameter_advisor(Fraction(1, 4), 4, Fraction(6, 5), growth)
 
 
+def test_advisor_refuses_a_problem_with_no_constraints():
+    growth = growth_profile(build_dependency_graph(make_csp(3, [])), 4)
+    assert growth.gamma == (0, 0, 0, 0)
+    with pytest.raises(InvalidParameterError, match="no constraints"):
+        parameter_advisor(Fraction(0), 0, Fraction(3, 2), growth)
+
+
 def test_advisor_needs_room_below_one_minus_inverse_s():
     # a short profile keeps the growth proxy too coarse for this s
     growth = growth_profile(cycle_graph(9), 8)

@@ -128,6 +128,79 @@ def test_one_bfs_profile_matches_a_ball_per_radius():
         max_ball_sizes(cycle(3), -1)
 
 
+def random_graphs(rng, count, top):
+    """Random graphs with up to `top` vertices: some edgeless, many
+    disconnected, with isolated vertices."""
+    graphs = [graph_from_edges(0, []), graph_from_edges(5, [])]
+    for _ in range(count):
+        n = rng.randint(1, top)
+        density = rng.choice([0.0, 0.05, 0.15, 0.4])
+        graphs.append(graph_from_edges(n, [
+            (u, v) for u in range(n) for v in range(u) if rng.random() < density
+        ]))
+    return graphs
+
+
+def test_ball_kernel_matches_a_ball_per_radius_past_saturation():
+    rng = random.Random(16)
+    for g in random_graphs(rng, 60, 18):
+        # r_max runs past every diameter, so each profile ends flat
+        r_max = g.n + 2
+        sizes = ball_per_radius_sizes(g, r_max)
+        assert max_ball_sizes(g, r_max) == sizes
+        for r in range(r_max + 1):
+            assert max_ball_sizes(g, r) == sizes[:r + 1]
+        assert sizes[-1] == max(
+            (len(bfs_distances(g, v)) for v in range(g.n)), default=0
+        )
+
+
+def power_row(g, v, r):
+    """The neighbours of v in the r-th power of g, by its definition."""
+    return tuple(sorted(ball(g, v, r) - {v}))
+
+
+def test_power_graph_matches_the_ball_definition():
+    rng = random.Random(61)
+    for g in random_graphs(rng, 40, 16) + [path(12), cycle(11), tree_ball(3, 3)]:
+        for r in range(1, 5):
+            expected = tuple(power_row(g, v, r) for v in range(g.n))
+            assert power_graph(g, r).adjacency == expected
+
+
+def test_ball_kernel_spans_blocks_of_targets():
+    # 4,200 vertices take two blocks of targets; balls around 0 and 4,096
+    # straddle the block boundary
+    ring = cycle(4200)
+    assert max_ball_sizes(ring, 3) == [1, 3, 5, 7]
+    assert growth_profile(ring, 3).gamma == (3, 5, 7)
+    square = power_graph(ring, 2)
+    for v in (0, 1, 4094, 4095, 4096, 4097, 4199):
+        assert square.adjacency[v] == power_row(ring, v, 2)
+    assert {len(nbrs) for nbrs in square.adjacency} == {4}
+    # 1,024 four-cliques fill the first block, one of them tied to the
+    # edge 4096-4097, so that block stops changing at radius 3; a path on
+    # 4098..4199 keeps the second block growing to radius 6. Reversing the
+    # ids swaps which block stops first.
+    edges = [(4 * k + i, 4 * k + j) for k in range(1024)
+             for i in range(4) for j in range(i)]
+    edges += [(0, 4096), (4096, 4097)] + [(v, v + 1) for v in range(4098, 4199)]
+    for g in (graph_from_edges(4200, edges),
+              graph_from_edges(4200, [(4199 - u, 4199 - v) for u, v in edges])):
+        assert max_ball_sizes(g, 6) == ball_per_radius_sizes(g, 6)
+        square = power_graph(g, 2)
+        for v in (0, 1, 102, 103, 4096, 4097, 4098, 4199):
+            assert square.adjacency[v] == power_row(g, v, 2)
+
+
+def test_depth_ten_tree_ball_grows_exponentially():
+    g = tree_ball(3, 10)
+    assert g.n == 3070
+    gamma = growth_profile(g, 20).gamma
+    assert gamma[:10] == tuple(3 * 2**r - 2 for r in range(1, 11))
+    assert gamma[9:] == (3070,) * 11
+
+
 def test_growth_proxy_takes_exact_argmin():
     # On a long path every gamma(r) = 2r+1 and 9^(1/4) is the smallest root.
     prof = growth_profile(path(30), 4)

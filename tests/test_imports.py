@@ -1,10 +1,14 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and importing the
+package pulls in no process pool.
 
 Stdlib-only, so the check needs no linter. The package `__init__` is
 skipped: its imports are the public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,12 @@ def test_the_check_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_package_leaves_the_process_pool_out():
+    # `mt_monte_carlo` imports the pool only when it runs with jobs > 1
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, llltool; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
