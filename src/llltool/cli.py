@@ -28,7 +28,6 @@ from .errors import (
     HypothesisError,
     InvalidInputError,
     InvalidParameterError,
-    UnsatisfiableConstraintError,
 )
 from .exact import format_rational, parse_rational
 from .graphs import growth_profile, load_graph_json, load_graph_text
@@ -457,7 +456,7 @@ def main(argv=None) -> int:
     except (InvalidInputError, InvalidParameterError, DepthExceededError) as exc:
         print(f"llltool: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (HypothesisError, UnsatisfiableConstraintError) as exc:
+    except HypothesisError as exc:
         print(f"llltool: check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except Exception as exc:

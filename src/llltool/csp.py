@@ -218,45 +218,41 @@ def is_solution(csp: Csp, f: Mapping[int, int]) -> bool:
     return all(not violates(csp, c.id, f) for c in csp.constraints)
 
 
-def _check_row_cap(cid: int, rows: int, cap: int | None) -> None:
+def _check_row_cap(cid: int, rows: int) -> None:
     """Refuse to enumerate more rows of a predicate-backed bad set than the cap."""
-    cap = materialize_cap_default() if cap is None else cap
+    cap = materialize_cap_default()
     if rows > cap:
         raise CapExceededError(
             f"materializing constraint {cid} needs {rows} rows, cap {cap}"
         )
 
 
-def materialize_bad(csp: Csp, cid: int, cap: int | None = None) -> frozenset:
+def materialize_bad(csp: Csp, cid: int) -> frozenset:
     """Explicit row set of a constraint's bad set, enumerating under a cap."""
     c = csp.constraint(cid)
     if isinstance(c.bad, frozenset):
         return c.bad
-    _check_row_cap(cid, csp.label_count ** len(c.domain), cap)
+    _check_row_cap(cid, csp.label_count ** len(c.domain))
     return frozenset(
         row for row in assignment_rows(csp.label_count, len(c.domain)) if c.bad.contains(row)
     )
 
 
-def prob_bad(csp: Csp, cid: int, cap: int | None = None) -> Fraction:
+def prob_bad(csp: Csp, cid: int) -> Fraction:
     """Exact product-measure mass of the constraint's bad set."""
-    return conditional_mass(csp, cid, {}, cap)
+    return conditional_mass(csp, cid, {})
 
 
-def conditional_mass(
-    csp: Csp, cid: int, fixed: Mapping[int, int], cap: int | None = None
-) -> Fraction:
+def conditional_mass(csp: Csp, cid: int, fixed: Mapping[int, int]) -> Fraction:
     """Exact mass of the constraint's bad set given the partial labeling.
 
-    Equals `prob_bad(quotient_csp(csp, fixed).csp, cid, cap)`: the
-    integer pair of `conditional_weight`, reduced to one Fraction.
+    Equals `prob_bad(quotient_csp(csp, fixed).csp, cid)`: the integer pair
+    of `conditional_weight`, reduced to one Fraction.
     """
-    return Fraction(*conditional_weight(csp, cid, fixed, cap))
+    return Fraction(*conditional_weight(csp, cid, fixed))
 
 
-def conditional_weight(
-    csp: Csp, cid: int, fixed: Mapping[int, int], cap: int | None = None
-) -> tuple[int, int]:
+def conditional_weight(csp: Csp, cid: int, fixed: Mapping[int, int]) -> tuple[int, int]:
     """The conditional bad mass as an unreduced pair (numerator, denominator).
 
     Reads only the constraint's own domain and bad rows: entries of
@@ -266,9 +262,10 @@ def conditional_weight(
     except where a predicate's `exact_prob` shortcut answers: it is the
     unconditional mass, so it applies only while no domain variable is
     fixed; otherwise the predicate is enumerated over the free variables,
-    under the cap. An explicit bad set is read from the cheaper side: its
-    rows, or the free assignments looked up in it when those are fewer (a
-    fully pinned call is one lookup). Either way it is exempt from the cap.
+    under `materialize_cap_default()`. An explicit bad set is read from
+    the cheaper side: its rows, or the free assignments looked up in it
+    when those are fewer (a fully pinned call is one lookup). Either way
+    it is exempt from the cap.
     """
     c = csp.constraint(cid)
     scale, numerators = csp.weight_scale
@@ -293,7 +290,7 @@ def conditional_weight(
             shortcut = c.bad.exact_prob(csp, c.domain)
             if shortcut is not None:
                 return shortcut.numerator, shortcut.denominator
-        _check_row_cap(cid, assignments, cap)
+        _check_row_cap(cid, assignments)
     full = [fixed.get(v) for v in c.domain]
     for labels in assignment_rows(csp.label_count, len(free)):
         for i, lab in zip(free, labels):

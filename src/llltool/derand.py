@@ -28,10 +28,11 @@ from .errors import (
     CapExceededError,
     HypothesisError,
     InternalInvariantError,
+    InvalidInputError,
     InvalidParameterError,
     SearchBudgetError,
 )
-from .exact import float_of, format_rational, pow_compare
+from .exact import _iroot, float_of, format_rational, parse_rational, pow_compare
 from .graphs import GrowthProfile, greedy_proper_coloring, power_graph
 from .local_goodness import (
     DEFAULT_SEARCH_BUDGET,
@@ -62,7 +63,6 @@ def _pick(
     fixed: Mapping[int, int],
     current: Mapping[int, Fraction] | list[Fraction],
     d: int,
-    cap: int | None,
 ) -> tuple[dict[int, int], list[tuple[int, Fraction]]]:
     """First acceptable row for c's free variables, with its target masses.
 
@@ -85,7 +85,7 @@ def _pick(
         local.update(zip(free, row))
         weights = []
         for a, top, bottom in limits:
-            total, scale = conditional_weight(csp, a, local, cap)
+            total, scale = conditional_weight(csp, a, local)
             if total * bottom > top * scale:
                 break
             weights.append((a, total, scale))
@@ -95,9 +95,7 @@ def _pick(
     raise InternalInvariantError(f"no qualifying assignment for constraint {cid}")
 
 
-def induction_step(
-    csp: Csp, fixed: Mapping[int, int], color_class, cap: int | None = None
-) -> dict[int, int]:
+def induction_step(csp: Csp, fixed: Mapping[int, int], color_class) -> dict[int, int]:
     """First acceptable assignment per class constraint, merged.
 
     For c in the class (ids ascending) the candidates are the label rows
@@ -120,16 +118,14 @@ def induction_step(
     merged: dict[int, int] = {}
     for cid in sorted(color_class):
         current = {
-            a: conditional_mass(csp, a, fixed, cap)
+            a: conditional_mass(csp, a, fixed)
             for a in sorted(csp.closed_neighborhoods[cid])
         }
-        merged.update(_pick(csp, cid, fixed, current, d, cap)[0])
+        merged.update(_pick(csp, cid, fixed, current, d)[0])
     return merged
 
 
-def solve_double_exp(
-    csp: Csp, ledger: list | None = None, cap: int | None = None
-) -> dict[int, int]:
+def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
     """Deterministic total solution under p(d+1)^(d+1) < 1.
 
     Pass a list as `ledger` to collect per-class exact mass records; each
@@ -147,11 +143,12 @@ def solve_double_exp(
     the reached constraints, whose mass and bound alone have moved. A
     limit needs no cap check of its own: a constraint's domain changes
     only when a class reaches it, and the accepted row's evaluation then
-    read it with the same free variables, under the same cap.
+    read it with the same free variables, under the same
+    `materialize_cap_default()`.
     """
     dep = csp.dependency_graph
     d = dep.max_degree()
-    base_mass = [prob_bad(csp, c.id, cap) for c in csp.constraints]
+    base_mass = [prob_bad(csp, c.id) for c in csp.constraints]
     p = max(base_mass, default=Fraction(0))
     if not lll_condition(p, d, "double_exp").holds:
         raise InvalidParameterError(
@@ -173,7 +170,7 @@ def solve_double_exp(
         members = classes[color]
         reached = []
         for cid in members:
-            labels, masses = _pick(csp, cid, fixed, mass, d, cap)
+            labels, masses = _pick(csp, cid, fixed, mass, d)
             fixed.update(labels)
             for a, after in masses:
                 mass[a] = after
@@ -237,18 +234,19 @@ class PipelineParams:
 
 
 def params_from_json(obj) -> PipelineParams:
-    from .exact import parse_rational
-
-    return PipelineParams(
-        p=parse_rational(obj["p"]),
-        d=int(obj["d"]),
-        s=parse_rational(obj["s"]),
-        eps=parse_rational(obj["eps"]),
-        eta=parse_rational(obj["eta"]),
-        R=int(obj["R"]),
-        N=int(obj["N"]),
-        depth=int(obj["depth"]),
-    )
+    try:
+        return PipelineParams(
+            p=parse_rational(obj["p"]),
+            d=int(obj["d"]),
+            s=parse_rational(obj["s"]),
+            eps=parse_rational(obj["eps"]),
+            eta=parse_rational(obj["eta"]),
+            R=int(obj["R"]),
+            N=int(obj["N"]),
+            depth=int(obj["depth"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed params JSON: {exc}") from exc
 
 
 def least_growth_radius(growth: GrowthProfile, eps: Fraction) -> int | None:
@@ -311,15 +309,10 @@ def parameter_advisor(
     eps_hi = 1 - 1 / s
     # Rational over-approximation of gamma^(1/r): least n with (n/Q)^r >= gamma.
     scale = 10**6
-    r_star, g_star = growth.proxy_radius, growth.proxy_gamma
-    lo, hi = 0, g_star * scale
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**r_star >= g_star * scale**r_star:
-            hi = mid
-        else:
-            lo = mid + 1
-    proxy_upper = Fraction(lo, scale)
+    r_star = growth.proxy_radius
+    power = growth.proxy_gamma * scale**r_star
+    root = _iroot(power, r_star)
+    proxy_upper = Fraction(root + (root**r_star != power), scale)
     eps_lo = max(Fraction(0), 1 - 1 / proxy_upper)
     if eps_lo >= eps_hi:
         raise HypothesisError(
@@ -410,7 +403,6 @@ def pipeline(
     seed: int = 0,
     trials: int = 100,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    cap: int | None = None,
 ) -> dict:
     """Find a good table, then run the maximal resampler to completion.
 
@@ -422,10 +414,8 @@ def pipeline(
     report: dict = {"mode": mode, "params": params.to_json()}
     if mode == "deterministic":
         try:
-            lg = build_lg_csp(
-                csp, params.R, params.N, params.eps, params.depth, budget, cap
-            )
-            meta_labeling = solve_double_exp(lg, cap=cap)
+            lg = build_lg_csp(csp, params.R, params.N, params.eps, params.depth, budget)
+            meta_labeling = solve_double_exp(lg)
         except SearchBudgetError as exc:  # a CapExceededError, so caught first
             report.update({"status": "infeasible", "budget_failed": str(exc)})
             return report

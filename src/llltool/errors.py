@@ -48,9 +48,5 @@ class HypothesisError(LllToolError):
         self.failed = failed
 
 
-class UnsatisfiableConstraintError(LllToolError):
-    """A constraint excludes every assignment of its domain."""
-
-
 class InternalInvariantError(LllToolError):
     """A guaranteed-by-theory step failed; indicates a bug, not bad input."""

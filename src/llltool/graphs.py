@@ -24,15 +24,17 @@ class FiniteGraph:
     def __post_init__(self):
         if self.n < 0 or len(self.adjacency) != self.n:
             raise InvalidInputError("adjacency length must equal vertex count")
+        # Hashed neighbor sets keep the symmetry check linear in the edges.
+        nbr_sets = [set(nbrs) for nbrs in self.adjacency]
         for v, nbrs in enumerate(self.adjacency):
-            if list(nbrs) != sorted(set(nbrs)):
+            if list(nbrs) != sorted(nbr_sets[v]):
                 raise InvalidInputError(f"neighbor list of {v} not sorted/unique")
             for u in nbrs:
                 if not 0 <= u < self.n:
                     raise InvalidInputError(f"vertex {u} out of range")
                 if u == v:
                     raise InvalidInputError(f"self-loop at {v}")
-                if v not in self.adjacency[u]:
+                if v not in nbr_sets[u]:
                     raise InvalidInputError(f"edge {v}->{u} not symmetric")
 
     def degree(self, v: int) -> int:

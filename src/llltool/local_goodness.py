@@ -318,7 +318,6 @@ def build_lg_csp(
     eps: Fraction,
     depth: int,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    cap: int | None = None,
 ) -> Csp:
     """Meta-problem over depth-deep columns: solutions are the good tables.
 
@@ -329,7 +328,7 @@ def build_lg_csp(
     """
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
-    cap = materialize_cap_default() if cap is None else cap
+    cap = materialize_cap_default()
     if csp.label_count**depth > cap:
         raise CapExceededError(
             f"{csp.label_count}**{depth} column labels exceed cap {cap}"

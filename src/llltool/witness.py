@@ -245,10 +245,10 @@ def verify_mt1_exact(
 
     Cells are labelled vertex by vertex, and each vertex is tested as soon
     as its last cell is set, so no subtree below an incompatible prefix is
-    walked. `cap` bounds the full k**cells assignment count all the same.
+    walked. `cap` (default `materialize_cap_default()`) bounds the full
+    k**cells assignment count all the same; the rhs masses read the default.
     """
-    if cap is None:
-        cap = materialize_cap_default()
+    cap = materialize_cap_default() if cap is None else cap
     vertex_cells = _vertex_cells(g, csp)
     for _, row in _distinct_cells(vertex_cells):
         if row >= depth:
@@ -279,7 +279,7 @@ def verify_mt1_exact(
     lhs = Fraction(total, scale**m)
     rhs = Fraction(1)
     for cid in g.decorations:
-        rhs *= prob_bad(csp, cid, cap)
+        rhs *= prob_bad(csp, cid)
     return {
         "mode": "exact",
         "lhs": float_of(lhs),
@@ -312,7 +312,7 @@ def verify_mt1_monte_carlo(
             hits += 1
     rhs = Fraction(1)
     for cid in g.decorations:
-        rhs *= prob_bad(csp, cid, materialize_cap_default())
+        rhs *= prob_bad(csp, cid)
     # Two-sided Hoeffding test, in integers and the exact rhs:
     # P[|X - n*rhs| >= t] <= 2 exp(-2 t**2 / n), here at t = 2 sqrt(n).
     # `tolerance`, the float 4-sigma band it replaces, is only reported.

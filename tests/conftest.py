@@ -11,19 +11,22 @@ and the replay primitives they are checking against.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 from llltool.errors import (
     DepthExceededError,
     InternalInvariantError,
     InvalidInputError,
     InvalidParameterError,
+    LllToolError,
     ScriptError,
     SearchBudgetError,
-    UnsatisfiableConstraintError,
 )
 from llltool.csp import (
     BadPredicate,
@@ -34,7 +37,6 @@ from llltool.csp import (
     build_dependency_graph,
     is_solution,
     lll_condition,
-    materialize_cap_default,
     prob_bad,
     quotient_csp,
     uniform_weights,
@@ -52,6 +54,20 @@ from llltool.local_goodness import local_csp
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import Table, sample_table
 from llltool.witness import WitnessDigraph
+
+
+@contextmanager
+def materialize_cap(cap):
+    """Run the block under `LLLTOOL_MATERIALIZE_CAP` = cap; None unsets it.
+
+    The variable is the library's one materialization cap. Unlike the
+    `monkeypatch` fixture this can be entered inside a loop, once per value.
+    """
+    with mock.patch.dict(os.environ):
+        os.environ.pop("LLLTOOL_MATERIALIZE_CAP", None)
+        if cap is not None:
+            os.environ["LLLTOOL_MATERIALIZE_CAP"] = str(cap)
+        yield
 
 
 def make_csp(n_vars, specs, k=2, weights=None):
@@ -724,6 +740,10 @@ def naive_mta_run(csp, table, strategy, max_iters=None):
         step_index += 1
 
 
+class UnsatisfiableConstraintError(LllToolError):
+    """A constraint excludes every assignment of its domain."""
+
+
 def solve_edgeless(csp: Csp) -> dict[int, int]:
     """Label each isolated constraint with its first non-bad assignment.
 
@@ -760,9 +780,7 @@ def pairwise_square_independent(csp: Csp, ids) -> bool:
     )
 
 
-def quotient_induction_step(
-    q: QuotientCsp, color_class, cap: int | None = None
-) -> dict[int, int]:
+def quotient_induction_step(q: QuotientCsp, color_class) -> dict[int, int]:
     """First acceptable assignment per class constraint, merged.
 
     For c in the class (ids ascending) the candidates are the label rows
@@ -775,19 +793,18 @@ def quotient_induction_step(
     base = q.base
     if not pairwise_square_independent(base, color_class):
         raise InvalidParameterError("class is not square-independent")
-    cap = materialize_cap_default() if cap is None else cap
     d = base.dependency_graph.max_degree()
     merged: dict[int, int] = {}
     for cid in sorted(color_class):
         reduced = q.csp.constraint(cid).domain
         targets = sorted(base.closed_neighborhoods[cid])
-        current = {a: prob_bad(q.csp, a, cap) for a in targets}
+        current = {a: prob_bad(q.csp, a) for a in targets}
         chosen = None
         for row in assignment_rows(base.label_count, len(reduced)):
             phi = dict(zip(reduced, row))
             trial = quotient_csp(q.csp, phi).csp if phi else q.csp
             if all(
-                prob_bad(trial, a, cap) <= (d + 1) * current[a] for a in targets
+                prob_bad(trial, a) <= (d + 1) * current[a] for a in targets
             ):
                 chosen = phi
                 break
@@ -799,9 +816,7 @@ def quotient_induction_step(
     return merged
 
 
-def quotient_solve_double_exp(
-    csp: Csp, ledger: list | None = None, cap: int | None = None
-) -> dict[int, int]:
+def quotient_solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
     """Deterministic total solution under p(d+1)^(d+1) < 1.
 
     Pass a list as `ledger` to collect per-class exact mass records; each
@@ -811,12 +826,12 @@ def quotient_solve_double_exp(
     """
     dep = csp.dependency_graph
     d = dep.max_degree()
-    p = max((prob_bad(csp, c.id, cap) for c in csp.constraints), default=Fraction(0))
+    p = max((prob_bad(csp, c.id) for c in csp.constraints), default=Fraction(0))
     if not lll_condition(p, d, "double_exp").holds:
         raise InvalidParameterError(
             f"p(d+1)^(d+1) = {float_of(p * Fraction(d + 1) ** (d + 1))} is not < 1"
         )
-    base_mass = {c.id: prob_bad(csp, c.id, cap) for c in csp.constraints}
+    base_mass = {c.id: prob_bad(csp, c.id) for c in csp.constraints}
     colors = greedy_proper_coloring(power_graph(dep, 2))
     classes: dict[int, list[int]] = {}
     for cid, color in enumerate(colors):
@@ -827,7 +842,7 @@ def quotient_solve_double_exp(
     touched = {c.id: 0 for c in csp.constraints}
     for index, color in enumerate(sorted(classes)):
         members = classes[color]
-        phi = quotient_induction_step(q, members, cap)
+        phi = quotient_induction_step(q, members)
         fixed = {**fixed, **phi}
         q = quotient_csp(csp, fixed)
         reached = set()
@@ -837,7 +852,7 @@ def quotient_solve_double_exp(
             touched[a] += 1
         if ledger is not None:
             for c in csp.constraints:
-                after = prob_bad(q.csp, c.id, cap)
+                after = prob_bad(q.csp, c.id)
                 bound = Fraction(d + 1) ** touched[c.id] * base_mass[c.id]
                 ledger.append(
                     {

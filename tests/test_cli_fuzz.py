@@ -1,0 +1,211 @@
+"""Crash-freedom gate for the command line.
+
+Seeded random small problems, tables, scripts, witnesses and pipeline
+parameters are fed to every report-emitting subcommand under small caps
+and budgets, the materialization cap included: `LLLTOOL_MATERIALIZE_CAP`
+is at most 4096 in every run, where the default 2**24 would let a
+deterministic `pipeline` list millions of meta-rows. Whatever the input,
+`main` must exit 0, 1, 2 or 3, never 4 (an internal fault); on exit 0
+its report parses back and names its command.
+"""
+
+import io
+import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
+
+from conftest import materialize_cap
+from llltool.cli import main
+
+SEEDS = tuple(range(1, 17))
+ROUNDS = 25
+
+# Weight vectors per label count (None: uniform); the zero weights are
+# refused at load.
+WEIGHTS = {
+    1: [["1"], None],
+    2: [["1/2", "1/2"], ["1/4", "3/4"], None],
+    3: [["1/3", "1/3", "1/3"], ["1/2", "1/4", "1/4"], None],
+}
+ZERO_WEIGHTS = {1: ["0"], 2: ["0", "1"], 3: ["0", "1/2", "1/2"]}
+
+
+def pick(rng, legal, illegal):
+    """Mostly a legal value, now and then one that must be refused."""
+    return rng.choice(illegal if rng.random() < 0.1 else legal)
+
+
+def random_problem(rng):
+    n = rng.randint(0, 5)
+    k = rng.randint(1, 3)
+    constraints = []
+    for cid in range(rng.randint(0, 4) if n else 0):
+        domain = sorted(rng.sample(range(n), rng.randint(0, min(n, 3))))
+        if rng.random() < 0.05:
+            domain.reverse()  # refused at load when it has two variables
+        if rng.random() < 0.05:
+            bad = "always"
+        else:
+            # rows are drawn with repeats, now and then as many as there are
+            rows = pick(rng, range(k ** len(domain)), [k ** len(domain)])
+            bad = [[rng.randrange(k) for _ in domain] for _ in range(rows)]
+        constraints.append({"id": cid, "domain": domain, "bad": bad})
+    weights = rng.choice(WEIGHTS[k]) if rng.random() < 0.95 else ZERO_WEIGHTS[k]
+    problem = {
+        "variables": n,
+        "labels": {"count": k, "weights": weights},
+        "constraints": constraints,
+    }
+    return problem, n, k, len(constraints)
+
+
+def random_table(rng, n, k):
+    depth = rng.randint(1, 4)
+    # now and then a label out of range or a variable missing
+    top = k if rng.random() < 0.1 else k - 1
+    variables = [v for v in range(n) if rng.random() < 0.95]
+    rows = [[rng.randint(0, top) for _ in variables] for _ in range(depth)]
+    return {"depth": depth, "variables": variables, "rows": rows}
+
+
+def random_script(rng, m):
+    top = m if rng.random() < 0.1 else m - 1
+    return [
+        sorted(rng.sample(range(max(top + 1, 1)), rng.randint(0, min(2, top + 1))))
+        for _ in range(rng.randint(0, 4))
+    ]
+
+
+def random_witness(rng, m):
+    size = rng.randint(0, 4) if m else 0
+    vertices = [{"id": i, "constraint": rng.randrange(m)} for i in range(size)]
+    edges = [
+        [a, b] for a in range(size) for b in range(size)
+        if a != b and rng.random() < 0.3
+    ]
+    return {"vertices": vertices, "edges": edges}
+
+
+def random_params(rng):
+    params = {
+        "p": rng.choice(["0", "1/24", "1/2"]),
+        "d": rng.randint(0, 2),
+        "s": rng.choice(["6/5", "2"]),
+        "eps": rng.choice(["1/24", "1/2"]),
+        "eta": rng.choice(["1/64", "1/2"]),
+        "R": rng.randint(0, 2),
+        "N": rng.randint(1, 2),
+        "depth": rng.randint(1, 3),
+    }
+    key = rng.choice(sorted(params))
+    if rng.random() < 0.3:  # one field out of its range, or malformed
+        params[key] = rng.choice(["-1", "1", "3/2", -1, 0, None, "x"])
+    elif rng.random() < 0.05:
+        del params[key]
+    return params
+
+
+def random_graph(rng, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+    return "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def commands(rng, files, m):
+    """One argv per report-emitting subcommand, small caps and budgets."""
+    c = str(pick(rng, range(max(m, 1)), [-1, m]))
+    depth = str(pick(rng, [1, 2, 3, 4], [0]))
+    budget = str(rng.choice([1, 10, 1000]))
+
+    def small():
+        return str(pick(rng, range(1, 9), [0, -1]))
+
+    table, script, witness = files["table"], files["script"], files["witness"]
+    problem = ["--problem", files["problem"]]
+    return [
+        ["stats"] + problem + (["--s", pick(rng, ["6/5", "2"], ["1", "x"])]
+                               if rng.random() < 0.5 else []),
+        ["growth", "--graph", files["graph"], "--r-max", small()],
+        ["mta"] + problem + ["--depth", depth, "--trials", "3",
+                             "--strategy", rng.choice(["mmta", "random", "first"])],
+        ["mta"] + problem + ["--depth", depth, "--table", table, "--max-iters", "6"]
+        + (["--script", script] if rng.random() < 0.5 else []),
+        ["consistency"] + problem + ["--table", table, "--script", script],
+        ["witness"] + problem + ["--script", script],
+        ["witness"] + problem + ["--witness", witness],
+        ["witness"] + problem + ["--sink", c, "--max-vertices", small(),
+                                 "--cap", small()],
+        ["verify-mt1"] + problem + ["--witness", witness, "--depth", depth]
+        + (["--cap", small()] if rng.random() < 0.5 else []),
+        ["verify-mt1"] + problem + ["--witness", witness, "--depth", depth,
+                                    "--mode", "monte_carlo", "--trials", "5"],
+        ["verify-mt2"] + problem + ["--c", c,
+                                    "--alpha", pick(rng, ["1/2", "1/8"], ["1"]),
+                                    "--beta", pick(rng, ["1/2", "0"], ["1"]),
+                                    "--max-vertices", small(), "--cap", small()],
+        ["locally-good"] + problem + ["--table", table, "--c", c,
+                                      "--R", small(), "--N", small(),
+                                      "--eps", pick(rng, ["1/2", "1/24"], ["0", "1"]),
+                                      "--budget", budget],
+        ["lbad"] + problem + ["--c", c, "--R", str(rng.randint(0, 2)),
+                              "--N", str(pick(rng, [1, 2], [0])), "--eps", "1/2",
+                              "--eta", pick(rng, ["1/64", "1/2"], ["0"]),
+                              "--s", pick(rng, ["6/5", "2"], ["1"]), "--depth", depth,
+                              "--trials", "3", "--budget", budget],
+        ["solve"] + problem + ["--method", "double-exp"]
+        + (["--ledger"] if rng.random() < 0.5 else []),
+        ["advisor"] + problem + ["--s", pick(rng, ["6/5", "2"], ["1"]),
+                                 "--r-max", small()],
+        ["pipeline"] + problem + ["--params", files["params"],
+                                  "--mode", rng.choice(["det", "rand"]),
+                                  "--trials", "2", "--budget", budget],
+    ]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_no_random_input_crashes_the_cli(tmp_path):
+    seen_codes = set()
+    commanded = set()
+    refused_by_the_cap = set()  # commands with no --cap that the variable stopped
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for _ in range(ROUNDS):
+            problem, n, k, m = random_problem(rng)
+            contents = {
+                "problem": json.dumps(problem),
+                "table": json.dumps(random_table(rng, n, k)),
+                "script": json.dumps(random_script(rng, m)),
+                "witness": json.dumps(random_witness(rng, m)),
+                "params": json.dumps(random_params(rng)),
+                "graph": random_graph(rng, rng.randint(0, 6)),
+            }
+            files = {}
+            for name, text in contents.items():
+                path = tmp_path / f"{name}.json"
+                path.write_text(text)
+                files[name] = str(path)
+            cap = rng.choice([0, 1, 4, 16, 4096, 4096])
+            with materialize_cap(cap):
+                for argv in commands(rng, files, m):
+                    code, out, err = run_main(argv)
+                    context = (seed, cap, argv, err, contents)
+                    assert code in (0, 1, 2, 3), context
+                    if code == 0:
+                        report = json.loads(out)
+                        assert report["command"] == argv[0], context
+                    seen_codes.add(code)
+                    commanded.add(argv[0])
+                    if code == 3 and "--cap" not in argv and f"cap {cap}" in err + out:
+                        refused_by_the_cap.add(argv[0])
+    assert seen_codes == {0, 1, 2, 3}
+    assert len(commanded) == 12
+    assert refused_by_the_cap == {"pipeline", "verify-mt1"}

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TINY_FAMILY, make_csp, pairwise_neighbors, random_tiny_csp
+from conftest import (
+    TINY_FAMILY,
+    make_csp,
+    materialize_cap,
+    pairwise_neighbors,
+    random_tiny_csp,
+)
 from llltool.csp import (
     AlwaysViolated,
     Constraint,
@@ -101,7 +107,8 @@ def test_prob_bad_explicit_rows():
 def test_prob_bad_always_violated_short_circuits():
     csp = make_csp(2, [((0, 1), AlwaysViolated())])
     # no materialization needed even when the cap forbids enumeration
-    assert prob_bad(csp, 0, cap=1) == 1
+    with materialize_cap(1):
+        assert prob_bad(csp, 0) == 1
 
 
 def test_materialize_predicate_respects_cap():
@@ -110,8 +117,8 @@ def test_materialize_predicate_respects_cap():
         assignment_rows(2, 2)
     )
     big = make_csp(4, [(tuple(range(4)), AlwaysViolated())])
-    with pytest.raises(CapExceededError):
-        materialize_bad(big, 0, cap=3)
+    with materialize_cap(3), pytest.raises(CapExceededError):
+        materialize_bad(big, 0)
 
 
 def test_dependency_graph_links_shared_variables():

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import (
     TINY_FAMILY,
+    UnsatisfiableConstraintError,
     make_csp,
+    materialize_cap,
     paired_hypergraph,
     pairwise_square_independent,
     quotient_induction_step,
@@ -30,7 +32,6 @@ from llltool.errors import (
     HypothesisError,
     InternalInvariantError,
     InvalidParameterError,
-    UnsatisfiableConstraintError,
 )
 from llltool.derand import (
     PipelineParams,
@@ -42,6 +43,7 @@ from llltool.derand import (
     pipeline,
     solve_double_exp,
 )
+from llltool.exact import format_rational
 from llltool.generators import (
     Hypergraph,
     hypergraph_2coloring,
@@ -274,6 +276,39 @@ def test_advisor_finds_the_least_n_past_a_hundred_thousand():
     assert (1 + params.eta) ** (params.N - 1) <= target
 
 
+def bisected_proxy_upper(g, r, scale=10**6):
+    """The least n/scale with n**r >= g * scale**r, found by bisection."""
+    lo, hi = 0, g * scale
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**r >= g * scale**r:
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(lo, scale)
+
+
+def test_advisor_proxy_root_matches_the_bisection():
+    # With s = 10**9 every proxy up to 10**8 leaves room for eps, and the
+    # profile (1, 1) then accepts R = 1, so eps is reported for every case.
+    rng = random.Random(71)
+    s = Fraction(10**9)
+    cases = [(1, 1), (10**8, 1), (10**8, 60), (2**20, 20), (3**16, 16), (7, 60)]
+    cases += [
+        (t**r, r) for r in range(1, 61) for t in (2, 3, 10, 99) if t**r <= 10**8
+    ]
+    cases += [
+        (int(10 ** rng.uniform(0, 8)), rng.randint(1, 60)) for _ in range(300)
+    ]
+    for g, r in cases:
+        upper = bisected_proxy_upper(g, r)
+        eps = (max(Fraction(0), 1 - 1 / upper) + 1 - 1 / s) / 2
+        _, report = parameter_advisor(
+            Fraction(0), 0, s, GrowthProfile((1, 1), r, g)
+        )
+        assert report["eps"] == format_rational(eps), (g, r)
+
+
 def test_advisor_accepts_a_profile_that_just_reaches_twice_the_radius():
     # up to radius 68 this path has the profile of any longer one,
     # gamma(r) = 2r + 1, and the advisor picks R = 34
@@ -401,7 +436,7 @@ def outcome(run):
 def test_conditional_mass_matches_the_quotient_mass():
     rng = random.Random(61)
     problems = TINY_FAMILY + PREDICATE_FAMILY + random_reweighted_csps(62, 60)
-    kinds = set()
+    cases = []
     for csp in problems:
         for _ in range(12):
             share = rng.choice([0, 0.5, 1])
@@ -410,28 +445,36 @@ def test_conditional_mass_matches_the_quotient_mass():
                 for v in csp.variables
                 if rng.random() < share
             }
-            reduced = quotient_csp(csp, fixed).csp
-            for c in csp.constraints:
-                for cap in (None, 0, 1, 2, 4):
-                    fast = outcome(lambda: conditional_mass(csp, c.id, fixed, cap))
-                    slow = outcome(lambda: prob_bad(reduced, c.id, cap))
+            cases.append((csp, fixed, quotient_csp(csp, fixed).csp))
+            assert all(
+                conditional_mass(csp, c.id, {}) == prob_bad(csp, c.id)
+                for c in csp.constraints
+            )
+    kinds = set()
+    # One cap at a time: setting the variable rewrites the whole environment.
+    for cap in (None, 0, 1, 2, 4):
+        with materialize_cap(cap):
+            for csp, fixed, reduced in cases:
+                for c in csp.constraints:
+                    fast = outcome(lambda: conditional_mass(csp, c.id, fixed))
+                    slow = outcome(lambda: prob_bad(reduced, c.id))
                     assert fast == slow, (csp, fixed, c.id, cap)
                     if fast[0] == "value":
                         kinds.add(fast[1] if fast[1] in (0, 1) else "between")
                     else:
                         kinds.add(fast[0])
-            assert all(
-                conditional_mass(csp, c.id, {}) == prob_bad(csp, c.id)
-                for c in csp.constraints
-            )
     assert kinds == {0, 1, "between", "CapExceededError"}
 
 
 def assert_same_solve(csp, cap=None):
-    """Both routes give the same labeling or error, and the same ledger."""
+    """Both routes give the same labeling or error, and the same ledger.
+
+    Both run under the materialization cap `cap` (None: the default).
+    """
     ledgers = ([], [])
-    fast = outcome(lambda: solve_double_exp(csp, ledgers[0], cap))
-    slow = outcome(lambda: quotient_solve_double_exp(csp, ledgers[1], cap))
+    with materialize_cap(cap):
+        fast = outcome(lambda: solve_double_exp(csp, ledgers[0]))
+        slow = outcome(lambda: quotient_solve_double_exp(csp, ledgers[1]))
     assert fast == slow
     assert ledgers[0] == ledgers[1]
     return fast
@@ -491,8 +534,9 @@ def test_carried_masses_equal_the_masses_recomputed_after_each_class():
     checked = 0
     for csp, cap in runs:
         ledgers = ([], [])
-        fast = outcome(lambda: solve_double_exp(csp, ledgers[0], cap))
-        slow = outcome(lambda: quotient_solve_double_exp(csp, ledgers[1], cap))
+        with materialize_cap(cap):
+            fast = outcome(lambda: solve_double_exp(csp, ledgers[0]))
+            slow = outcome(lambda: quotient_solve_double_exp(csp, ledgers[1]))
         assert fast == slow
         assert ledgers[0] == ledgers[1]
         kinds.add(fast[0])
@@ -511,7 +555,7 @@ def test_carried_masses_equal_the_masses_recomputed_after_each_class():
 
 def test_induction_step_matches_the_quotient_route():
     rng = random.Random(65)
-    kinds = set()
+    cases = []
     for csp in TINY_FAMILY + PREDICATE_FAMILY + random_reweighted_csps(66, 40):
         ids = [c.id for c in csp.constraints]
         for _ in range(6):
@@ -521,12 +565,13 @@ def test_induction_step_matches_the_quotient_route():
                 if rng.random() < 0.4
             }
             q = quotient_csp(csp, fixed)
-            color_class = rng.sample(ids, rng.randint(0, len(ids)))
-            for cap in (None, 1, 2):
-                fast = outcome(
-                    lambda: induction_step(q.base, q.fixed, color_class, cap)
-                )
-                slow = outcome(lambda: quotient_induction_step(q, color_class, cap))
+            cases.append((q, rng.sample(ids, rng.randint(0, len(ids)))))
+    kinds = set()
+    for cap in (None, 1, 2):
+        with materialize_cap(cap):
+            for q, color_class in cases:
+                fast = outcome(lambda: induction_step(q.base, q.fixed, color_class))
+                slow = outcome(lambda: quotient_induction_step(q, color_class))
                 assert fast == slow
                 kinds.add(fast[0])
     assert kinds == {"value", "InvalidParameterError", "CapExceededError"}
@@ -571,9 +616,8 @@ def test_small_cap_deterministic_pipeline_matches_the_quotient_route(monkeypatch
         )
 
         def run():
-            return pipeline(
-                csp, params, mode="deterministic", budget=budget, cap=cap
-            )
+            with materialize_cap(cap):
+                return pipeline(csp, params, mode="deterministic", budget=budget)
 
         fast = outcome(run)
         with monkeypatch.context() as patched:

@@ -44,6 +44,18 @@ def test_rejects_asymmetric_adjacency():
         FiniteGraph(2, ((1,), ()))
 
 
+def test_rejects_one_missing_back_edge_among_many():
+    # K_60 with the arc 40 -> 7 dropped: the scan reports the first arc
+    # whose reverse is missing, 7 -> 40, and nothing earlier.
+    n = 60
+    adjacency = [tuple(u for u in range(n) if u != v) for v in range(n)]
+    adjacency[40] = tuple(u for u in adjacency[40] if u != 7)
+    with pytest.raises(InvalidInputError, match=r"^edge 7->40 not symmetric$"):
+        FiniteGraph(n, tuple(adjacency))
+    adjacency[40] = tuple(sorted(adjacency[40] + (7,)))
+    assert FiniteGraph(n, tuple(adjacency)).max_degree() == n - 1
+
+
 def test_rejects_self_loop():
     with pytest.raises(InvalidInputError):
         graph_from_edges(3, [(1, 1)])

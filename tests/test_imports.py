@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and importing the
-package pulls in no process pool.
+"""Every name a module imports is used in that module, importing the
+package pulls in no process pool, and only `csp.materialize_cap_default`
+reads the environment.
 
 Stdlib-only, so the check needs no linter. The package `__init__` is
 skipped: its imports are the public re-exports.
@@ -40,6 +41,51 @@ def test_the_check_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def environment_reads(source: str) -> list[tuple[str, int]]:
+    """(enclosing function or "<module>", line) of each os.environ or os.getenv."""
+    names = {"environ", "getenv"}
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in names
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "os"
+            ) or (
+                isinstance(child, ast.ImportFrom)
+                and child.module == "os"
+                and any(alias.name in names for alias in child.names)
+            ):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_finds_every_environment_read():
+    source = (
+        "import os\nfrom os import getenv\nX = os.environ\n"
+        "class C:\n    def f(self):\n        return os.getenv('A')\n"
+    )
+    assert environment_reads(source) == [("<module>", 2), ("<module>", 3), ("f", 6)]
+
+
+def test_only_the_materialization_cap_reads_the_environment():
+    # LLLTOOL_MATERIALIZE_CAP is the one knob the environment sets
+    owners = {
+        (path.name, owner)
+        for path in SRC.glob("*.py")
+        for owner, _ in environment_reads(path.read_text(encoding="utf-8"))
+    }
+    assert owners == {("csp.py", "materialize_cap_default")}
 
 
 def test_importing_the_package_leaves_the_process_pool_out():

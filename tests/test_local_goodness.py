@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     TINY_FAMILY,
     make_csp,
+    materialize_cap,
     naive_locally_bad,
     random_tiny_csp,
     recursive_folner_search,
@@ -382,8 +383,8 @@ def _rows(k, length):
 
 def test_lg_column_space_cap():
     csp = proper_coloring(path_graph(3), 2)
-    with pytest.raises(CapExceededError):
-        build_lg_csp(csp, R=1, N=1, eps=HALF, depth=6, cap=32)
+    with materialize_cap(32), pytest.raises(CapExceededError):
+        build_lg_csp(csp, R=1, N=1, eps=HALF, depth=6)
 
 
 def test_gamma_at_radius():
