@@ -98,6 +98,26 @@ class Constraint:
         return self.bad.contains(row)
 
 
+# An explicit bad set's rows grouped by position and label, keyed by the
+# int `label * width + position` (an int key costs less memory than a
+# pair), and its unconditional weight `sum prod numerators`.
+RowIndex = tuple[dict[int, tuple[tuple[int, ...], ...]], int]
+
+
+def _row_index(rows: frozenset, numerators: tuple[int, ...]) -> RowIndex:
+    groups: dict[int, list] = {}
+    total = 0
+    for row in rows:
+        mass = 1
+        for i, lab in enumerate(row):
+            groups.setdefault(lab * len(row) + i, []).append(row)
+            mass *= numerators[lab]
+        total += mass
+    # Equal groups share one tuple: a row alone in several groups is common.
+    shared: dict[tuple, tuple] = {}
+    return {key: shared.setdefault(tuple(g), tuple(g)) for key, g in groups.items()}, total
+
+
 @dataclass(frozen=True)
 class Csp:
     variables: tuple[int, ...]
@@ -114,6 +134,9 @@ class Csp:
         default=None, init=False, repr=False, compare=False
     )
     _weight_scale: tuple[int, tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _bad_index: tuple[RowIndex | None, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -190,6 +213,33 @@ class Csp:
             object.__setattr__(self, "_weight_scale", scale)
         return scale
 
+    @property
+    def bad_index(self) -> tuple[RowIndex | None, ...]:
+        """Row index of each constraint's explicit bad set, indexed by id.
+
+        One `RowIndex` per distinct explicit bad set, shared by every
+        constraint whose set is equal to it; None for a predicate-backed
+        bad set. Built once per problem, on first use: the weights enter
+        each index's total, so it lives on the problem, never on a
+        `Constraint`.
+        """
+        index = self._bad_index
+        if index is None:
+            numerators = self.weight_scale[1]
+            shared: dict[frozenset, RowIndex] = {}
+            refs: list[RowIndex | None] = []
+            for c in self.constraints:
+                if not isinstance(c.bad, frozenset):
+                    refs.append(None)
+                    continue
+                entry = shared.get(c.bad)
+                if entry is None:
+                    entry = shared[c.bad] = _row_index(c.bad, numerators)
+                refs.append(entry)
+            index = tuple(refs)
+            object.__setattr__(self, "_bad_index", index)
+        return index
+
 
 def uniform_weights(k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, k) for _ in range(k))
@@ -239,7 +289,10 @@ def materialize_bad(csp: Csp, cid: int) -> frozenset:
 
 
 def prob_bad(csp: Csp, cid: int) -> Fraction:
-    """Exact product-measure mass of the constraint's bad set."""
+    """Exact product-measure mass of the constraint's bad set.
+
+    For an explicit bad set this is a lookup of its index's total.
+    """
     return conditional_mass(csp, cid, {})
 
 
@@ -262,36 +315,51 @@ def conditional_weight(csp: Csp, cid: int, fixed: Mapping[int, int]) -> tuple[in
     except where a predicate's `exact_prob` shortcut answers: it is the
     unconditional mass, so it applies only while no domain variable is
     fixed; otherwise the predicate is enumerated over the free variables,
-    under `materialize_cap_default()`. An explicit bad set is read from
-    the cheaper side: its rows, or the free assignments looked up in it
-    when those are fewer (a fully pinned call is one lookup). Either way
-    it is exempt from the cap.
+    under `materialize_cap_default()`.
+
+    An explicit bad set is read through the problem's `bad_index` and is
+    exempt from the cap. Fully pinned (an empty domain too), the answer
+    is one membership lookup; with nothing pinned, the index's stored
+    total. Partly pinned, it reads the cheaper side: the rows under the
+    first pinned position's label, or the free assignments looked up in
+    the set when those are fewer.
     """
     c = csp.constraint(cid)
     scale, numerators = csp.weight_scale
-    free = [i for i, v in enumerate(c.domain) if v not in fixed]
-    assignments = csp.label_count ** len(free)
-    total = 0
-    explicit = isinstance(c.bad, frozenset)
-    if explicit and len(c.bad) <= assignments:
-        pinned = [(i, fixed[v]) for i, v in enumerate(c.domain) if v in fixed]
-        for row in c.bad:
-            for i, lab in pinned:
-                if row[i] != lab:
-                    break
-            else:
-                mass = 1
-                for i in free:
-                    mass *= numerators[row[i]]
-                total += mass
-        return total, scale ** len(free)
-    if not explicit:
-        if len(free) == len(c.domain):
+    # None marks a free position. Built as a list: tuple(map(...)) is
+    # allocated oversized and shrunk, so freeing it fills the interpreter's
+    # tuple free list, which raised the peak memory of a solve.
+    full = [fixed.get(v) for v in c.domain]
+    free = [i for i, lab in enumerate(full) if lab is None]
+    index = csp.bad_index[cid]
+    if index is not None:
+        groups, unpinned_total = index
+        if not free:
+            return int(tuple(full) in c.bad), 1
+        if len(free) == len(full):
+            return unpinned_total, scale ** len(free)
+        pinned = [i for i, lab in enumerate(full) if lab is not None]
+        first = pinned.pop(0)
+        rows = groups.get(full[first] * len(full) + first, ())
+        if len(rows) <= csp.label_count ** len(free):
+            total = 0
+            for row in rows:
+                for i in pinned:
+                    if row[i] != full[i]:
+                        break
+                else:
+                    mass = 1
+                    for i in free:
+                        mass *= numerators[row[i]]
+                    total += mass
+            return total, scale ** len(free)
+    else:
+        if len(free) == len(full):
             shortcut = c.bad.exact_prob(csp, c.domain)
             if shortcut is not None:
                 return shortcut.numerator, shortcut.denominator
-        _check_row_cap(cid, assignments)
-    full = [fixed.get(v) for v in c.domain]
+        _check_row_cap(cid, csp.label_count ** len(free))
+    total = 0
     for labels in assignment_rows(csp.label_count, len(free)):
         for i, lab in zip(free, labels):
             full[i] = lab

@@ -69,17 +69,30 @@ def _pick(
     `current[a]` is the conditional mass of a given `fixed`. The targets
     are c's closed neighborhood, ascending; a row is accepted when each
     keeps mass at most (d+1) * current[a], decided in integers. Returns
-    the row as labels and the accepted masses, which are the targets'
-    masses once the row is fixed. Each candidate writes its labels into
-    one small labeling of the fixed labels the targets' domains read.
+    the row as labels and every target's mass once the row is fixed,
+    ascending. Each candidate writes its labels into one small labeling
+    of the fixed labels the evaluated targets' domains read.
+
+    Only the targets whose domains share a variable with c's free
+    variables are evaluated. Any other target keeps `current[a]`, which
+    is within its limit, so it gets no evaluation and no limit; a pick
+    with no free variable returns `({}, current masses)` at once. No
+    refusal is lost by the skip: such a target's free variables are the
+    ones that computed `current[a]`, evaluated under the same
+    `materialize_cap_default()`, so evaluating it again could not refuse.
     """
     targets = sorted(csp.closed_neighborhoods[cid])
     free = [v for v in csp.constraints[cid].domain if v not in fixed]
+    after = {a: current[a] for a in targets}
+    if not free:
+        return {}, list(after.items())
+    moved = set(free)
+    touched = [a for a in targets if not moved.isdisjoint(csp.constraints[a].domain)]
     local = {
-        v: fixed[v] for a in targets for v in csp.constraints[a].domain if v in fixed
+        v: fixed[v] for a in touched for v in csp.constraints[a].domain if v in fixed
     }
     limits = [
-        (a, (d + 1) * current[a].numerator, current[a].denominator) for a in targets
+        (a, (d + 1) * current[a].numerator, current[a].denominator) for a in touched
     ]
     for row in assignment_rows(csp.label_count, len(free)):
         local.update(zip(free, row))
@@ -90,8 +103,8 @@ def _pick(
                 break
             weights.append((a, total, scale))
         else:
-            labels = dict(zip(free, row))
-            return labels, [(a, Fraction(total, scale)) for a, total, scale in weights]
+            after.update((a, Fraction(total, scale)) for a, total, scale in weights)
+            return dict(zip(free, row)), list(after.items())
     raise InternalInvariantError(f"no qualifying assignment for constraint {cid}")
 
 
@@ -145,6 +158,15 @@ def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
     only when a class reaches it, and the accepted row's evaluation then
     read it with the same free variables, under the same
     `materialize_cap_default()`.
+
+    The same argument lets `_pick` skip a target that shares no variable
+    with the member's free variables: its free variables are those of
+    its carried mass, which was evaluated under the same cap, by its base
+    mass or by the class that last reached it, so no refusal is lost. A
+    member with no free variable evaluates nothing. Every target of the
+    closed neighborhood still counts as reached, so the ledger's `k` does
+    not depend on the skip. The base masses are `prob_bad`, a lookup of
+    each explicit bad set's total in the problem's `bad_index`.
     """
     dep = csp.dependency_graph
     d = dep.max_degree()

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import pickle
 import random
 import time
@@ -20,6 +22,7 @@ from llltool.csp import (
     Csp,
     assignment_rows,
     build_dependency_graph,
+    conditional_weight,
     csp_stats,
     dump_problem,
     is_solution,
@@ -313,6 +316,133 @@ def test_quotients_compose():
     both = quotient_csp(csp, {0: 0, 1: 0})
     for cid in (0, 1):
         assert materialize_bad(one.csp, cid) == materialize_bad(both.csp, cid)
+
+
+class CountingRows(frozenset):
+    """An explicit bad set that counts the membership lookups made in it."""
+
+    lookups = 0
+
+    def __contains__(self, row):
+        CountingRows.lookups += 1
+        return frozenset.__contains__(self, row)
+
+
+def naive_weight(csp, cid, fixed):
+    """The unreduced pair by enumerating every completion of the free variables.
+
+    The scale is recomputed here from the weights, not read from the problem.
+    """
+    c = csp.constraint(cid)
+    scale = math.lcm(*(w.denominator for w in csp.weights))
+    numerators = [int(w * scale) for w in csp.weights]
+    free = [v for v in c.domain if v not in fixed]
+    total = 0
+    for labels in itertools.product(range(csp.label_count), repeat=len(free)):
+        labeling = {**fixed, **dict(zip(free, labels))}
+        if frozenset.__contains__(c.bad, tuple(labeling[v] for v in c.domain)):
+            total += math.prod(numerators[lab] for lab in labels)
+    return total, scale ** len(free)
+
+
+def expected_lookups(csp, cid, fixed):
+    """Membership lookups of the cheaper side: the free assignments, or none.
+
+    Fully pinned (an empty domain too) is one lookup, nothing pinned is
+    none; partly pinned looks up the free assignments only when there are
+    fewer of them than rows under the first pinned position's label.
+    """
+    c = csp.constraint(cid)
+    pinned = [i for i, v in enumerate(c.domain) if v in fixed]
+    free = len(c.domain) - len(pinned)
+    if not free:
+        return 1
+    if not pinned:
+        return 0
+    first = pinned[0]
+    rows = [row for row in c.bad if row[first] == fixed[c.domain[first]]]
+    assignments = csp.label_count ** free
+    return assignments if assignments < len(rows) else 0
+
+
+def random_explicit_problem(rng):
+    """Up to 5 explicit constraints under random weights.
+
+    Bad sets are empty, sparse, dense or full, some domains are empty, and
+    some constraints repeat an earlier bad set as an equal, distinct object.
+    """
+    k = rng.randint(1, 3)
+    n = rng.randint(1, 6)
+    raw = [rng.randint(1, 5) for _ in range(k)]
+    weights = tuple(Fraction(x, sum(raw)) for x in raw)
+    constraints = []
+    for cid in range(rng.randint(1, 5)):
+        if constraints and rng.random() < 0.3:
+            earlier = rng.choice(constraints)
+            size, bad = len(earlier.domain), CountingRows(set(earlier.bad))
+        else:
+            size = rng.randint(0, min(n, 4))
+            density = rng.choice([0, 0.2, 0.5, 0.8, 1])
+            bad = CountingRows(
+                row
+                for row in itertools.product(range(k), repeat=size)
+                if rng.random() < density
+            )
+        domain = tuple(sorted(rng.sample(range(n), size)))
+        constraints.append(Constraint(cid, domain, bad))
+    return Csp(tuple(range(n)), k, weights, tuple(constraints))
+
+
+def assert_indexed_weights_match_enumeration(csp, rng, sides):
+    for c in csp.constraints:
+        for size in range(len(c.domain) + 1):
+            for positions in itertools.combinations(range(len(c.domain)), size):
+                for _ in range(3):
+                    fixed = {c.domain[i]: rng.randrange(csp.label_count) for i in positions}
+                    fixed[len(csp.variables)] = 0  # off the domain: ignored
+                    before = CountingRows.lookups
+                    pair = conditional_weight(csp, c.id, fixed)
+                    lookups = CountingRows.lookups - before
+                    assert pair == naive_weight(csp, c.id, fixed), (csp, c.id, fixed)
+                    assert lookups == expected_lookups(csp, c.id, fixed), (csp, c.id, fixed)
+                    if 0 < size < len(c.domain):
+                        sides.add("lookups" if lookups else "rows")
+        assert prob_bad(csp, c.id) == Fraction(*naive_weight(csp, c.id, {}))
+
+
+def test_indexed_conditional_weight_matches_enumeration():
+    rng = random.Random(181)
+    sides = set()
+    for _ in range(250):
+        csp = random_explicit_problem(rng)
+        assert_indexed_weights_match_enumeration(csp, rng, sides)
+        index = csp.bad_index
+        for a in csp.constraints:
+            for b in csp.constraints:
+                assert (index[a.id] is index[b.id]) == (a.bad == b.bad)
+    assert sides == {"rows", "lookups"}
+
+
+def test_problems_sharing_constraints_keep_their_own_weights():
+    rng = random.Random(182)
+    for _ in range(40):
+        csp = random_explicit_problem(rng)
+        if csp.label_count < 2:
+            continue
+        raw = [rng.randint(1, 9) for _ in range(csp.label_count)]
+        other = Csp(csp.variables, csp.label_count,
+                    tuple(Fraction(x, sum(raw)) for x in raw), csp.constraints)
+        for problem in (csp, other, csp):
+            assert_indexed_weights_match_enumeration(problem, rng, set())
+            for c in problem.constraints:
+                assert prob_bad(problem, c.id) == Fraction(*naive_weight(problem, c.id, {}))
+    shared = Constraint(0, (0, 1), frozenset({(0, 0), (1, 1)}))
+    skew = Csp((0, 1), 2, (Fraction(1, 4), Fraction(3, 4)), (shared,))
+    even = Csp((0, 1), 2, uniform_weights(2), (shared,))
+    assert prob_bad(skew, 0) == Fraction(10, 16)
+    assert prob_bad(even, 0) == Fraction(1, 2)
+    assert prob_bad(skew, 0) == Fraction(10, 16)
+    assert not hasattr(shared, "_bad_index")
 
 
 def test_problem_json_round_trip_family():

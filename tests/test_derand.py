@@ -23,6 +23,7 @@ from llltool.csp import (
     Csp,
     build_dependency_graph,
     conditional_mass,
+    conditional_weight,
     is_solution,
     prob_bad,
     quotient_csp,
@@ -636,3 +637,99 @@ def test_small_cap_deterministic_pipeline_matches_the_quotient_route(monkeypatch
         rep.get("budget_failed") for rep in values
     }
     assert ("InvalidParameterError", "p(d+1)^(d+1) = 2.0 is not < 1") in reports
+
+
+def bridged_blocks(rng):
+    """Blocks of 5 variables joined by 4-variable bridges, under skewed weights.
+
+    A bridge takes two variables from one block and one or two from another,
+    plus a private variable when it takes one: its targets then include a
+    block that shares no variable with its free ones once that block is
+    fixed, and a bridge without a private variable often has no free
+    variable left at its class. Every bad set is "all labels 0": explicit,
+    `AllZero` (membership only) or `AllZeroWithMass` (with the shortcut),
+    chosen per constraint, so one closed neighborhood mixes all three.
+    """
+    blocks = rng.randint(2, 4)
+    specs = [(tuple(range(5 * b, 5 * b + 5)), None) for b in range(blocks)]
+    n = 5 * blocks
+    used = set()
+    for _ in range(rng.randint(1, blocks + 1)):
+        a, b = rng.sample(range(blocks), 2)
+        picked = set(rng.sample(range(5 * a, 5 * a + 5), 2))
+        picked |= set(rng.sample(range(5 * b, 5 * b + 5), rng.choice([1, 2])))
+        if len(picked) < 4:
+            picked.add(n)
+            n += 1
+        if picked & used:
+            continue
+        used |= picked
+        specs.append((tuple(sorted(picked)), None))
+    kinds = [lambda size: [(0,) * size], lambda size: AllZero(),
+             lambda size: AllZeroWithMass()]
+    specs = [(domain, rng.choice(kinds)(len(domain))) for domain, _ in specs]
+    weights = rng.choice([(Fraction(1, 8), Fraction(7, 8)), (Fraction(1, 4), Fraction(3, 4))])
+    return make_csp(n, specs, weights=weights)
+
+
+def test_picks_evaluate_only_the_targets_a_row_can_touch(monkeypatch):
+    rng = random.Random(71)
+    problems = [bridged_blocks(rng) for _ in range(60)]
+    seen = {"no free variable": 0, "skipped target": 0}
+    calls = []
+
+    def counted_weight(csp, cid, fixed):
+        calls.append(cid)
+        return conditional_weight(csp, cid, fixed)
+
+    def checked_pick(csp, cid, fixed, current, d):
+        free = {v for v in csp.constraints[cid].domain if v not in fixed}
+        touched = {
+            a for a in csp.closed_neighborhoods[cid]
+            if free & set(csp.constraints[a].domain)
+        }
+        seen["no free variable"] += not free
+        seen["skipped target"] += len(csp.closed_neighborhoods[cid]) - len(touched)
+        del calls[:]
+        result = pick(csp, cid, fixed, current, d)
+        assert set(calls) <= touched
+        assert free or not calls
+        return result
+
+    pick = derand._pick
+    kinds = set()
+    for csp in problems:
+        for cap in (None, 64, 16, 4, 1):
+            with monkeypatch.context() as patched:
+                patched.setattr(derand, "conditional_weight", counted_weight)
+                patched.setattr(derand, "_pick", checked_pick)
+                kinds.add(assert_same_solve(csp, cap)[0])
+    assert kinds == {"value", "InvalidParameterError", "CapExceededError"}
+    assert seen["no free variable"] > 20 and seen["skipped target"] > 100
+
+
+def test_one_row_index_per_distinct_bad_set():
+    rng = random.Random(72)
+    names = rng.sample(range(480), 480)
+    cycle = proper_coloring(
+        graph_from_edges(480, [(names[i], names[(i + 1) % 480]) for i in range(480)]),
+        32,
+    )
+    solve_double_exp(cycle, [])
+    index = cycle.bad_index
+    assert len(index) == 480
+    assert all(entry is index[0] for entry in index)
+    groups, total = index[0]
+    assert total == 32 and len(groups) == 64
+    edges = tuple(
+        tuple(range(start, start + size))
+        for start, size in ((0, 3), (3, 4), (7, 3), (10, 5), (15, 4), (19, 3))
+    )
+    coloring = hypergraph_2coloring(Hypergraph(22, edges))
+    solve_double_exp(coloring)
+    by_size = {}
+    for c in coloring.constraints:
+        assert by_size.setdefault(len(c.domain), coloring.bad_index[c.id]) is (
+            coloring.bad_index[c.id]
+        )
+    assert len({id(entry) for entry in coloring.bad_index}) == len(by_size) == 3
