@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import derand, generators, local_goodness, witness
-from .csp import csp_stats, dump_problem, lll_condition, load_problem, prob_bad
+from .csp import csp_stats, dump_problem, lll_condition, load_problem
 from .errors import (
     CapExceededError,
     DepthExceededError,
@@ -390,11 +390,10 @@ def _cmd_solve(args, inputs: _Inputs) -> tuple:
 
 def _cmd_advisor(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
-    dep = csp.dependency_graph
-    p = max((prob_bad(csp, c.id) for c in csp.constraints), default=Fraction(0))
-    profile = growth_profile(dep, args.r_max)
+    stats = csp_stats(csp)
+    profile = growth_profile(csp.dependency_graph, args.r_max)
     params, report = derand.parameter_advisor(
-        p, dep.max_degree(), parse_rational(args.s), profile
+        stats.p_max, stats.max_dep_degree, parse_rational(args.s), profile
     )
     results = {"params": params.to_json(), "analysis": report,
                "growth": profile.to_json()}

@@ -120,24 +120,27 @@ def _row_index(rows: frozenset, numerators: tuple[int, ...]) -> RowIndex:
 
 @dataclass(frozen=True)
 class Csp:
+    """A validated problem and the structure derived from it on construction.
+
+    `weight_scale` is the common denominator D and the integer numerators n
+    with weights[l] = n[l] / D. `bad_index[cid]` is the `RowIndex` of an
+    explicit bad set, one per distinct set and shared by every constraint
+    whose set equals it, or None for a predicate, which is never read here.
+    """
+
     variables: tuple[int, ...]
     label_count: int
     weights: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
-    # Dependency index, built on first use. Not a functools.cached_property:
-    # writing the instance __dict__ materialises it, which slows every later
-    # attribute load on the problem.
-    _dependency_graph: FiniteGraph | None = field(
-        default=None, init=False, repr=False, compare=False
+    dependency_graph: FiniteGraph = field(init=False, repr=False, compare=False)
+    closed_neighborhoods: tuple[frozenset[int], ...] = field(
+        init=False, repr=False, compare=False
     )
-    _closed_neighborhoods: tuple[frozenset[int], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
+    weight_scale: tuple[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
     )
-    _weight_scale: tuple[int, tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _bad_index: tuple[RowIndex | None, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
+    bad_index: tuple[RowIndex | None, ...] = field(
+        init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -152,8 +155,13 @@ class Csp:
                 raise InvalidInputError(f"weight {w} outside (0,1]")
         if sum(self.weights) != 1:
             raise InvalidInputError("weights must sum to exactly 1")
+        denominator = math.lcm(*(w.denominator for w in self.weights))
+        numerators = tuple(
+            w.numerator * (denominator // w.denominator) for w in self.weights
+        )
         vset = set(self.variables)
         seen = set()
+        shared: dict[frozenset, RowIndex] = {}
         for idx, c in enumerate(self.constraints):
             if c.id != idx:
                 raise InvalidInputError("constraint ids must be dense 0..m-1 in order")
@@ -162,83 +170,31 @@ class Csp:
             seen.add(c.id)
             if not set(c.domain) <= vset:
                 raise InvalidInputError(f"constraint {c.id}: domain outside variables")
-            if isinstance(c.bad, frozenset):
+            # An equal set met before is already checked and indexed.
+            if isinstance(c.bad, frozenset) and c.bad not in shared:
                 for row in c.bad:
                     for lab in row:
                         if not 0 <= lab < self.label_count:
                             raise InvalidInputError(
                                 f"constraint {c.id}: label {lab} out of range"
                             )
+                shared[c.bad] = _row_index(c.bad, numerators)
+        dep = build_dependency_graph(self)
+        derive = object.__setattr__  # the dataclass is frozen
+        derive(self, "dependency_graph", dep)
+        derive(self, "closed_neighborhoods", tuple(
+            frozenset(nbrs).union((cid,)) for cid, nbrs in enumerate(dep.adjacency)
+        ))
+        derive(self, "weight_scale", (denominator, numerators))
+        derive(self, "bad_index", tuple(
+            shared[c.bad] if isinstance(c.bad, frozenset) else None
+            for c in self.constraints
+        ))
 
     def constraint(self, cid: int) -> Constraint:
         if not 0 <= cid < len(self.constraints):
             raise InvalidParameterError(f"no constraint with id {cid}")
         return self.constraints[cid]
-
-    @property
-    def dependency_graph(self) -> FiniteGraph:
-        """The dependency graph, built once per problem."""
-        dep = self._dependency_graph
-        if dep is None:
-            dep = build_dependency_graph(self)
-            object.__setattr__(self, "_dependency_graph", dep)
-        return dep
-
-    @property
-    def closed_neighborhoods(self) -> tuple[frozenset[int], ...]:
-        """Each constraint id with its dependency neighbors, indexed by id."""
-        closed = self._closed_neighborhoods
-        if closed is None:
-            closed = tuple(
-                frozenset(nbrs).union((cid,))
-                for cid, nbrs in enumerate(self.dependency_graph.adjacency)
-            )
-            object.__setattr__(self, "_closed_neighborhoods", closed)
-        return closed
-
-    @property
-    def weight_scale(self) -> tuple[int, tuple[int, ...]]:
-        """Common denominator D and integer numerators n, weights[l] = n[l] / D.
-
-        Built once per problem, so exact masses can be summed as integers
-        and divided once.
-        """
-        scale = self._weight_scale
-        if scale is None:
-            denominator = math.lcm(*(w.denominator for w in self.weights))
-            numerators = tuple(
-                w.numerator * (denominator // w.denominator) for w in self.weights
-            )
-            scale = (denominator, numerators)
-            object.__setattr__(self, "_weight_scale", scale)
-        return scale
-
-    @property
-    def bad_index(self) -> tuple[RowIndex | None, ...]:
-        """Row index of each constraint's explicit bad set, indexed by id.
-
-        One `RowIndex` per distinct explicit bad set, shared by every
-        constraint whose set is equal to it; None for a predicate-backed
-        bad set. Built once per problem, on first use: the weights enter
-        each index's total, so it lives on the problem, never on a
-        `Constraint`.
-        """
-        index = self._bad_index
-        if index is None:
-            numerators = self.weight_scale[1]
-            shared: dict[frozenset, RowIndex] = {}
-            refs: list[RowIndex | None] = []
-            for c in self.constraints:
-                if not isinstance(c.bad, frozenset):
-                    refs.append(None)
-                    continue
-                entry = shared.get(c.bad)
-                if entry is None:
-                    entry = shared[c.bad] = _row_index(c.bad, numerators)
-                refs.append(entry)
-            index = tuple(refs)
-            object.__setattr__(self, "_bad_index", index)
-        return index
 
 
 def uniform_weights(k: int) -> tuple[Fraction, ...]:

@@ -41,10 +41,9 @@ def proper_coloring(g: FiniteGraph, k: int) -> Csp:
     """Variables are vertices, one constraint per edge forbidding equal colors."""
     if k < 1:
         raise InvalidParameterError("need k >= 1 colors")
-    constraints = []
-    for idx, (u, v) in enumerate(g.edges()):
-        bad = frozenset((lab, lab) for lab in range(k))
-        constraints.append(Constraint(idx, (u, v), bad))
+    # One set shared by every edge: `Csp` then indexes it once, by identity.
+    bad = frozenset((lab, lab) for lab in range(k))
+    constraints = [Constraint(idx, e, bad) for idx, e in enumerate(g.edges())]
     return Csp(tuple(range(g.n)), k, uniform_weights(k), tuple(constraints))
 
 
@@ -78,9 +77,7 @@ def sinkless_orientation(g: FiniteGraph) -> Csp:
 
 def hypergraph_2coloring(h: Hypergraph) -> Csp:
     """Two labels; a hyperedge is bad exactly when monochromatic."""
-    constraints = []
-    for idx, e in enumerate(h.edges):
-        bad = frozenset({(0,) * len(e), (1,) * len(e)})
-        constraints.append(Constraint(idx, e, bad))
+    bad = {n: frozenset({(0,) * n, (1,) * n}) for n in {len(e) for e in h.edges}}
+    constraints = [Constraint(idx, e, bad[len(e)]) for idx, e in enumerate(h.edges)]
     return Csp(tuple(range(h.n)), 2, uniform_weights(2), tuple(constraints))
 

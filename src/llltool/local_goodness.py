@@ -37,8 +37,8 @@ from .csp import (
     BadPredicate,
     Constraint,
     Csp,
+    csp_stats,
     materialize_cap_default,
-    prob_bad,
 )
 from .errors import (
     CapExceededError,
@@ -453,11 +453,10 @@ def estimate_lbad_prob(
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    dep = csp.dependency_graph
-    d = dep.max_degree()
-    p = max((prob_bad(csp, a.id) for a in csp.constraints), default=Fraction(0))
+    stats = csp_stats(csp)
+    d, p = stats.max_dep_degree, stats.p_max
     check_lbad_hypotheses(p, s, params.eps, params.eta)
-    gamma_r = gamma_at_radius(dep, params.R)
+    gamma_r = gamma_at_radius(csp.dependency_graph, params.R)
     bound = lbad_bound(d, params.eta, params.R, gamma_r, params.N)
     # Only these columns can change the verdict, and a keyed table draws
     # the cells the search reads exactly as a full-table sample would.

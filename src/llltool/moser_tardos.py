@@ -9,6 +9,7 @@ constraint sets, which `check_consistency` can replay against the table.
 from __future__ import annotations
 
 import heapq
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -254,21 +255,24 @@ def mt_monte_carlo(
 
     Table cells are drawn independently per (seed, trial, variable, row),
     and only when a run reads them, so trial partitioning across workers
-    cannot change any result.
+    cannot change any result. The trials are split over at most `jobs`
+    worker processes, and no more than there are trials or CPUs.
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     if jobs < 1:
         raise InvalidParameterError("jobs must be >= 1")
     all_trials = list(range(trials))
-    if jobs == 1:
+    # A forking pool starts all its workers at once: no more than trials or cores.
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers == 1:
         batches = [_run_trial((csp, all_trials, depth, seed, strategy, max_iters))]
     else:
         # Imported here: the pool costs every `import llltool` tens of ms.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [all_trials[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunks = [all_trials[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(
                 pool.map(
                     _run_trial,

@@ -5,8 +5,10 @@ The mathematical behavior behind each subcommand has its own test module,
 so here we only pin the envelope, exit codes, and file round trips.
 """
 
+import concurrent.futures
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -668,3 +670,17 @@ def test_reports_are_deterministic_apart_from_timing(tmp_path, capsys):
     first.pop("timing_seconds")
     second.pop("timing_seconds")
     assert first == second
+
+
+def test_many_jobs_on_one_trial_start_no_pool(tmp_path, capsys, monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError(f"pool of {max_workers} workers started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    prob = problem_file(tmp_path, make_csp(2, [((0, 1), [(0, 0)])]))
+    argv = ["mta", "--problem", prob, "--depth", "4", "--trials", "1", "--seed", "3"]
+    code, many = run(argv + ["--jobs", "10000"], capsys)
+    assert code == 0 and many["parameters"]["jobs"] == 10000
+    _, one = run(argv, capsys)
+    assert many["results"] == one["results"]

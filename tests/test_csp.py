@@ -18,6 +18,7 @@ from conftest import (
 )
 from llltool.csp import (
     AlwaysViolated,
+    BadPredicate,
     Constraint,
     Csp,
     assignment_rows,
@@ -41,6 +42,7 @@ from llltool.errors import (
     MissingVariableError,
 )
 from llltool.exact import e_interval
+from llltool.local_goodness import LBadPredicate, build_lg_csp, lg_degree_check
 
 
 def test_weights_must_sum_to_one():
@@ -162,13 +164,46 @@ def test_quotient_problem_gets_its_own_index():
 def test_built_index_leaves_equality_hash_and_pickling_alone():
     for csp in TINY_FAMILY:
         fresh = Csp(csp.variables, csp.label_count, csp.weights, csp.constraints)
-        csp.closed_neighborhoods  # builds both parts of the index
         assert csp == fresh and hash(csp) == hash(fresh)
         assert repr(csp) == repr(fresh)
         copy = pickle.loads(pickle.dumps(csp))
         assert copy == csp and hash(copy) == hash(csp)
         assert copy.dependency_graph == build_dependency_graph(fresh)
         assert copy.closed_neighborhoods == fresh.closed_neighborhoods
+
+
+def _unread(*args):
+    raise AssertionError("a predicate was read while building a problem")
+
+
+class UnreadablePredicate(BadPredicate):
+    contains = _unread
+    exact_prob = _unread
+
+
+def test_construction_never_reads_a_predicate(monkeypatch):
+    for cls in (AlwaysViolated, LBadPredicate):
+        monkeypatch.setattr(cls, "contains", _unread)
+        monkeypatch.setattr(cls, "exact_prob", _unread)
+    weights = (Fraction(1, 3), Fraction(2, 3))
+    base = make_csp(4, [
+        ((0, 1), [(0, 0), (1, 1)]),
+        ((1, 2), UnreadablePredicate()),
+        ((2, 3), AlwaysViolated()),
+        ((3,), [(1,)]),
+    ], weights=weights)
+    reduced = quotient_csp(base, {1: 0}).csp
+    meta = build_lg_csp(base, 1, 2, Fraction(1, 4), 2)
+    assert lg_degree_check(base, 1)["max_degree"] == 3
+    for csp in (base, reduced, meta):
+        _assert_index_matches_definition(csp)
+        denominator, numerators = csp.weight_scale
+        assert tuple(Fraction(n, denominator) for n in numerators) == csp.weights
+        for c, entry in zip(csp.constraints, csp.bad_index):
+            assert (entry is None) == (not isinstance(c.bad, frozenset))
+    assert [entry is None for entry in base.bad_index] == [False, True, True, False]
+    assert base.bad_index[0][1] == 1 + 4 and base.bad_index[3][1] == 2
+    assert all(entry is None for entry in meta.bad_index)
 
 
 def test_empty_domain_is_isolated_in_dependency_graph():

@@ -719,6 +719,7 @@ def test_one_row_index_per_distinct_bad_set():
     index = cycle.bad_index
     assert len(index) == 480
     assert all(entry is index[0] for entry in index)
+    assert all(c.bad is cycle.constraints[0].bad for c in cycle.constraints)
     groups, total = index[0]
     assert total == 32 and len(groups) == 64
     edges = tuple(
@@ -728,8 +729,11 @@ def test_one_row_index_per_distinct_bad_set():
     coloring = hypergraph_2coloring(Hypergraph(22, edges))
     solve_double_exp(coloring)
     by_size = {}
+    bad_by_size = {}
     for c in coloring.constraints:
         assert by_size.setdefault(len(c.domain), coloring.bad_index[c.id]) is (
             coloring.bad_index[c.id]
         )
+        assert bad_by_size.setdefault(len(c.domain), c.bad) is c.bad
     assert len({id(entry) for entry in coloring.bad_index}) == len(by_size) == 3
+    assert len({id(c.bad) for c in coloring.constraints}) == 3

@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, importing the
-package pulls in no process pool, and only `csp.materialize_cap_default`
-reads the environment.
+package pulls in no process pool, only `csp.materialize_cap_default`
+reads the environment, and only `Csp.__post_init__` writes a frozen
+object.
 
 Stdlib-only, so the check needs no linter. The package `__init__` is
 skipped: its imports are the public re-exports.
@@ -86,6 +87,51 @@ def test_only_the_materialization_cap_reads_the_environment():
         for owner, _ in environment_reads(path.read_text(encoding="utf-8"))
     }
     assert owners == {("csp.py", "materialize_cap_default")}
+
+
+def frozen_writes(source: str) -> list[tuple[str, int]]:
+    """(enclosing qualified name or "<module>", line) of each object.__setattr__."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__setattr__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "object"
+            ):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_finds_every_frozen_write():
+    source = (
+        "put = object.__setattr__\nclass C:\n    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'a', 1)\n    def f(self):\n"
+        "        def g():\n            object.__setattr__(self, 'b', 2)\n"
+        "        setattr(self, 'c', 3)\n"
+    )
+    assert frozen_writes(source) == [
+        ("<module>", 1), ("C.__post_init__", 4), ("C.f.g", 7)
+    ]
+
+
+def test_only_problem_construction_writes_a_frozen_object():
+    # A problem's derived data is built once, at construction; nothing
+    # fills a frozen object in later.
+    owners = {
+        (path.name, owner)
+        for path in SRC.glob("*.py")
+        for owner, _ in frozen_writes(path.read_text(encoding="utf-8"))
+    }
+    assert owners == {("csp.py", "Csp.__post_init__")}
 
 
 def test_importing_the_package_leaves_the_process_pool_out():

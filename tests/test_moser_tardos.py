@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 import re
 from collections import Counter, namedtuple
@@ -216,6 +218,41 @@ def test_monte_carlo_job_split_is_invisible():
     one = mt_monte_carlo(csp, trials=8, depth=6, seed=5, jobs=1)
     two = mt_monte_carlo(csp, trials=8, depth=6, seed=5, jobs=2)
     assert one == two
+
+
+def test_monte_carlo_starts_no_more_workers_than_trials_or_cores(monkeypatch):
+    # A stand-in pool that records its size and maps in this process, so
+    # the test starts no process at any `jobs`.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    csp = TINY_FAMILY[4]
+    for cores, trials, jobs, pool in (
+        (3, 8, 10_000, [3]),  # jobs > cores
+        (3, 2, 10_000, [2]),  # jobs > trials
+        (3, 8, 2, [2]),
+        (3, 1, 10_000, []),  # one trial runs in-process
+        (1, 8, 10_000, []),  # one core runs in-process
+        (None, 8, 4, []),  # an unknown core count counts as one
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        sizes.clear()
+        serial = mt_monte_carlo(csp, trials=trials, depth=6, seed=5)
+        assert mt_monte_carlo(csp, trials=trials, depth=6, seed=5, jobs=jobs) == serial
+        assert sizes == pool, (cores, trials, jobs)
 
 
 def test_monte_carlo_counts_total():
