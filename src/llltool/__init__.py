@@ -35,11 +35,9 @@ from .local_goodness import (
     LocalParams,
     build_lg_csp,
     estimate_lbad_prob,
-    is_folner,
     is_locally_good,
     lbad_bound,
     lg_degree_check,
-    local_csp,
 )
 from .moser_tardos import (
     MAXIMAL_GREEDY,
@@ -52,11 +50,9 @@ from .moser_tardos import (
 from .tables import Table, sample_table
 from .witness import (
     WitnessDigraph,
-    compatibility_check,
     enumerate_sink_star,
     full_witness_digraph,
     validate_witness,
-    verify_mt1,
     verify_mt2_partial_sums,
 )
 

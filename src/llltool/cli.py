@@ -93,6 +93,15 @@ class _Inputs:
         except ValueError as exc:
             raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
+    def table(self, path: str, csp):
+        """A table file whose every label is one of the problem's."""
+        table = table_from_json(self.json(path))
+        for column in table.columns.values():
+            for lab in column:
+                if not 0 <= lab < csp.label_count:
+                    raise InvalidInputError(f"{path}: table label {lab} out of range")
+        return table
+
 
 def _rational_map(text: str, ids) -> dict[int, Fraction]:
     """One rational for all ids, or a comma list in id order."""
@@ -281,7 +290,7 @@ def _cmd_mta(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     strategy = _STRATEGIES[args.strategy](args.seed)
     if args.table is not None:
-        table = table_from_json(inputs.json(args.table))
+        table = inputs.table(args.table, csp)
         if args.script is not None:
             strategy = scripted_strategy(_sequence_from_file(inputs, args.script))
         trace = mta_run(csp, table, strategy, args.max_iters)
@@ -301,7 +310,7 @@ def _cmd_mta(args, inputs: _Inputs) -> tuple:
 
 def _cmd_consistency(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
-    table = table_from_json(inputs.json(args.table))
+    table = inputs.table(args.table, csp)
     seq = _sequence_from_file(inputs, args.script)
     ok = check_consistency(csp, table, seq)
     return {"consistent": ok}, EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -329,10 +338,12 @@ def _cmd_witness(args, inputs: _Inputs) -> tuple:
 def _cmd_verify_mt1(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     g = witness.witness_from_json(inputs.json(args.witness))
-    results = witness.verify_mt1(
-        g, csp, args.mode, depth=args.depth, cap=args.cap, trials=args.trials,
-        seed=args.seed,
-    )
+    if args.mode == "exact":
+        results = witness.verify_mt1_exact(g, csp, args.depth, args.cap)
+    else:
+        results = witness.verify_mt1_monte_carlo(
+            g, csp, args.trials, args.seed, args.depth
+        )
     return results, EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
 
 
@@ -349,7 +360,7 @@ def _cmd_verify_mt2(args, inputs: _Inputs) -> tuple:
 
 def _cmd_locally_good(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
-    table = table_from_json(inputs.json(args.table))
+    table = inputs.table(args.table, csp)
     local = local_goodness.LocalParams(
         args.c, args.R, args.N, parse_rational(args.eps)
     )

@@ -160,14 +160,10 @@ class Csp:
             w.numerator * (denominator // w.denominator) for w in self.weights
         )
         vset = set(self.variables)
-        seen = set()
         shared: dict[frozenset, RowIndex] = {}
         for idx, c in enumerate(self.constraints):
             if c.id != idx:
                 raise InvalidInputError("constraint ids must be dense 0..m-1 in order")
-            if c.id in seen:
-                raise InvalidInputError(f"duplicate constraint id {c.id}")
-            seen.add(c.id)
             if not set(c.domain) <= vset:
                 raise InvalidInputError(f"constraint {c.id}: domain outside variables")
             # An equal set met before is already checked and indexed.

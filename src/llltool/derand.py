@@ -38,7 +38,7 @@ from .local_goodness import (
     DEFAULT_SEARCH_BUDGET,
     LocalParams,
     build_lg_csp,
-    decode_column,
+    decode_table,
     is_locally_good,
     lbad_bound,
 )
@@ -397,13 +397,6 @@ def parameter_advisor(
     return params, report
 
 
-def _decode_table(meta_labeling: dict[int, int], k: int, depth: int) -> Table:
-    columns = {
-        v: decode_column(code, k, depth) for v, code in meta_labeling.items()
-    }
-    return Table(depth, columns)
-
-
 def _first_not_locally_good(
     csp: Csp, table: Table, params: PipelineParams, budget: int
 ) -> int | None:
@@ -444,7 +437,7 @@ def pipeline(
         except CapExceededError as exc:
             report.update({"status": "infeasible", "cap_failed": str(exc)})
             return report
-        table = _decode_table(meta_labeling, csp.label_count, params.depth)
+        table = decode_table(meta_labeling, csp.label_count, params.depth)
         bad = _first_not_locally_good(csp, table, params, budget)
         if bad is not None:
             raise InternalInvariantError(

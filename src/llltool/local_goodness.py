@@ -79,35 +79,6 @@ class LocalParams:
             raise InvalidParameterError("eta must lie in (0,1)")
 
 
-def local_csp(csp: Csp, c: int, r: int) -> Csp:
-    """Replace bad sets outside the radius-r ball around c with everything."""
-    keep = ball(csp.dependency_graph, c, r)
-    constraints = []
-    for a in csp.constraints:
-        if a.id in keep:
-            constraints.append(a)
-        else:
-            constraints.append(Constraint(a.id, a.domain, AlwaysViolated()))
-    return Csp(csp.variables, csp.label_count, csp.weights, tuple(constraints))
-
-
-def folner_totals(
-    seq: MtSequence, csp: Csp, c: int, r: int
-) -> tuple[int, int]:
-    inside = ball(csp.dependency_graph, c, r)
-    in_total = sum(len(step & inside) for step in seq.steps)
-    out_total = sum(len(step - inside) for step in seq.steps)
-    return in_total, out_total
-
-
-def is_folner(
-    seq: MtSequence, csp: Csp, c: int, r: int, N: int, eps: Fraction
-) -> bool:
-    """At least N firings in the r-ball, outside share strictly below eps."""
-    in_total, out_total = folner_totals(seq, csp, c, r)
-    return in_total >= N and out_total < eps * (in_total + out_total)
-
-
 def _folner_search(
     csp: Csp,
     table: CellSource,
@@ -251,16 +222,6 @@ def extended_domain(csp: Csp, c: int, radius: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def encode_column(column, k: int) -> int:
-    """Pack a label column into one integer, row 0 least significant."""
-    code = 0
-    for row, lab in enumerate(column):
-        if not 0 <= lab < k:
-            raise InvalidParameterError(f"label {lab} out of range")
-        code += lab * k**row
-    return code
-
-
 def decode_column(code: int, k: int, depth: int) -> tuple[int, ...]:
     if code < 0 or code >= k**depth:
         raise InvalidParameterError(f"column code {code} out of range")
@@ -269,6 +230,11 @@ def decode_column(code: int, k: int, depth: int) -> tuple[int, ...]:
         out.append(code % k)
         code //= k
     return tuple(out)
+
+
+def decode_table(codes: dict[int, int], k: int, depth: int) -> Table:
+    """The depth-deep table whose column at v has the code codes[v]."""
+    return Table(depth, {v: decode_column(code, k, depth) for v, code in codes.items()})
 
 
 class LBadPredicate(BadPredicate):
@@ -289,18 +255,15 @@ class LBadPredicate(BadPredicate):
         self.budget = budget
 
     def contains(self, row: tuple[int, ...]) -> bool:
-        columns = {
-            v: decode_column(code, self.base.label_count, self.depth)
-            for v, code in zip(self.domain, row)
-        }
-        good, _ = is_locally_good(
-            self.base, Table(self.depth, columns), self.params, self.budget
+        table = decode_table(
+            dict(zip(self.domain, row)), self.base.label_count, self.depth
         )
+        good, _ = is_locally_good(self.base, table, self.params, self.budget)
         return not good
 
 
 def column_weights(weights: tuple[Fraction, ...], depth: int) -> tuple[Fraction, ...]:
-    """Product measure over columns, indexed by encode_column order."""
+    """Product measure over columns, indexed by column code."""
     k = len(weights)
     out = []
     for code in range(k**depth):

@@ -97,12 +97,6 @@ class RunTrace:
     def total_resamples(self) -> int:
         return sum(len(rec.fired) for rec in self.iterations)
 
-    def firing_counts(self) -> Counter:
-        counts: Counter = Counter()
-        for rec in self.iterations:
-            counts.update(rec.fired)
-        return counts
-
 
 def _choose(strategy: Strategy, violated: set[int], heap, dep, rng, step_index: int):
     if strategy.kind == "first_singleton":

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .exact import binomial_sigma, float_of, format_rational
 from .moser_tardos import MtSequence, _check_step_disjoint
-from .tables import CellSampler, KeyedTable, Table
+from .tables import CellSampler, KeyedTable
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,6 @@ class WitnessDigraph:
     @property
     def n(self) -> int:
         return len(self.decorations)
-
-    def sinks(self) -> list[int]:
-        heads = {a for a, _ in self.edges}
-        return [x for x in range(self.n) if x not in heads]
 
     def to_json(self) -> dict:
         return {
@@ -180,8 +176,17 @@ def _vertex_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[Constraint, tuple]]
     ]
 
 
-def _distinct_cells(vertex_cells) -> list[tuple[int, int]]:
-    return sorted({cell for _, cells in vertex_cells for cell in cells})
+def _cells_within(g: WitnessDigraph, csp: Csp, depth: int):
+    """`_vertex_cells`, refusing the least cell whose row is past `depth`."""
+    vertex_cells = _vertex_cells(g, csp)
+    past = [cell for _, cells in vertex_cells for cell in cells if cell[1] >= depth]
+    if past:
+        raise DepthExceededError(f"needed row {min(past)[1]} is past depth {depth}")
+    return vertex_cells
+
+
+def _bad_mass_product(g: WitnessDigraph, csp: Csp) -> Fraction:
+    return math.prod((prob_bad(csp, cid) for cid in g.decorations), start=Fraction(1))
 
 
 def _compatible_on_cells(vertex_cells, cell) -> bool:
@@ -190,17 +195,6 @@ def _compatible_on_cells(vertex_cells, cell) -> bool:
         if not constraint.bad_contains(row):
             return False
     return True
-
-
-def compatibility_check(g: WitnessDigraph, csp: Csp, table: Table) -> bool:
-    """Whether some consistent run realizes g, decided by level counting.
-
-    Vertex x needs row k(x,v) of variable v, where k(x,v) counts x's
-    in-neighbors whose constraint contains v; g is realizable over the
-    table iff every vertex's looked-up row lands in its bad set.
-    Raises DepthExceededError when a needed row is past the table depth.
-    """
-    return _compatible_on_cells(_vertex_cells(g, csp), table.get)
 
 
 def _pruned_mass(checks, numerators) -> int:
@@ -249,10 +243,7 @@ def verify_mt1_exact(
     k**cells assignment count all the same; the rhs masses read the default.
     """
     cap = materialize_cap_default() if cap is None else cap
-    vertex_cells = _vertex_cells(g, csp)
-    for _, row in _distinct_cells(vertex_cells):
-        if row >= depth:
-            raise DepthExceededError(f"needed row {row} is past depth {depth}")
+    vertex_cells = _cells_within(g, csp, depth)
     # Cell positions in first-read order, and at each position the vertices
     # whose last cell it is, with the positions they read. A vertex that
     # reads no cell is tested here.
@@ -277,9 +268,7 @@ def verify_mt1_exact(
     scale, numerators = csp.weight_scale
     total = _pruned_mass(checks, numerators) if compatible else 0
     lhs = Fraction(total, scale**m)
-    rhs = Fraction(1)
-    for cid in g.decorations:
-        rhs *= prob_bad(csp, cid)
+    rhs = _bad_mass_product(g, csp)
     return {
         "mode": "exact",
         "lhs": float_of(lhs),
@@ -300,19 +289,14 @@ def verify_mt1_monte_carlo(
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    vertex_cells = _vertex_cells(g, csp)
-    for _, row in _distinct_cells(vertex_cells):
-        if row >= depth:
-            raise DepthExceededError(f"needed row {row} is past depth {depth}")
+    vertex_cells = _cells_within(g, csp, depth)
     cells = CellSampler(csp.weights, seed)
     hits = 0
     for trial in range(trials):
         table = KeyedTable(cells, csp.variables, depth, trial)
         if _compatible_on_cells(vertex_cells, table.get):
             hits += 1
-    rhs = Fraction(1)
-    for cid in g.decorations:
-        rhs *= prob_bad(csp, cid)
+    rhs = _bad_mass_product(g, csp)
     # Two-sided Hoeffding test, in integers and the exact rhs:
     # P[|X - n*rhs| >= t] <= 2 exp(-2 t**2 / n), here at t = 2 sqrt(n).
     # `tolerance`, the float 4-sigma band it replaces, is only reported.
@@ -329,14 +313,6 @@ def verify_mt1_monte_carlo(
         "tolerance": 4 * binomial_sigma(rhs, trials),
         "pass": 2 * deviation**2 < 8 * trials,
     }
-
-
-def verify_mt1(g: WitnessDigraph, csp: Csp, mode: str, **kw) -> dict:
-    if mode == "exact":
-        return verify_mt1_exact(g, csp, kw["depth"], kw.get("cap"))
-    if mode == "monte_carlo":
-        return verify_mt1_monte_carlo(g, csp, kw["trials"], kw["seed"], kw["depth"])
-    raise InvalidParameterError(f"unknown mode {mode!r}")
 
 
 def enumerate_sink_star(

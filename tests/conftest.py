@@ -29,6 +29,7 @@ from llltool.errors import (
     SearchBudgetError,
 )
 from llltool.csp import (
+    AlwaysViolated,
     BadPredicate,
     Constraint,
     Csp,
@@ -50,10 +51,9 @@ from llltool.graphs import (
     maximal_independent_set,
     power_graph,
 )
-from llltool.local_goodness import local_csp
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import Table, sample_table
-from llltool.witness import WitnessDigraph
+from llltool.witness import WitnessDigraph, _compatible_on_cells, _vertex_cells
 
 
 @contextmanager
@@ -235,6 +235,24 @@ def realizable_by_sequence(g, csp, table):
     return attempt([])
 
 
+def compatible_by_levels(g, csp, table):
+    """Whether some consistent run realizes g, by the library's level counting.
+
+    Not an oracle: it runs `witness._vertex_cells` and `_compatible_on_cells`
+    on a stored table, so tests can hold them to `realizable_by_sequence`.
+    Vertex x needs row k(x,v) of variable v, where k(x,v) counts x's
+    in-neighbours whose constraint contains v. Raises DepthExceededError
+    when a needed row is past the table depth.
+    """
+    return _compatible_on_cells(_vertex_cells(g, csp), table.get)
+
+
+def sinks(g):
+    """The vertices of g with no outgoing edge, ascending."""
+    heads = {a for a, _ in g.edges}
+    return [x for x in range(g.n) if x not in heads]
+
+
 def naive_longest_path_levels(g):
     """Longest path into each vertex by repeated edge relaxation.
 
@@ -396,6 +414,40 @@ def is_isomorphic(g1: WitnessDigraph, g2: WitnessDigraph) -> bool:
         return False
 
     return extend({}, set())
+
+
+def local_csp(csp, c, r):
+    """The radius-r localization: bad sets outside the ball around c become everything."""
+    keep = ball(build_dependency_graph(csp), c, r)
+    constraints = tuple(
+        a if a.id in keep else Constraint(a.id, a.domain, AlwaysViolated())
+        for a in csp.constraints
+    )
+    return Csp(csp.variables, csp.label_count, csp.weights, constraints)
+
+
+def folner_totals(seq, csp, c, r):
+    """Firings of seq inside and outside the radius-r ball around c."""
+    inside = ball(build_dependency_graph(csp), c, r)
+    in_total = sum(len(step & inside) for step in seq.steps)
+    out_total = sum(len(step - inside) for step in seq.steps)
+    return in_total, out_total
+
+
+def is_folner(seq, csp, c, r, N, eps):
+    """At least N firings in the r-ball, outside share strictly below eps."""
+    in_total, out_total = folner_totals(seq, csp, c, r)
+    return in_total >= N and out_total < eps * (in_total + out_total)
+
+
+def encode_column(column, k):
+    """Pack a label column into one integer, row 0 least significant."""
+    code = 0
+    for row, lab in enumerate(column):
+        if not 0 <= lab < k:
+            raise InvalidParameterError(f"label {lab} out of range")
+        code += lab * k**row
+    return code
 
 
 def naive_locally_bad(csp, table, c, R, N, eps):

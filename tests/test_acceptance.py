@@ -16,6 +16,7 @@ from conftest import (
     TINY_FAMILY,
     all_maximal_run_statuses,
     all_tables,
+    compatible_by_levels,
     enumerate_all_witnesses,
     make_csp,
     paired_hypergraph,
@@ -72,7 +73,6 @@ from llltool.moser_tardos import (
 )
 from llltool.tables import Table, table_from_json
 from llltool.witness import (
-    compatibility_check,
     full_witness_digraph,
     verify_mt1_exact,
     verify_mt2_partial_sums,
@@ -145,7 +145,7 @@ def test_criterion_02_compatibility_agrees_with_the_existential_oracle():
                   else some_tables(csp, DEPTH, 3, seed=101 + ci))
         for g in kept:
             for table in tables:
-                assert compatibility_check(g, csp, table) == \
+                assert compatible_by_levels(g, csp, table) == \
                     realizable_by_sequence(g, csp, table)
                 pairs += 1
     assert pairs >= 1500

@@ -420,6 +420,25 @@ def test_locally_good_exit_codes_and_witness_payload(tmp_path, capsys):
     assert payload["results"]["witness"] == [[0], [0], [0]]
 
 
+@pytest.mark.parametrize("label", [-1, 7])
+@pytest.mark.parametrize("command", ["mta", "consistency", "locally-good"])
+def test_a_table_label_outside_the_problem_exits_two(tmp_path, capsys, command, label):
+    # Label 7 is in no bad set, so it would never read as violated.
+    prob = problem_file(tmp_path, make_csp(2, [((0, 1), [(0, 0)])]))
+    table = table_file(tmp_path, [[label, label], [0, 1]])
+    script = write(tmp_path, "script.json", [[0]])
+    flags = {
+        "mta": ["--depth", "2", "--table", table],
+        "consistency": ["--table", table, "--script", script],
+        "locally-good": ["--table", table, "--c", "0", "--R", "1", "--N", "1",
+                         "--eps", "1/2"],
+    }
+    assert main([command, "--problem", prob] + flags[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"llltool: error: {table}: table label {label} out of range\n"
+
+
 def test_locally_good_on_a_deep_table_exits_one(tmp_path, capsys):
     prob = problem_file(tmp_path, proper_coloring(cycle_graph(6), 2))
     table = table_file(tmp_path, [[0] * 6] * 1500)

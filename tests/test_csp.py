@@ -56,6 +56,12 @@ def test_constraint_ids_must_be_dense():
         Csp((0,), 2, uniform_weights(2), (c,))
 
 
+def test_a_repeated_id_fails_the_dense_id_check():
+    c = Constraint(0, (0,), frozenset())
+    with pytest.raises(InvalidInputError, match="dense 0..m-1"):
+        Csp((0,), 2, uniform_weights(2), (c, c))
+
+
 def test_bad_rows_must_match_domain_arity():
     with pytest.raises(InvalidInputError):
         Constraint(0, (0, 1), frozenset({(0,)}))

@@ -9,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     TINY_FAMILY,
+    encode_column,
+    folner_totals,
+    is_folner,
+    local_csp,
     make_csp,
     materialize_cap,
     naive_locally_bad,
@@ -40,16 +44,12 @@ from llltool.local_goodness import (
     check_lbad_hypotheses,
     column_weights,
     decode_column,
-    encode_column,
     estimate_lbad_prob,
     extended_domain,
-    folner_totals,
     gamma_at_radius,
-    is_folner,
     is_locally_good,
     lbad_bound,
     lg_degree_check,
-    local_csp,
 )
 from llltool.local_goodness import _folner_search
 from llltool.moser_tardos import MtSequence, check_consistency

@@ -71,7 +71,7 @@ def test_depth_exhaustion_reports_the_blocked_step():
     trace = mta_run(csp, table)
     assert trace.status == DEPTH_EXHAUSTED
     # the firing that would run off the table is still recorded
-    assert trace.firing_counts() == Counter({0: 2})
+    assert Counter(c for rec in trace.iterations for c in rec.fired) == Counter({0: 2})
     assert trace.final_levels == {0: 1}
 
 
@@ -188,7 +188,7 @@ def test_every_trace_is_consistent_and_levels_add_up():
             for strat in strategies:
                 trace = mta_run(csp, table, strat)
                 assert check_consistency(csp, table, trace.sequence())
-                counts = trace.firing_counts()
+                counts = Counter(c for rec in trace.iterations for c in rec.fired)
                 if trace.status == DEPTH_EXHAUSTED:
                     # the blocked step is recorded but never applied
                     counts.subtract(trace.iterations[-1].fired)

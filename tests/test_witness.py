@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     TINY_FAMILY,
     canonical_form,
+    compatible_by_levels,
     enumerate_all_witnesses,
     in_level_counts,
     is_isomorphic,
@@ -18,6 +19,7 @@ from conftest import (
     random_tiny_csp,
     realizable_by_sequence,
     sequences_upto,
+    sinks,
     some_tables,
     table_from_rows,
 )
@@ -36,11 +38,9 @@ from llltool.moser_tardos import FIRST_SINGLETON, MtSequence, mta_run
 from llltool.tables import sample_table
 from llltool.witness import (
     WitnessDigraph,
-    compatibility_check,
     enumerate_sink_star,
     full_witness_digraph,
     validate_witness,
-    verify_mt1,
     verify_mt1_exact,
     verify_mt1_monte_carlo,
     verify_mt2_partial_sums,
@@ -81,14 +81,14 @@ def test_repeats_of_one_constraint_chain_up():
     g = full_witness_digraph(seq, CHAIN)
     assert g.decorations == (0, 0, 0)
     assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
-    assert g.sinks() == [2]
+    assert sinks(g) == [2]
 
 
 def test_disjoint_firings_stay_unlinked():
     seq = MtSequence.from_lists([[0, 1]])
     g = full_witness_digraph(seq, DISJOINT)
     assert g.edges == frozenset()
-    assert sorted(g.sinks()) == [0, 1]
+    assert sorted(sinks(g)) == [0, 1]
 
 
 def test_edges_need_shared_variables():
@@ -164,10 +164,10 @@ def test_in_level_counts_and_cells():
 
 def test_compatibility_reads_chained_rows():
     g = witness_from_levels([{0}, {0}], CHAIN)
-    assert compatibility_check(g, CHAIN, table_from_rows([[0], [0]]))
-    assert not compatibility_check(g, CHAIN, table_from_rows([[0], [1]]))
+    assert compatible_by_levels(g, CHAIN, table_from_rows([[0], [0]]))
+    assert not compatible_by_levels(g, CHAIN, table_from_rows([[0], [1]]))
     with pytest.raises(DepthExceededError):
-        compatibility_check(g, CHAIN, table_from_rows([[0]]))
+        compatible_by_levels(g, CHAIN, table_from_rows([[0]]))
 
 
 def test_mt1_exact_frozen_values():
@@ -299,18 +299,11 @@ def test_mt1_monte_carlo_rejects_a_deviation_of_two_root_n(monkeypatch):
         assert rep["pass"] is verdict
 
 
-def test_mt1_dispatcher_modes():
-    g = witness_from_levels([{0}], CHAIN)
-    assert verify_mt1(g, CHAIN, "exact", depth=2)["mode"] == "exact"
-    with pytest.raises(InvalidParameterError):
-        verify_mt1(g, CHAIN, "guess", depth=2)
-
-
 def test_sink_star_chains_for_isolated_constraint():
     reps = enumerate_sink_star(0, CHAIN, max_vertices=3)
     assert [g.n for g in reps] == [1, 2, 3]
     for g in reps:
-        assert g.sinks() == [g.n - 1]
+        assert sinks(g) == [g.n - 1]
         assert validate_witness(g, CHAIN)
 
 
@@ -335,8 +328,8 @@ def test_sink_star_matches_naive_enumeration():
                 g
                 for g in witnesses
                 if g.n >= 1
-                and len(g.sinks()) == 1
-                and g.decorations[g.sinks()[0]] == cid
+                and len(sinks(g)) == 1
+                and g.decorations[sinks(g)[0]] == cid
             ]
             reps = enumerate_sink_star(cid, csp, max_vertices=4)
             assert len(reps) == len(naive)
@@ -528,7 +521,7 @@ def test_compatibility_equals_existential_definition_sample():
         ]
         for g in rng.sample(digraphs, min(8, len(digraphs))):
             for table in some_tables(csp, 3, 2, seed=rng.randint(0, 99)):
-                assert compatibility_check(g, csp, table) == \
+                assert compatible_by_levels(g, csp, table) == \
                     realizable_by_sequence(g, csp, table)
                 checked += 1
     assert checked >= 40
@@ -538,7 +531,7 @@ def test_always_violated_vertices_are_always_compatible():
     csp = make_csp(2, [((0, 1), AlwaysViolated())])
     g = witness_from_levels([{0}, {0}], csp)
     for table in some_tables(csp, 3, 3, seed=8):
-        assert compatibility_check(g, csp, table)
+        assert compatible_by_levels(g, csp, table)
     rep = verify_mt1_exact(g, csp, depth=3)
     assert rep["pass"] and rep["lhs_exact"] == "1"
 
