@@ -183,7 +183,10 @@ def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
 
     fixed: dict[int, int] = {}
     mass = list(base_mass)
+    # The ledger bound is base mass times power = (d+1)**k, kept as an
+    # integer so that `ok` is decided cross-multiplied, as in `_pick`.
     bound = list(base_mass)
+    power = [1] * len(base_mass)
     ok = [True] * len(base_mass)
     touched = [0] * len(base_mass)
     for index, color in enumerate(sorted(classes)):
@@ -200,8 +203,11 @@ def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
         if ledger is not None:
             for a in reached:
                 touched[a] += 1
-                bound[a] *= d + 1
-                ok[a] = mass[a] <= bound[a]
+                power[a] *= d + 1
+                base, after = base_mass[a], mass[a]
+                top = base.numerator * power[a]
+                bound[a] = Fraction(top, base.denominator)
+                ok[a] = after.numerator * base.denominator <= top * after.denominator
             for c in range(len(mass)):
                 ledger.append(
                     {

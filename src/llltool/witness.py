@@ -337,30 +337,46 @@ def enumerate_sink_star(
     return [witness_from_levels(stack, csp) for stack in stacks]
 
 
-def _levels_below(bottom, reach, room: int, closed):
+def _closed_masks(csp: Csp) -> list[int]:
+    """Each constraint's closed neighbourhood as an int bitmask of ids."""
+    return [sum(1 << a for a in nbhd) for nbhd in csp.closed_neighborhoods]
+
+
+def _levels_below(bottom, reach: int, room: int, closed: list[int]):
     """The levels that may go directly below `bottom` in a level stack.
 
     A level is a nonempty tuple of ascending ids from `reach` (the ids that
     interact with something in the stack, since closed neighbourhoods are
     symmetric), pairwise non-adjacent, of at most `room` ids, and every
-    vertex of `bottom` has a neighbour in it. Depth first with an explicit
+    vertex of `bottom` has a neighbour in it. `reach` and `closed[a]` are
+    int bitmasks of constraint ids, as in `graphs._grown_masks`. Each level
+    comes with `covered`, the union of its ids' closed neighbourhoods: an
+    id is adjacent to the level exactly when its bit is in `covered`, so
+    independence and coverage of `bottom` are single `&` tests. The bits
+    of `reach` are walked in ascending order. Depth first with an explicit
     stack, so a large room cannot exhaust the interpreter's recursion.
     """
     if room < 1:
         return
-    pool = sorted(reach)
-    todo = [(0, ())]
+    need = sum(1 << b for b in bottom)
+    pool = []
+    while reach:
+        low = reach & -reach
+        pool.append((low, low.bit_length() - 1))
+        reach ^= low
+    todo = [(0, (), 0)]
     while todo:
-        start, chosen = todo.pop()
+        start, chosen, blocked = todo.pop()
         for i in range(start, len(pool)):
-            cid = pool[i]
-            if not closed[cid].isdisjoint(chosen):
+            bit, cid = pool[i]
+            if blocked & bit:
                 continue
             picked = chosen + (cid,)
-            if all(not closed[b].isdisjoint(picked) for b in bottom):
-                yield picked
+            covered = blocked | closed[cid]
+            if need & covered == need:
+                yield picked, covered
             if len(picked) < room:
-                todo.append((i + 1, picked))
+                todo.append((i + 1, picked, covered))
 
 
 def _sink_stacks(
@@ -378,7 +394,7 @@ def _sink_stacks(
     csp.constraint(c)
     if max_vertices < 1:
         raise InvalidParameterError("max_vertices must be >= 1")
-    closed = csp.closed_neighborhoods
+    closed = _closed_masks(csp)
     results: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
     todo = [(((c,),), 1, closed[c])]
     while todo:
@@ -386,14 +402,10 @@ def _sink_stacks(
         results.append((size, stack))
         if len(results) > cap:
             raise CapExceededError(f"more than {cap} representatives")
-        for level in _levels_below(stack[0], reach, max_vertices - size, closed):
-            todo.append(
-                (
-                    (level,) + stack,
-                    size + len(level),
-                    reach.union(*(closed[a] for a in level)),
-                )
-            )
+        for level, covered in _levels_below(
+            stack[0], reach, max_vertices - size, closed
+        ):
+            todo.append(((level,) + stack, size + len(level), reach | covered))
     results.sort()
     return [stack for _, stack in results]
 
@@ -408,15 +420,16 @@ def _stack_sums(
     vertices. The stacks that can go below a stack depend only on its
     bottom level, the ids it reaches and the room left, so each such
     state is counted once and memoised, per number of vertices added
-    below it. Depth first with an explicit stack of frames. No stack is
-    listed. Raises CapExceededError exactly when there are more than
-    `cap` stacks: every state lies on some stack, so the stacks below it
-    are never more than the total.
+    below it; the reached ids are an int bitmask, grown with `|`, so a
+    state is the key `(bottom, reach_mask, room)`. Depth first with an
+    explicit stack of frames. No stack is listed. Raises CapExceededError
+    exactly when there are more than `cap` stacks: every state lies on
+    some stack, so the stacks below it are never more than the total.
     """
     csp.constraint(c)
     if max_vertices < 1:
         raise InvalidParameterError("max_vertices must be >= 1")
-    closed = csp.closed_neighborhoods
+    closed = _closed_masks(csp)
     # A state maps to [stacks, counts, sums], the lists indexed by the
     # vertices added below its bottom level; entry 0 is the stack that
     # ends there.
@@ -444,12 +457,8 @@ def _stack_sums(
     pending: list[tuple[int, ...]] = []  # the level each open parent waits on
     while frames:
         (_, reach, room), levels, totals = frames[-1]
-        for level in levels:
-            child = (
-                level,
-                reach.union(*(closed[a] for a in level)),
-                room - len(level),
-            )
+        for level, covered in levels:
+            child = (level, reach | covered, room - len(level))
             below = memo.get(child)
             if below is None:
                 pending.append(level)

@@ -336,6 +336,32 @@ def pairwise_validate_witness(g: WitnessDigraph, csp: Csp) -> bool:
     return True
 
 
+# The frozenset level rule that `witness._levels_below` replaced with int
+# bitmasks, kept as its oracle.
+def frozenset_levels_below(bottom, reach, room: int, closed):
+    """The levels that may go directly below `bottom` in a level stack.
+
+    A level is a nonempty tuple of ascending ids from the set `reach`,
+    pairwise non-adjacent under the frozenset neighbourhoods `closed`, of
+    at most `room` ids, and every vertex of `bottom` has a neighbour in it.
+    """
+    if room < 1:
+        return
+    pool = sorted(reach)
+    todo = [(0, ())]
+    while todo:
+        start, chosen = todo.pop()
+        for i in range(start, len(pool)):
+            cid = pool[i]
+            if not closed[cid].isdisjoint(chosen):
+                continue
+            picked = chosen + (cid,)
+            if all(not closed[b].isdisjoint(picked) for b in bottom):
+                yield picked
+            if len(picked) < room:
+                todo.append((i + 1, picked))
+
+
 def in_level_counts(g: WitnessDigraph, csp: Csp, x: int) -> dict[int, int]:
     """For each variable of x's constraint: in-neighbors whose domain has it."""
     counts = {v: 0 for v in csp.constraint(g.decorations[x]).domain}

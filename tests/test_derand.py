@@ -542,6 +542,7 @@ def test_carried_masses_equal_the_masses_recomputed_after_each_class():
         assert ledgers[0] == ledgers[1]
         kinds.add(fast[0])
         for entry in ledgers[0]:
+            assert type(entry["bound"]) is Fraction and type(entry["mass"]) is Fraction
             assert entry["ok"] == (entry["mass"] <= entry["bound"])
         if fast[0] != "value":
             continue

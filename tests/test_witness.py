@@ -9,6 +9,7 @@ from conftest import (
     canonical_form,
     compatible_by_levels,
     enumerate_all_witnesses,
+    frozenset_levels_below,
     in_level_counts,
     is_isomorphic,
     leaf_mt1_lhs,
@@ -48,6 +49,8 @@ from llltool.witness import (
     witness_from_levels,
 )
 from llltool.witness import (
+    _closed_masks,
+    _levels_below,
     _sink_stacks,
     _stack_sums,
     _topological_levels,
@@ -490,6 +493,58 @@ def test_stack_counter_matches_the_digraph_listing():
                     assert summed == listed
                 checked += 1
     assert checked >= 150
+
+
+def mask_of(ids) -> int:
+    return sum(1 << a for a in set(ids))
+
+
+def test_bitset_level_rule_matches_the_frozenset_rule():
+    # A sinkless orientation of a 200-vertex path has 200 constraints and
+    # the path as dependency graph; relabelled, a sink's neighbourhoods are
+    # scattered over masks wider than a machine word.
+    rng = random.Random(73)
+    names = rng.sample(range(200), 200)
+    path = sinkless_orientation(
+        graph_from_edges(200, [(names[i], names[i + 1]) for i in range(199)])
+    )
+    path_sinks = range(128, 200, 24)
+    cases = [(csp, range(len(csp.constraints)), 4) for csp in TINY_FAMILY]
+    cases += [(csp, range(len(csp.constraints)), 6)
+              for csp in random_sink_problems(72, 5)]
+    cases.append((path, path_sinks, 7))
+    states = 0
+    wide = 0
+    for csp, sinks_at, max_vertices in cases:
+        closed = csp.closed_neighborhoods
+        masks = _closed_masks(csp)
+        assert masks == [mask_of(nbhd) for nbhd in closed]
+        for c in sinks_at:
+            # Every state `_sink_stacks` reaches is a stack's bottom level,
+            # the ids the stack reaches and the room it leaves.
+            for stack in _sink_stacks(c, csp, max_vertices, 10**6):
+                reach = frozenset().union(*(closed[a] for lvl in stack for a in lvl))
+                room = max_vertices - sum(map(len, stack))
+                fast = list(_levels_below(stack[0], mask_of(reach), room, masks))
+                slow = list(frozenset_levels_below(stack[0], reach, room, closed))
+                assert [level for level, _ in fast] == slow
+                for level, covered in fast:
+                    assert covered == mask_of(a for b in level for a in closed[b])
+                states += 1
+                wide += mask_of(reach).bit_length() > 64
+    assert states > 1000 and wide > 100
+
+
+def test_mt2_partial_sum_on_the_ring_is_pinned():
+    # circulant(10, {1, 2}), as computed by the frozenset level rule
+    ring = sinkless_orientation(
+        graph_from_edges(10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)])
+    )
+    alpha = {c.id: Fraction(1, 16) for c in ring.constraints}
+    beta = {c.id: Fraction(1, 4) for c in ring.constraints}
+    rep = verify_mt2_partial_sums(0, ring, alpha, beta, 6)
+    assert rep["digraphs"] == 7354
+    assert rep["partial_sum_exact"] == "1555339/16777216"
 
 
 def test_deep_stacks_do_not_exhaust_the_recursion_limit():
