@@ -37,9 +37,9 @@ from .graphs import GrowthProfile, greedy_proper_coloring, power_graph
 from .local_goodness import (
     DEFAULT_SEARCH_BUDGET,
     LocalParams,
+    SearchPlan,
     build_lg_csp,
     decode_table,
-    is_locally_good,
     lbad_bound,
 )
 from .moser_tardos import COMPLETED, MAXIMAL_GREEDY, mta_run
@@ -404,16 +404,15 @@ def parameter_advisor(
 
 
 def _first_not_locally_good(
-    csp: Csp, table: Table, params: PipelineParams, budget: int
+    plans: list[SearchPlan], table: Table, budget: int
 ) -> int | None:
     """The first constraint id where the table is not locally good, or None.
 
     SearchBudgetError propagates: the verdict is then unknown.
     """
-    for c in csp.constraints:
-        local = LocalParams(c.id, params.R, params.N, params.eps, params.eta)
-        if not is_locally_good(csp, table, local, budget)[0]:
-            return c.id
+    for plan in plans:
+        if not plan.check(table, budget)[0]:
+            return plan.params.c
     return None
 
 
@@ -433,6 +432,11 @@ def pipeline(
     samples tables until one is locally good everywhere.
     """
     report: dict = {"mode": mode, "params": params.to_json()}
+    # One locality search plan per constraint, shared by every table checked.
+    plans = [
+        SearchPlan(csp, LocalParams(c.id, params.R, params.N, params.eps, params.eta))
+        for c in csp.constraints
+    ]
     if mode == "deterministic":
         try:
             lg = build_lg_csp(csp, params.R, params.N, params.eps, params.depth, budget)
@@ -444,7 +448,7 @@ def pipeline(
             report.update({"status": "infeasible", "cap_failed": str(exc)})
             return report
         table = decode_table(meta_labeling, csp.label_count, params.depth)
-        bad = _first_not_locally_good(csp, table, params, budget)
+        bad = _first_not_locally_good(plans, table, budget)
         if bad is not None:
             raise InternalInvariantError(
                 f"meta-solution is not locally good at constraint {bad}"
@@ -460,7 +464,7 @@ def pipeline(
                 csp.weights, csp.variables, params.depth, seed, attempt
             )
             try:
-                if _first_not_locally_good(csp, candidate, params, budget) is None:
+                if _first_not_locally_good(plans, candidate, budget) is None:
                     table = candidate
                     report["attempts"] = attempt + 1
                     break

@@ -25,6 +25,13 @@ could never be diluted below an eps share fires only inside the ball.
 Neither rule removes a count vector from which a witness is reachable,
 so verdicts and first witnesses are those of the unpruned walk, which
 visits at least as many count vectors.
+
+Everything the walk reads of the problem and the parameters is fixed
+per centre, so a SearchPlan builds it once (the BFS ball, the order and
+in-ball split per radius, the domains and bad sets, dom_R(c)) and then
+checks any number of tables. At the root every level is 0, so the first
+rule closes the root for every table when depth times the r-ball size
+is below N; the plan then answers without walking or reading a cell.
 """
 
 from __future__ import annotations
@@ -79,116 +86,163 @@ class LocalParams:
             raise InvalidParameterError("eta must lie in (0,1)")
 
 
-def _folner_search(
-    csp: Csp,
-    table: CellSource,
-    c: int,
-    dist: dict[int, int],
-    r: int,
-    N: int,
-    eps: Fraction,
-    budget: int,
-) -> tuple[MtSequence | None, int]:
-    """First Folner count vector reachable by consistent singleton firings.
+class SearchPlan:
+    """The locality search at c, set up once for every table it checks.
 
-    `dist` maps each constraint of the R-ball around c to its distance
-    from c, for some R > r. The walk is depth-first over count vectors,
-    trying the r-ball ids ascending, then the outer shell; it keeps an
-    explicit stack, so its depth is bounded by `budget`, not by the
-    recursion limit. Returns (witness, nodes visited); witness None when
-    none exists. Raises SearchBudgetError past `budget` visited count
-    vectors.
-
-    Two capacity rules prune nodes from which no witness is reachable.
-    An in-ball constraint whose domain tops out at level l can fire at
-    most depth - l more times, and levels never fall along a path, so
-    `in_max`, the in-ball firings so far plus that slack summed over the
-    r-ball, bounds the in-ball firings of every continuation and never
-    grows along one:
-    1. a node with `in_max < N` is closed;
-    2. a node with `(1 - eps) * (out + 1) >= eps * in_max` tries no
-       outer-shell firing, since every continuation through one keeps
-       `(1 - eps) * out >= eps * in`, i.e. an outside share of at least
-       eps.
-    Both read only the count vector, so the visited set stays sound.
-    Nothing reachable from a pruned node reaches a witness, so the walk
-    meets the nodes that do in the unpruned order: the verdict and the
-    first witness are those of the unpruned walk, and the node count is
-    at most its count.
+    Everything the search reads of (csp, params) is built here: c is
+    validated, one BFS finds the R-ball, and for each r < R the walk's
+    order (r-ball ids ascending, then the outer shell), the r-ball size
+    `n_in` and the ordered domains with their bad sets are stored.
+    `domain` is dom_R(c), the sorted union of the ball's domains: the
+    only columns a verdict can read.
     """
-    center = csp.constraint(c)
-    if not center.domain:
-        if center.bad_contains(()):
-            return MtSequence(tuple(frozenset({c}) for _ in range(N))), 1
-        return None, 1
 
-    ids = sorted(dist)
-    order = [a for a in ids if dist[a] <= r]
-    n_in = len(order)  # positions below n_in lie in the r-ball
-    order += [a for a in ids if dist[a] > r]
-    constraints = [csp.constraint(a) for a in order]
-    in_domains = [a.domain for a in constraints[:n_in]]
-    m = len(order)
-    depth = table.depth
-    # out < eps * (in + out)  <=>  (q - p) * out < p * in, with eps = p/q
-    p, q = eps.numerator, eps.denominator
-    levels = {v: 0 for a in constraints for v in a.domain}
-    counts = [0] * m
-    path: list[int] = []  # positions fired, root to current node
-    stack: list[int] = []  # per open node, the next position to try
-    limits: list[int] = []  # per open node, the first position not to try
-    visited: set[tuple[int, ...]] = set()
-    while True:
-        key = tuple(counts)
-        limit = 0  # seen before, or closed: nothing to try here
-        if key not in visited:
-            visited.add(key)
-            if len(visited) > budget:
-                raise SearchBudgetError(
-                    f"search exceeded {budget} count vectors at c={c}, r={r}"
+    def __init__(self, csp: Csp, params: LocalParams):
+        self.center = csp.constraint(params.c)
+        self.params = params
+        dist = bfs_distances(csp.dependency_graph, params.c, params.R)
+        ids = sorted(dist)
+        self.domain = _union_of_domains(csp, ids)
+        self._radii = []
+        for r in range(params.R):
+            order = [a for a in ids if dist[a] <= r]
+            n_in = len(order)  # positions below n_in lie in the r-ball
+            order += [a for a in ids if dist[a] > r]
+            constraints = [csp.constraint(a) for a in order]
+            domains = [a.domain for a in constraints]
+            bads = [a.bad_contains for a in constraints]
+            self._radii.append((order, n_in, domains, bads))
+
+    def check(
+        self, table: CellSource, budget: int
+    ) -> tuple[bool, MtSequence | None]:
+        """Whether no radius below R admits a consistent Folner sequence.
+
+        Returns (True, None) or (False, witness); the witness fires one
+        constraint per step and is consistent with the localized problem
+        at its radius. Raises SearchBudgetError instead of guessing when
+        the search is cut off, and InvalidParameterError on a negative
+        budget.
+        """
+        if budget < 0:
+            raise InvalidParameterError("budget must be >= 0")
+        for r in range(self.params.R):
+            witness, _ = self.search(table, r, budget)
+            if witness is not None:
+                return False, witness
+        return True, None
+
+    def _exceeded(self, budget: int, r: int) -> SearchBudgetError:
+        return SearchBudgetError(
+            f"search exceeded {budget} count vectors at c={self.params.c}, r={r}"
+        )
+
+    def search(
+        self, table: CellSource, r: int, budget: int
+    ) -> tuple[MtSequence | None, int]:
+        """First Folner count vector reachable by consistent singleton firings.
+
+        The walk is depth-first over count vectors at radius r < R,
+        trying the r-ball ids ascending, then the outer shell; it keeps
+        an explicit stack, so its depth is bounded by `budget`, not by
+        the recursion limit. Returns (witness, nodes visited); witness
+        None when none exists. Raises SearchBudgetError past `budget`
+        visited count vectors.
+
+        Two capacity rules prune nodes from which no witness is
+        reachable. An in-ball constraint whose domain tops out at level l
+        can fire at most depth - l more times, and levels never fall
+        along a path, so `in_max`, the in-ball firings so far plus that
+        slack summed over the r-ball, bounds the in-ball firings of every
+        continuation and never grows along one:
+        1. a node with `in_max < N` is closed;
+        2. a node with `(1 - eps) * (out + 1) >= eps * in_max` tries no
+           outer-shell firing, since every continuation through one keeps
+           `(1 - eps) * out >= eps * in`, i.e. an outside share of at
+           least eps.
+        Both read only the count vector, so the visited set stays sound.
+        Nothing reachable from a pruned node reaches a witness, so the
+        walk meets the nodes that do in the unpruned order: the verdict
+        and the first witness are those of the unpruned walk, and the
+        node count is at most its count.
+        """
+        c, N, eps = self.params.c, self.params.N, self.params.eps
+        if not self.center.domain:
+            if self.center.bad_contains(()):
+                return MtSequence(tuple(frozenset({c}) for _ in range(N))), 1
+            return None, 1
+        order, n_in, domains, bads = self._radii[r]
+        depth = table.depth
+        if depth * n_in < N:
+            # At the root every level is 0 and every in-ball domain is
+            # nonempty (only c could have an empty one), so in_max is
+            # depth * n_in whatever the table: rule 1 closes the root,
+            # the only node visited.
+            if budget < 1:
+                raise self._exceeded(budget, r)
+            return None, 1
+        in_domains = domains[:n_in]
+        m = len(order)
+        # out < eps * (in + out)  <=>  (q - p) * out < p * in, with eps = p/q
+        p, q = eps.numerator, eps.denominator
+        levels = dict.fromkeys(self.domain, 0)
+        counts = [0] * m
+        path: list[int] = []  # positions fired, root to current node
+        stack: list[int] = []  # per open node, the next position to try
+        limits: list[int] = []  # per open node, the first position not to try
+        visited: set[tuple[int, ...]] = set()
+        while True:
+            key = tuple(counts)
+            limit = 0  # seen before, or closed: nothing to try here
+            if key not in visited:
+                visited.add(key)
+                if len(visited) > budget:
+                    raise self._exceeded(budget, r)
+                in_total = sum(counts[:n_in])
+                out = len(path) - in_total
+                if in_total >= N and (q - p) * out < p * in_total:
+                    witness = MtSequence(
+                        tuple(frozenset({order[i]}) for i in path)
+                    )
+                    return witness, len(visited)
+                in_max = in_total + sum(
+                    depth - max(levels[v] for v in dom) for dom in in_domains
                 )
-            in_total = sum(counts[:n_in])
-            out = len(path) - in_total
-            if in_total >= N and (q - p) * out < p * in_total:
-                witness = MtSequence(tuple(frozenset({order[i]}) for i in path))
-                return witness, len(visited)
-            in_max = in_total + sum(
-                depth - max(levels[v] for v in dom) for dom in in_domains
-            )
-            if in_max >= N:  # else rule 1 closes the node
-                # rule 2: (1 - eps) * (out + 1) >= eps * in_max
-                undiluted = (q - p) * (out + 1) >= p * in_max
-                limit = n_in if undiluted else m
-        stack.append(0)
-        limits.append(limit)
-        # Fire the next consistent position, backtracking past exhausted nodes.
-        while stack:
-            for i in range(stack[-1], limits[-1]):
-                dom = constraints[i].domain
-                if any(levels[v] >= depth for v in dom):
+                if in_max >= N:  # else rule 1 closes the node
+                    # rule 2: (1 - eps) * (out + 1) >= eps * in_max
+                    undiluted = (q - p) * (out + 1) >= p * in_max
+                    limit = n_in if undiluted else m
+            stack.append(0)
+            limits.append(limit)
+            # Fire the next consistent position, backtracking past
+            # exhausted nodes.
+            while stack:
+                for i in range(stack[-1], limits[-1]):
+                    dom = domains[i]
+                    if any(levels[v] >= depth for v in dom):
+                        continue
+                    if i >= n_in:
+                        break  # localized bad set is everything
+                    row = tuple(table.get(v, levels[v]) for v in dom)
+                    if bads[i](row):
+                        break
+                else:
+                    stack.pop()
+                    limits.pop()
+                    if path:
+                        j = path.pop()
+                        counts[j] -= 1
+                        for v in domains[j]:
+                            levels[v] -= 1
                     continue
-                if i >= n_in:
-                    break  # localized bad set is everything
-                row = tuple(table.get(v, levels[v]) for v in dom)
-                if constraints[i].bad_contains(row):
-                    break
+                stack[-1] = i + 1
+                path.append(i)
+                counts[i] += 1
+                for v in domains[i]:
+                    levels[v] += 1
+                break
             else:
-                stack.pop()
-                limits.pop()
-                if path:
-                    j = path.pop()
-                    counts[j] -= 1
-                    for v in constraints[j].domain:
-                        levels[v] -= 1
-                continue
-            stack[-1] = i + 1
-            path.append(i)
-            counts[i] += 1
-            for v in constraints[i].domain:
-                levels[v] += 1
-            break
-        else:
-            return None, len(visited)
+                return None, len(visited)
 
 
 def is_locally_good(
@@ -199,27 +253,21 @@ def is_locally_good(
 ) -> tuple[bool, MtSequence | None]:
     """Whether no radius below R admits a consistent Folner sequence.
 
-    Returns (True, None) or (False, witness); the witness fires one
-    constraint per step and is consistent with the localized problem at
-    its radius. Raises SearchBudgetError instead of guessing when the
-    search is cut off.
+    One table's check with a plan built for it alone; callers that check
+    many tables at one centre build the SearchPlan once.
     """
-    csp.constraint(params.c)
-    dist = bfs_distances(csp.dependency_graph, params.c, params.R)
-    for r in range(params.R):
-        witness, _ = _folner_search(
-            csp, table, params.c, dist, r, params.N, params.eps, budget
-        )
-        if witness is not None:
-            return False, witness
-    return True, None
+    return SearchPlan(csp, params).check(table, budget)
+
+
+def _union_of_domains(csp: Csp, ids) -> tuple[int, ...]:
+    out: set[int] = set()
+    for a in ids:
+        out.update(csp.constraint(a).domain)
+    return tuple(sorted(out))
 
 
 def extended_domain(csp: Csp, c: int, radius: int) -> tuple[int, ...]:
-    out: set[int] = set()
-    for a in ball(csp.dependency_graph, c, radius):
-        out.update(csp.constraint(a).domain)
-    return tuple(sorted(out))
+    return _union_of_domains(csp, ball(csp.dependency_graph, c, radius))
 
 
 def decode_column(code: int, k: int, depth: int) -> tuple[int, ...]:
@@ -247,18 +295,18 @@ class LBadPredicate(BadPredicate):
 
     tag = "lbad"
 
-    def __init__(self, base: Csp, params: LocalParams, depth: int, domain, budget: int):
+    def __init__(self, base: Csp, params: LocalParams, depth: int, budget: int):
         self.base = base
-        self.params = params
+        self.plan = SearchPlan(base, params)
+        self.domain = self.plan.domain
         self.depth = depth
-        self.domain = tuple(domain)
         self.budget = budget
 
     def contains(self, row: tuple[int, ...]) -> bool:
         table = decode_table(
             dict(zip(self.domain, row)), self.base.label_count, self.depth
         )
-        good, _ = is_locally_good(self.base, table, self.params, self.budget)
+        good, _ = self.plan.check(table, self.budget)
         return not good
 
 
@@ -298,11 +346,8 @@ def build_lg_csp(
         )
     constraints = []
     for a in csp.constraints:
-        dom_r = extended_domain(csp, a.id, R)
-        params = LocalParams(a.id, R, N, eps)
-        constraints.append(
-            Constraint(a.id, dom_r, LBadPredicate(csp, params, depth, dom_r, budget))
-        )
+        bad = LBadPredicate(csp, LocalParams(a.id, R, N, eps), depth, budget)
+        constraints.append(Constraint(a.id, bad.domain, bad))
     return Csp(
         csp.variables,
         csp.label_count**depth,
@@ -423,14 +468,14 @@ def estimate_lbad_prob(
     bound = lbad_bound(d, params.eta, params.R, gamma_r, params.N)
     # Only these columns can change the verdict, and a keyed table draws
     # the cells the search reads exactly as a full-table sample would.
-    read = extended_domain(csp, params.c, params.R)
+    plan = SearchPlan(csp, params)
     cells = CellSampler(csp.weights, seed)
     bad = 0
     unknown = 0
     for trial in range(trials):
-        table = KeyedTable(cells, read, depth, trial)
+        table = KeyedTable(cells, plan.domain, depth, trial)
         try:
-            good, _ = is_locally_good(csp, table, params, budget)
+            good, _ = plan.check(table, budget)
         except SearchBudgetError:
             unknown += 1
             continue

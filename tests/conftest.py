@@ -539,7 +539,7 @@ def _folner_reachable(local, table, inside, N, eps, dep):
     return False
 
 
-# The recursive count-vector search that `local_goodness._folner_search`
+# The recursive count-vector search that `local_goodness.SearchPlan.search`
 # replaced, kept word for word as the oracle for the iterative one. It
 # prunes nothing, so it also checks that capacity pruning changes no
 # verdict. Its depth is capped by the recursion limit, so feed it small

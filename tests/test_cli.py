@@ -383,7 +383,7 @@ def test_verify_mt2_rejected_hypotheses_exit_one(tmp_path, capsys):
     assert err.startswith("llltool: check failed:")
 
 
-@pytest.mark.parametrize("sink", ["99", "-1"])
+@pytest.mark.parametrize("sink", ["99", "5", "-1"])
 def test_sink_ids_that_name_no_constraint_exit_two(tmp_path, capsys, sink):
     prob = problem_file(tmp_path, proper_coloring(cycle_graph(5), 3))
     # a one-vertex witness decorated with the id is refused the same way
@@ -395,6 +395,9 @@ def test_sink_ids_that_name_no_constraint_exit_two(tmp_path, capsys, sink):
          "--beta", "1/4", "--max-vertices", "3"],
         ["witness", "--problem", prob, "--witness", wfile],
         ["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3"],
+        ["lbad", "--problem", prob, "--c", sink, "--R", "1", "--N", "1",
+         "--eps", "1/24", "--eta", "1/64", "--s", "6/5", "--depth", "2",
+         "--trials", "2"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -461,6 +464,36 @@ def test_search_budget_exhaustion_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("llltool: budget:")
+
+
+def test_a_negative_search_budget_exits_two(tmp_path, capsys):
+    csp = proper_coloring(graph_from_edges(2, [(0, 1)]), 2)
+    prob = problem_file(tmp_path, csp)
+    table = table_file(tmp_path, [[0, 0], [1, 1]])
+    params = write(tmp_path, "params.json", PipelineParams(
+        p=Fraction(1, 2), d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
+        eta=Fraction(1, 64), R=1, N=1, depth=2,
+    ).to_json())
+    search = ["--c", "0", "--R", "1", "--N", "1", "--eps", "1/24"]
+    for argv in (
+        ["locally-good", "--problem", prob, "--table", table, *search],
+        ["lbad", "--problem", prob, *search, "--eta", "1/64", "--s", "6/5",
+         "--depth", "2", "--trials", "3"],
+        ["pipeline", "--problem", prob, "--params", params, "--trials", "3"],
+        ["pipeline", "--problem", prob, "--params", params, "--mode", "det"],
+    ):
+        assert main(argv + ["--budget", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "llltool: error: budget must be >= 0\n"
+    # budget 0 stays legal: the search refuses at its root
+    assert main(
+        ["locally-good", "--problem", prob, "--table", table, *search,
+         "--budget", "0"]
+    ) == 3
+    assert capsys.readouterr().err == (
+        "llltool: budget: search exceeded 0 count vectors at c=0, r=0\n"
+    )
 
 
 def test_a_sink_listing_past_the_vertex_pair_cap_exits_three(

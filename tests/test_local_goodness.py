@@ -40,6 +40,7 @@ from llltool.local_goodness import (
     DEFAULT_SEARCH_BUDGET,
     LBadPredicate,
     LocalParams,
+    SearchPlan,
     build_lg_csp,
     check_lbad_hypotheses,
     column_weights,
@@ -51,7 +52,6 @@ from llltool.local_goodness import (
     lbad_bound,
     lg_degree_check,
 )
-from llltool.local_goodness import _folner_search
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import CellSampler, KeyedTable, Table, sample_table
 
@@ -219,23 +219,21 @@ def test_iterative_search_matches_the_recursive_oracle():
     problems = TINY_FAMILY + [
         random_tiny_csp(rng, max_bad_rows=3) for _ in range(120)
     ]
-    grid = list(itertools.product(
-        (1, 2, 3), (1, 2, 4), (HALF, Fraction(1, 5)),
-        (0, 1, 3, 10, DEFAULT_SEARCH_BUDGET),
-    ))
+    # One plan serves every table, radius and budget of its (csp, params),
+    # so state that leaked from one walk into the next would show here.
+    grid = list(itertools.product((1, 2, 3), (1, 2, 4), (HALF, Fraction(1, 5))))
+    budgets = (0, 1, 3, 10, DEFAULT_SEARCH_BUDGET)
     seen = Counter()
     for csp in problems:
         tables = some_tables(csp, 3, 2, seed=rng.randint(0, 9999))
-        for table, c in itertools.product(tables, csp.constraints):
-            for R, N, eps, budget in grid:
-                dist = bfs_distances(csp.dependency_graph, c.id, R)
+        for c, (R, N, eps) in itertools.product(csp.constraints, grid):
+            plan = SearchPlan(csp, LocalParams(c.id, R, N, eps))
+            for table, budget in itertools.product(tables, budgets):
                 for r in range(R):
-                    args = (N, eps, budget)
-                    pruned = _search_outcome(
-                        _folner_search, csp, table, c.id, dist, r, *args
-                    )
+                    pruned = _search_outcome(plan.search, table, r, budget)
                     oracle = _search_outcome(
-                        recursive_folner_search, csp, table, c.id, r, R, *args
+                        recursive_folner_search, csp, table, c.id, r, R, N, eps,
+                        budget,
                     )
                     if isinstance(pruned, str):
                         assert pruned == oracle
@@ -251,19 +249,62 @@ def test_iterative_search_matches_the_recursive_oracle():
     }
 
 
+class UnreadCells:
+    """A depth-3 cell source that fails on any read."""
+
+    depth = 3
+
+    def get(self, v, row):
+        raise AssertionError(f"read cell ({v}, {row})")
+
+
+class CountedCells:
+    """A table that counts the cells read from it."""
+
+    def __init__(self, table):
+        self.table = table
+        self.depth = table.depth
+        self.reads = 0
+
+    def get(self, v, row):
+        self.reads += 1
+        return self.table.get(v, row)
+
+
 def test_search_closes_the_root_when_the_ball_cannot_hold_n_firings():
     # Criterion 07's N = 100 slice: at R = 1 only r = 0 is searched, its
-    # ball is c alone, and c fires at most depth = 3 times.
+    # ball is c alone (n_in = 1), and c fires at most depth = 3 times.
     ring = sinkless_orientation(
         graph_from_edges(10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)])
     )
     eps = Fraction(95737, 3046407)
+    plans = [SearchPlan(ring, LocalParams(c.id, 1, 100, eps)) for c in ring.constraints]
+    for trial in range(50):
+        table = sample_table(ring.weights, ring.variables, 3, 9, trial)
+        for plan in plans:
+            assert plan.search(table, 0, 1) == (None, 1)
+    # The root is closed whatever the table holds: no cell is read.
+    for plan in plans:
+        assert plan.search(UnreadCells(), 0, 1) == (None, 1)
+        assert plan.check(UnreadCells(), 1) == (True, None)
+        with pytest.raises(SearchBudgetError) as exc:
+            plan.search(UnreadCells(), 0, 0)
+        assert str(exc.value) == (
+            f"search exceeded 0 count vectors at c={plan.params.c}, r=0"
+        )
+    # At depth * n_in == N the root stays open and the walk reads cells.
     for trial in range(50):
         table = sample_table(ring.weights, ring.variables, 3, 9, trial)
         for c in ring.constraints:
-            dist = bfs_distances(ring.dependency_graph, c.id, 1)
-            assert _folner_search(ring, table, c.id, dist, 0, 100, eps, 1) \
-                == (None, 1)
+            counted = CountedCells(table)
+            plan = SearchPlan(ring, LocalParams(c.id, 1, 3, eps))
+            witness, nodes = plan.search(counted, 0, DEFAULT_SEARCH_BUDGET)
+            oracle_witness, oracle_nodes = recursive_folner_search(
+                ring, table, c.id, 0, 1, 3, eps, DEFAULT_SEARCH_BUDGET
+            )
+            assert witness == oracle_witness
+            assert nodes <= oracle_nodes
+            assert counted.reads > 0
 
 
 def test_search_skips_an_outer_firing_that_cannot_be_diluted():
@@ -282,7 +323,7 @@ def test_search_skips_an_outer_firing_that_cannot_be_diluted():
     eps = Fraction(1, 5)
     dist = bfs_distances(csp.dependency_graph, 0, 2)
     assert dist == {0: 0, 1: 1, 2: 2}
-    witness, nodes = _folner_search(csp, table, 0, dist, 1, 2, eps, 100)
+    witness, nodes = SearchPlan(csp, LocalParams(0, 2, 2, eps)).search(table, 1, 100)
     oracle_witness, oracle_nodes = recursive_folner_search(
         csp, table, 0, 1, 2, 2, eps, 100
     )
