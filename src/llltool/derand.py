@@ -41,6 +41,7 @@ from .local_goodness import (
     build_lg_csp,
     decode_table,
     lbad_bound,
+    require_budget,
 )
 from .moser_tardos import COMPLETED, MAXIMAL_GREEDY, mta_run
 from .tables import Table, sample_table
@@ -431,12 +432,8 @@ def pipeline(
     instead of attempting an enumeration past the caps. Randomized mode
     samples tables until one is locally good everywhere.
     """
+    require_budget(budget)
     report: dict = {"mode": mode, "params": params.to_json()}
-    # One locality search plan per constraint, shared by every table checked.
-    plans = [
-        SearchPlan(csp, LocalParams(c.id, params.R, params.N, params.eps, params.eta))
-        for c in csp.constraints
-    ]
     if mode == "deterministic":
         try:
             lg = build_lg_csp(csp, params.R, params.N, params.eps, params.depth, budget)
@@ -448,6 +445,8 @@ def pipeline(
             report.update({"status": "infeasible", "cap_failed": str(exc)})
             return report
         table = decode_table(meta_labeling, csp.label_count, params.depth)
+        # The meta-problem's bad sets hold one search plan per constraint.
+        plans = [a.bad.plan for a in lg.constraints]
         bad = _first_not_locally_good(plans, table, budget)
         if bad is not None:
             raise InternalInvariantError(
@@ -457,6 +456,13 @@ def pipeline(
     else:
         if mode != "randomized":
             raise InvalidParameterError(f"unknown mode {mode!r}")
+        # One search plan per constraint, shared by every sampled table.
+        plans = [
+            SearchPlan(
+                csp, LocalParams(c.id, params.R, params.N, params.eps, params.eta)
+            )
+            for c in csp.constraints
+        ]
         table = None
         unknowns = 0
         for attempt in range(trials):

@@ -29,9 +29,7 @@ visits at least as many count vectors.
 Everything the walk reads of the problem and the parameters is fixed
 per centre, so a SearchPlan builds it once (the BFS ball, the order and
 in-ball split per radius, the domains and bad sets, dom_R(c)) and then
-checks any number of tables. At the root every level is 0, so the first
-rule closes the root for every table when depth times the r-ball size
-is below N; the plan then answers without walking or reading a cell.
+checks any number of tables.
 """
 
 from __future__ import annotations
@@ -121,11 +119,8 @@ class SearchPlan:
         Returns (True, None) or (False, witness); the witness fires one
         constraint per step and is consistent with the localized problem
         at its radius. Raises SearchBudgetError instead of guessing when
-        the search is cut off, and InvalidParameterError on a negative
-        budget.
+        the search is cut off; `budget` must be >= 0 (see require_budget).
         """
-        if budget < 0:
-            raise InvalidParameterError("budget must be >= 0")
         for r in range(self.params.R):
             witness, _ = self.search(table, r, budget)
             if witness is not None:
@@ -173,14 +168,6 @@ class SearchPlan:
             return None, 1
         order, n_in, domains, bads = self._radii[r]
         depth = table.depth
-        if depth * n_in < N:
-            # At the root every level is 0 and every in-ball domain is
-            # nonempty (only c could have an empty one), so in_max is
-            # depth * n_in whatever the table: rule 1 closes the root,
-            # the only node visited.
-            if budget < 1:
-                raise self._exceeded(budget, r)
-            return None, 1
         in_domains = domains[:n_in]
         m = len(order)
         # out < eps * (in + out)  <=>  (q - p) * out < p * in, with eps = p/q
@@ -256,7 +243,14 @@ def is_locally_good(
     One table's check with a plan built for it alone; callers that check
     many tables at one centre build the SearchPlan once.
     """
+    require_budget(budget)
     return SearchPlan(csp, params).check(table, budget)
+
+
+def require_budget(budget: int) -> None:
+    """Refuse a negative search budget; 0 is legal and refuses at the root."""
+    if budget < 0:
+        raise InvalidParameterError("budget must be >= 0")
 
 
 def _union_of_domains(csp: Csp, ids) -> tuple[int, ...]:
@@ -339,6 +333,7 @@ def build_lg_csp(
     """
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
+    require_budget(budget)
     cap = materialize_cap_default()
     if csp.label_count**depth > cap:
         raise CapExceededError(
@@ -461,6 +456,7 @@ def estimate_lbad_prob(
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
+    require_budget(budget)
     stats = csp_stats(csp)
     d, p = stats.max_dep_degree, stats.p_max
     check_lbad_hypotheses(p, s, params.eps, params.eta)

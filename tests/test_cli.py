@@ -480,6 +480,8 @@ def test_a_negative_search_budget_exits_two(tmp_path, capsys):
         ["lbad", "--problem", prob, *search, "--eta", "1/64", "--s", "6/5",
          "--depth", "2", "--trials", "3"],
         ["pipeline", "--problem", prob, "--params", params, "--trials", "3"],
+        # refused before any table is checked
+        ["pipeline", "--problem", prob, "--params", params, "--trials", "0"],
         ["pipeline", "--problem", prob, "--params", params, "--mode", "det"],
     ):
         assert main(argv + ["--budget", "-3"]) == 2
