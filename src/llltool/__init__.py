@@ -30,7 +30,7 @@ from .generators import (
     proper_coloring,
     sinkless_orientation,
 )
-from .graphs import FiniteGraph, GrowthProfile, ball, graph_from_edges, growth_profile
+from .graphs import FiniteGraph, GrowthProfile, graph_from_edges, growth_profile
 from .local_goodness import (
     LocalParams,
     build_lg_csp,

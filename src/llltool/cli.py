@@ -364,7 +364,9 @@ def _cmd_locally_good(args, inputs: _Inputs) -> tuple:
     local = local_goodness.LocalParams(
         args.c, args.R, args.N, parse_rational(args.eps)
     )
-    good, found = local_goodness.is_locally_good(csp, table, local, args.budget)
+    local_goodness.require_budget(args.budget)  # before c is checked
+    plan = local_goodness.SearchPlan(csp, local)
+    good, found = local_goodness.is_locally_good(plan, table, args.budget)
     results = {
         "locally_good": good,
         "witness": None if found is None else found.to_json(),

@@ -37,15 +37,27 @@ DEFAULT_MATERIALIZE_CAP = 2**24
 
 
 def materialize_cap_default() -> int:
-    """Materialization cap, overridable via LLLTOOL_MATERIALIZE_CAP."""
+    """Materialization cap, overridable via LLLTOOL_MATERIALIZE_CAP.
+
+    Raises InvalidInputError when the variable is set to anything but an
+    integer >= 0.
+    """
     env = os.environ.get("LLLTOOL_MATERIALIZE_CAP")
-    return int(env) if env else DEFAULT_MATERIALIZE_CAP
+    if not env:
+        return DEFAULT_MATERIALIZE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise InvalidInputError(
+            f"LLLTOOL_MATERIALIZE_CAP must be an integer >= 0, not {env!r}"
+        )
+    return cap
 
 
 class BadPredicate:
     """Membership-test view of a bad set too large to store row by row."""
-
-    tag = "predicate"
 
     def contains(self, row: tuple[int, ...]) -> bool:
         raise NotImplementedError
@@ -56,8 +68,6 @@ class BadPredicate:
 
 class AlwaysViolated(BadPredicate):
     """The full assignment set: every labeling of the domain is bad."""
-
-    tag = "always"
 
     def contains(self, row: tuple[int, ...]) -> bool:
         return True
@@ -417,8 +427,6 @@ def lll_condition(p: Fraction, d: int, variant: str, s: Fraction | None = None) 
 class _QuotientPredicate(BadPredicate):
     """Bad set of a constraint conditioned on a fixed partial labeling."""
 
-    tag = "quotient"
-
     def __init__(self, inner, domain: tuple[int, ...], reduced: tuple[int, ...], fixed: dict[int, int]):
         self.inner = inner
         self.domain = domain
@@ -439,9 +447,6 @@ class QuotientCsp:
     base: Csp
     fixed: Mapping[int, int]
     csp: Csp = field(compare=False)
-
-    def remaining(self) -> tuple[int, ...]:
-        return self.csp.variables
 
 
 def quotient_csp(csp: Csp, f: Mapping[int, int]) -> QuotientCsp:

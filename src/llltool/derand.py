@@ -40,6 +40,7 @@ from .local_goodness import (
     SearchPlan,
     build_lg_csp,
     decode_table,
+    is_locally_good,
     lbad_bound,
     require_budget,
 )
@@ -412,7 +413,7 @@ def _first_not_locally_good(
     SearchBudgetError propagates: the verdict is then unknown.
     """
     for plan in plans:
-        if not plan.check(table, budget)[0]:
+        if not is_locally_good(plan, table, budget)[0]:
             return plan.params.c
     return None
 

@@ -37,9 +37,6 @@ class FiniteGraph:
                 if v not in nbr_sets[u]:
                     raise InvalidInputError(f"edge {v}->{u} not symmetric")
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 
@@ -101,13 +98,6 @@ def bfs_distances(g: FiniteGraph, v: int, limit: int | None = None) -> dict[int,
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
-
-
-def ball(g: FiniteGraph, v: int, radius: int) -> frozenset[int]:
-    """All vertices reachable from v along at most `radius` edges (v included)."""
-    if radius < 0:
-        raise InvalidParameterError("radius must be >= 0")
-    return frozenset(bfs_distances(g, v, limit=radius))
 
 
 # Target vertices per block of `_grown_masks`: a block's masks take about

@@ -28,8 +28,8 @@ visits at least as many count vectors.
 
 Everything the walk reads of the problem and the parameters is fixed
 per centre, so a SearchPlan builds it once (the BFS ball, the order and
-in-ball split per radius, the domains and bad sets, dom_R(c)) and then
-checks any number of tables.
+in-ball split per radius, the domains and bad sets, dom_R(c)), and
+is_locally_good checks any number of tables against it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .csp import (
-    AlwaysViolated,
     BadPredicate,
     Constraint,
     Csp,
@@ -58,7 +57,7 @@ from .exact import (
     format_rational,
     rational_pow_leq,
 )
-from .graphs import FiniteGraph, ball, bfs_distances, max_ball_sizes
+from .graphs import FiniteGraph, bfs_distances, max_ball_sizes
 from .moser_tardos import MtSequence
 from .tables import CellSampler, CellSource, KeyedTable, Table
 
@@ -100,7 +99,9 @@ class SearchPlan:
         self.params = params
         dist = bfs_distances(csp.dependency_graph, params.c, params.R)
         ids = sorted(dist)
-        self.domain = _union_of_domains(csp, ids)
+        self.domain = tuple(
+            sorted({v for a in ids for v in csp.constraint(a).domain})
+        )
         self._radii = []
         for r in range(params.R):
             order = [a for a in ids if dist[a] <= r]
@@ -110,22 +111,6 @@ class SearchPlan:
             domains = [a.domain for a in constraints]
             bads = [a.bad_contains for a in constraints]
             self._radii.append((order, n_in, domains, bads))
-
-    def check(
-        self, table: CellSource, budget: int
-    ) -> tuple[bool, MtSequence | None]:
-        """Whether no radius below R admits a consistent Folner sequence.
-
-        Returns (True, None) or (False, witness); the witness fires one
-        constraint per step and is consistent with the localized problem
-        at its radius. Raises SearchBudgetError instead of guessing when
-        the search is cut off; `budget` must be >= 0 (see require_budget).
-        """
-        for r in range(self.params.R):
-            witness, _ = self.search(table, r, budget)
-            if witness is not None:
-                return False, witness
-        return True, None
 
     def _exceeded(self, budget: int, r: int) -> SearchBudgetError:
         return SearchBudgetError(
@@ -233,35 +218,28 @@ class SearchPlan:
 
 
 def is_locally_good(
-    csp: Csp,
-    table: CellSource,
-    params: LocalParams,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    plan: SearchPlan, table: CellSource, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> tuple[bool, MtSequence | None]:
-    """Whether no radius below R admits a consistent Folner sequence.
+    """Whether no radius below R admits a consistent Folner sequence at c.
 
-    One table's check with a plan built for it alone; callers that check
-    many tables at one centre build the SearchPlan once.
+    Returns (True, None) or (False, witness); the witness fires one
+    constraint per step and is consistent with the localized problem
+    at its radius. Raises SearchBudgetError instead of guessing when
+    the search is cut off, and InvalidParameterError for a negative
+    budget.
     """
     require_budget(budget)
-    return SearchPlan(csp, params).check(table, budget)
+    for r in range(plan.params.R):
+        witness, _ = plan.search(table, r, budget)
+        if witness is not None:
+            return False, witness
+    return True, None
 
 
 def require_budget(budget: int) -> None:
     """Refuse a negative search budget; 0 is legal and refuses at the root."""
     if budget < 0:
         raise InvalidParameterError("budget must be >= 0")
-
-
-def _union_of_domains(csp: Csp, ids) -> tuple[int, ...]:
-    out: set[int] = set()
-    for a in ids:
-        out.update(csp.constraint(a).domain)
-    return tuple(sorted(out))
-
-
-def extended_domain(csp: Csp, c: int, radius: int) -> tuple[int, ...]:
-    return _union_of_domains(csp, ball(csp.dependency_graph, c, radius))
 
 
 def decode_column(code: int, k: int, depth: int) -> tuple[int, ...]:
@@ -287,8 +265,6 @@ class LBadPredicate(BadPredicate):
     columns a caller might imagine elsewhere never need representing.
     """
 
-    tag = "lbad"
-
     def __init__(self, base: Csp, params: LocalParams, depth: int, budget: int):
         self.base = base
         self.plan = SearchPlan(base, params)
@@ -300,7 +276,7 @@ class LBadPredicate(BadPredicate):
         table = decode_table(
             dict(zip(self.domain, row)), self.base.label_count, self.depth
         )
-        good, _ = self.plan.check(table, self.budget)
+        good, _ = is_locally_good(self.plan, table, self.budget)
         return not good
 
 
@@ -374,17 +350,9 @@ def lg_degree_check(csp: Csp, R: int) -> dict:
     not only an upper bound.
     """
     dep = csp.dependency_graph
-    # The meta-problem's dependency graph, by the one rule of shared
-    # variables: constraint a widened to dom_R(a).
-    meta = Csp(
-        csp.variables,
-        csp.label_count,
-        csp.weights,
-        tuple(
-            Constraint(a.id, extended_domain(csp, a.id, R), AlwaysViolated())
-            for a in csp.constraints
-        ),
-    ).dependency_graph
+    # Meta-constraint a watches dom_R(a), which depends on R alone: every
+    # meta-problem at R, the smallest one too, has this dependency graph.
+    meta = build_lg_csp(csp, R, 1, Fraction(1, 2), 1).dependency_graph
     max_degree = meta.max_degree()
     bound = gamma_at_radius(dep, 2 * R) - 1
     safe_bound = gamma_at_radius(dep, 2 * R + 1) - 1
@@ -471,7 +439,7 @@ def estimate_lbad_prob(
     for trial in range(trials):
         table = KeyedTable(cells, plan.domain, depth, trial)
         try:
-            good, _ = plan.check(table, budget)
+            good, _ = is_locally_good(plan, table, budget)
         except SearchBudgetError:
             unknown += 1
             continue

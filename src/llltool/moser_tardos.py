@@ -145,10 +145,13 @@ def mta_run(
     rows can have changed.
 
     Raises ScriptError when a scripted step fires a constraint that is not
-    currently violated, or is not pairwise domain-disjoint.
+    currently violated, or is not pairwise domain-disjoint, and
+    InvalidParameterError for a negative `max_iters`.
     """
     if max_iters is None:
         max_iters = len(csp.constraints) * table.depth
+    elif max_iters < 0:
+        raise InvalidParameterError("max_iters must be >= 0")
     dep = csp.dependency_graph
     closed = csp.closed_neighborhoods
     rng = random.Random(strategy.seed) if strategy.kind == "random" else None
@@ -256,6 +259,8 @@ def mt_monte_carlo(
         raise InvalidParameterError("trials must be >= 1")
     if jobs < 1:
         raise InvalidParameterError("jobs must be >= 1")
+    if max_iters is not None and max_iters < 0:
+        raise InvalidParameterError("max_iters must be >= 0")
     all_trials = list(range(trials))
     # A forking pool starts all its workers at once: no more than trials or cores.
     workers = min(jobs, trials, os.cpu_count() or 1)

@@ -243,6 +243,7 @@ def verify_mt1_exact(
     k**cells assignment count all the same; the rhs masses read the default.
     """
     cap = materialize_cap_default() if cap is None else cap
+    _require_cap(cap)
     vertex_cells = _cells_within(g, csp, depth)
     # Cell positions in first-read order, and at each position the vertices
     # whose last cell it is, with the positions they read. A vertex that
@@ -326,6 +327,7 @@ def enumerate_sink_star(
     is built, when the digraphs' vertex pairs (an n-vertex digraph has
     n(n-1)/2, a bound on its edges) exceed `materialize_cap_default()`.
     """
+    _require_cap(cap)
     stacks = _sink_stacks(c, csp, max_vertices, cap)
     sizes = (sum(map(len, stack)) for stack in stacks)
     pairs = sum(n * (n - 1) // 2 for n in sizes)
@@ -335,6 +337,12 @@ def enumerate_sink_star(
             f"{len(stacks)} digraphs have {pairs} vertex pairs, cap {limit}"
         )
     return [witness_from_levels(stack, csp) for stack in stacks]
+
+
+def _require_cap(cap: int) -> None:
+    """Refuse a negative cap; 0 is legal and refuses as any cap does."""
+    if cap < 0:
+        raise InvalidParameterError("cap must be >= 0")
 
 
 def _closed_masks(csp: Csp) -> list[int]:
@@ -490,8 +498,10 @@ def verify_mt2_partial_sums(
     alpha(a) <= beta(a) * prod over neighbors a' of (1 - beta(a')).
     The series is monotone, so every partial sum must already obey the
     bound; raises HypothesisError listing constraints that break the
-    premise, and InvalidParameterError when c names no constraint.
+    premise, and InvalidParameterError when c names no constraint or
+    `cap` is negative.
     """
+    _require_cap(cap)
     csp.constraint(c)
     dep = csp.dependency_graph
     alphas: dict[int, Fraction] = {}

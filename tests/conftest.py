@@ -46,7 +46,7 @@ from llltool.csp import (
 from llltool.exact import float_of
 from llltool.generators import WITH_REFERENCE, Hypergraph
 from llltool.graphs import (
-    ball,
+    bfs_distances,
     greedy_proper_coloring,
     maximal_independent_set,
     power_graph,
@@ -293,6 +293,11 @@ def orientation_of(csp_labeling, edges) -> list[tuple[int, int]]:
 
 def dump_graph_json(g) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+
+
+def ball(g, v: int, radius: int) -> frozenset[int]:
+    """All vertices within `radius` edges of v, v included."""
+    return frozenset(bfs_distances(g, v, radius))
 
 
 def ball_per_radius_sizes(g, r_max: int) -> list[int]:

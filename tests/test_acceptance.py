@@ -54,6 +54,7 @@ from llltool.generators import (
 from llltool.graphs import graph_from_edges, growth_profile
 from llltool.local_goodness import (
     LocalParams,
+    SearchPlan,
     check_lbad_hypotheses,
     estimate_lbad_prob,
     gamma_at_radius,
@@ -223,11 +224,9 @@ def test_criterion_05_locally_good_tables_complete_every_maximal_run():
             continue
         dep = build_dependency_graph(csp)
         assert gamma_at_radius(dep, 1) < 4
+        plans = [SearchPlan(csp, LocalParams(c.id, 1, 2, eps)) for c in csp.constraints]
         for table in some_tables(csp, 7, 3, seed=rng.randint(0, 10**6)):
-            good = all(
-                is_locally_good(csp, table, LocalParams(c.id, 1, 2, eps))[0]
-                for c in csp.constraints
-            )
+            good = all(is_locally_good(plan, table)[0] for plan in plans)
             if not good:
                 rejected += 1
                 continue

@@ -517,6 +517,94 @@ def test_a_sink_listing_past_the_vertex_pair_cap_exits_three(
     )
 
 
+def chain_files(tmp_path):
+    """A one-constraint problem and the two-vertex chain witness over it."""
+    csp = make_csp(1, [((0,), [(1,)])])
+    g = full_witness_digraph(MtSequence.from_lists([[0], [0]]), csp)
+    return problem_file(tmp_path, csp), write(tmp_path, "witness.json", g.to_json())
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_a_malformed_materialization_cap_exits_two(
+    tmp_path, capsys, monkeypatch, value
+):
+    monkeypatch.setenv("LLLTOOL_MATERIALIZE_CAP", value)
+    prob, wfile = chain_files(tmp_path)
+    for argv in (
+        ["witness", "--problem", prob, "--sink", "0", "--max-vertices", "2"],
+        ["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "llltool: error: LLLTOOL_MATERIALIZE_CAP must be an integer >= 0, "
+            f"not {value!r}\n"
+        )
+
+
+def test_a_zero_materialization_cap_is_a_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LLLTOOL_MATERIALIZE_CAP", "0")
+    prob, wfile = chain_files(tmp_path)
+    # one vertex has no vertex pair, so the listing fits a cap of 0
+    code, payload = run(
+        ["witness", "--problem", prob, "--sink", "0", "--max-vertices", "1"], capsys
+    )
+    assert code == 0 and payload["results"]["count"] == 1
+    for argv, message in (
+        (["witness", "--problem", prob, "--sink", "0", "--max-vertices", "2"],
+         "2 digraphs have 1 vertex pairs, cap 0"),
+        (["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3"],
+         "2**2 cell assignments exceed cap 0"),
+    ):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"llltool: budget: {message}\n"
+
+
+def test_a_negative_cap_exits_two(tmp_path, capsys):
+    prob, wfile = chain_files(tmp_path)
+    mt2 = ["verify-mt2", "--problem", prob, "--c", "0", "--max-vertices", "3"]
+    commands = (
+        ["witness", "--problem", prob, "--sink", "0", "--max-vertices", "3"],
+        mt2 + ["--alpha", "1/4", "--beta", "1/2"],
+        ["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3"],
+    )
+    # refused before the premise of verify-mt2 is checked, too
+    for argv in commands + (mt2 + ["--alpha", "1/2", "--beta", "1/4"],):
+        assert main(argv + ["--cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "llltool: error: cap must be >= 0\n"
+    # cap 0 stays legal and refuses as any cap does
+    for argv, message in zip(commands, (
+        "more than 0 representatives",
+        "more than 0 representatives",
+        "2**2 cell assignments exceed cap 0",
+    )):
+        assert main(argv + ["--cap", "0"]) == 3
+        assert capsys.readouterr().err == f"llltool: budget: {message}\n"
+
+
+def test_a_negative_iteration_cap_exits_two(tmp_path, capsys):
+    prob = problem_file(tmp_path, proper_coloring(cycle_graph(5), 3))
+    table = table_file(tmp_path, [[0] * 5, [1, 2, 1, 2, 0], [2] * 5])
+    runs = ["mta", "--problem", prob, "--depth", "3", "--trials", "5"]
+    single = ["mta", "--problem", prob, "--depth", "3", "--table", table]
+    for argv in (runs, single):
+        assert main(argv + ["--max-iters", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "llltool: error: max_iters must be >= 0\n"
+    # 0 stays legal: a run with a violation stops at once
+    code, payload = run(runs + ["--max-iters", "0"], capsys)
+    assert code == 0
+    assert sum(payload["results"]["statuses"].values()) == 5
+    code, payload = run(single + ["--max-iters", "0"], capsys)
+    assert code == 0
+    assert payload["results"]["status"] == "iteration_cap"
+    assert payload["results"]["sequence"] == []
+
+
 def test_lbad_report_and_exit_zero_on_trivially_good_input(tmp_path, capsys):
     csp = make_csp(2, [((0,), []), ((1,), [])])
     prob = problem_file(tmp_path, csp)

@@ -296,7 +296,7 @@ def test_lll_condition_rejects_nonsense():
 def test_quotient_shrinks_domains_and_conditions_bads():
     csp = make_csp(3, [((0, 1), [(0, 0), (1, 1)]), ((1, 2), [(0, 1)])])
     q = quotient_csp(csp, {1: 0})
-    assert q.remaining() == (0, 2)
+    assert q.csp.variables == (0, 2)
     c0 = q.csp.constraint(0)
     assert c0.domain == (0,)
     assert materialize_bad(q.csp, 0) == frozenset({(0,)})

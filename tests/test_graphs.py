@@ -5,11 +5,10 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from conftest import ball_per_radius_sizes, dump_graph_json
+from conftest import ball, ball_per_radius_sizes, dump_graph_json
 from llltool.errors import InvalidInputError, InvalidParameterError
 from llltool.graphs import (
     FiniteGraph,
-    ball,
     bfs_distances,
     graph_from_edges,
     greedy_proper_coloring,

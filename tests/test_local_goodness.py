@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from llltool.csp import (
     materialize_bad,
     prob_bad,
 )
+from llltool import local_goodness
+from llltool.derand import PipelineParams, pipeline
 from llltool.errors import (
     CapExceededError,
     HypothesisError,
@@ -46,7 +49,6 @@ from llltool.local_goodness import (
     column_weights,
     decode_column,
     estimate_lbad_prob,
-    extended_domain,
     gamma_at_radius,
     is_locally_good,
     lbad_bound,
@@ -101,7 +103,8 @@ def test_empty_bad_sets_are_locally_good_everywhere():
     csp = make_csp(3, [((0, 1), []), ((1, 2), [])])
     table = table_from_rows([[0, 0, 0], [1, 1, 1]])
     for c in csp.constraints:
-        good, wit = is_locally_good(csp, table, LocalParams(c.id, 2, 1, HALF))
+        plan = SearchPlan(csp, LocalParams(c.id, 2, 1, HALF))
+        good, wit = is_locally_good(plan, table)
         assert good and wit is None
 
 
@@ -109,7 +112,7 @@ def test_always_bad_isolated_constraint_is_locally_bad():
     csp = make_csp(1, [((0,), [(0,), (1,)])])
     table = table_from_rows([[0]] * 4)
     params = LocalParams(0, R=1, N=3, eps=HALF)
-    good, wit = is_locally_good(csp, table, params)
+    good, wit = is_locally_good(SearchPlan(csp, params), table)
     assert not good
     assert wit == MtSequence.from_lists([[0], [0], [0]])
     # the witness replays against the radius-0 localization
@@ -120,19 +123,19 @@ def test_always_bad_isolated_constraint_is_locally_bad():
 def test_unreachable_firing_count_means_good():
     csp = make_csp(1, [((0,), [(0,), (1,)])])
     table = table_from_rows([[0], [0]])  # depth 2 cannot host 5 firings
-    good, wit = is_locally_good(csp, table, LocalParams(0, 1, 5, HALF))
+    good, wit = is_locally_good(SearchPlan(csp, LocalParams(0, 1, 5, HALF)), table)
     assert good and wit is None
 
 
 def test_empty_domain_center_special_cases():
     hungry = make_csp(1, [((), [()]), ((0,), [(1,)])])
     table = table_from_rows([[0], [0]])
-    good, wit = is_locally_good(hungry, table, LocalParams(0, 1, 2, HALF))
+    good, wit = is_locally_good(SearchPlan(hungry, LocalParams(0, 1, 2, HALF)), table)
     assert not good
     assert wit == MtSequence.from_lists([[0], [0]])
 
     sated = make_csp(1, [((), []), ((0,), [(1,)])])
-    good, wit = is_locally_good(sated, table, LocalParams(0, 1, 2, HALF))
+    good, wit = is_locally_good(SearchPlan(sated, LocalParams(0, 1, 2, HALF)), table)
     assert good and wit is None
 
 
@@ -146,7 +149,7 @@ def test_matches_naive_search_on_random_instances():
         for table in some_tables(csp, 4, 2, seed=rng.randint(0, 9999)):
             for c in csp.constraints:
                 good, _ = is_locally_good(
-                    csp, table, LocalParams(c.id, 2, 2, HALF)
+                    SearchPlan(csp, LocalParams(c.id, 2, 2, HALF)), table
                 )
                 assert good == (not naive_locally_bad(
                     csp, table, c.id, 2, 2, HALF
@@ -165,7 +168,7 @@ def test_witness_is_singleton_consistent_and_folner_at_some_radius():
         table = some_tables(csp, 3, 1, seed=rng.randint(0, 9999))[0]
         for c in csp.constraints:
             params = LocalParams(c.id, 2, 2, HALF)
-            good, wit = is_locally_good(csp, table, params)
+            good, wit = is_locally_good(SearchPlan(csp, params), table)
             if good:
                 continue
             found += 1
@@ -182,16 +185,16 @@ def test_witness_is_singleton_consistent_and_folner_at_some_radius():
 
 def test_verdict_ignores_columns_outside_the_extended_domain():
     csp = proper_coloring(path_graph(5), 2)
-    inside = set(extended_domain(csp, 0, 1))
+    inside = set(SearchPlan(csp, LocalParams(0, 1, 1, HALF)).domain)
     outside = [v for v in csp.variables if v not in inside]
     assert outside
     params = LocalParams(0, 1, 1, HALF)
     for table in some_tables(csp, 3, 4, seed=17):
-        base, _ = is_locally_good(csp, table, params)
+        base, _ = is_locally_good(SearchPlan(csp, params), table)
         mutated = dict(table.columns)
         for v in outside:
             mutated[v] = tuple(1 - lab for lab in mutated[v])
-        flipped, _ = is_locally_good(csp, Table(3, mutated), params)
+        flipped, _ = is_locally_good(SearchPlan(csp, params), Table(3, mutated))
         assert base == flipped
 
 
@@ -199,7 +202,7 @@ def test_search_budget_failure_is_loud():
     csp = proper_coloring(path_graph(3), 2)
     table = some_tables(csp, 3, 1, seed=0)[0]
     with pytest.raises(SearchBudgetError):
-        is_locally_good(csp, table, LocalParams(0, 1, 1, HALF), budget=1)
+        is_locally_good(SearchPlan(csp, LocalParams(0, 1, 1, HALF)), table, budget=1)
 
 
 def _search_outcome(search, *args):
@@ -286,7 +289,7 @@ def test_search_closes_the_root_when_the_ball_cannot_hold_n_firings():
     # The root is closed whatever the table holds: no cell is read.
     for plan in plans:
         assert plan.search(UnreadCells(), 0, 1) == (None, 1)
-        assert plan.check(UnreadCells(), 1) == (True, None)
+        assert is_locally_good(plan, UnreadCells(), 1) == (True, None)
         with pytest.raises(SearchBudgetError) as exc:
             plan.search(UnreadCells(), 0, 0)
         assert str(exc.value) == (
@@ -335,16 +338,19 @@ def test_deep_table_search_returns_a_verdict():
     # 1400 nested firings: past the recursion limit of a recursive search.
     csp = make_csp(1, [((0,), [(0,), (1,)])])
     table = Table(1500, {0: (0,) * 1500})
-    good, wit = is_locally_good(csp, table, LocalParams(0, 1, 1400, HALF))
+    good, wit = is_locally_good(SearchPlan(csp, LocalParams(0, 1, 1400, HALF)), table)
     assert not good
     assert wit == MtSequence.from_lists([[0]] * 1400)
 
 
 def test_extended_domain_collects_ball_domains():
     csp = proper_coloring(path_graph(4), 2)
-    assert extended_domain(csp, 0, 0) == (0, 1)
-    assert extended_domain(csp, 0, 1) == (0, 1, 2)
-    assert extended_domain(csp, 0, 2) == (0, 1, 2, 3)
+    def domain(R):
+        return SearchPlan(csp, LocalParams(0, R, 1, HALF)).domain
+
+    assert domain(0) == (0, 1)
+    assert domain(1) == (0, 1, 2)
+    assert domain(2) == (0, 1, 2, 3)
 
 
 @settings(max_examples=50)
@@ -383,7 +389,7 @@ def test_lg_problem_solutions_are_exactly_the_good_tables():
                 })
                 direct = all(
                     is_locally_good(
-                        csp, table, LocalParams(c.id, 1, 1, HALF)
+                        SearchPlan(csp, LocalParams(c.id, 1, 1, HALF)), table
                     )[0]
                     for c in csp.constraints
                 )
@@ -405,7 +411,7 @@ def test_lg_bad_mass_agrees_with_direct_enumeration():
         table = Table(depth, {
             v: decode_column(code, 2, depth) for v, code in zip(dom, row)
         })
-        if not is_locally_good(csp, table, LocalParams(0, 1, 1, HALF))[0]:
+        if not is_locally_good(SearchPlan(csp, LocalParams(0, 1, 1, HALF)), table)[0]:
             mass = Fraction(1)
             for code in row:
                 mass *= w[code]
@@ -530,16 +536,18 @@ def test_estimate_matches_a_full_table_run_on_the_ring():
         graph_from_edges(10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)])
     )
     depth, trials, seed = 3, 100, 5
-    read = extended_domain(ring, 0, 1)
+    read = SearchPlan(ring, LocalParams(0, 1, 1, HALF)).domain
     assert len(read) < len(ring.variables)
     sampler = CellSampler(ring.weights, seed)
     seen = set()
     for N, budget in ((1, DEFAULT_SEARCH_BUDGET), (2, 1)):
         params = LocalParams(0, 1, N, Fraction(1, 32), Fraction(1, 64))
 
+        plan = SearchPlan(ring, params)
+
         def verdict(table):
             try:
-                return is_locally_good(ring, table, params, budget)
+                return is_locally_good(plan, table, budget)
             except SearchBudgetError:
                 return "unknown"
 
@@ -568,3 +576,78 @@ def test_lg_predicate_materializes_under_cap():
     pred = lg.constraint(1).bad
     for row in rows:
         assert pred.contains(row)
+
+
+def count_table_checks(monkeypatch) -> list:
+    """Wrap `is_locally_good` under every module attribute that holds it,
+    as the benchmark's tracer does, and log (centre, verdict) per call;
+    the verdict is "unknown" when the search runs out of budget."""
+    original = local_goodness.is_locally_good
+    calls = []
+
+    def counted(plan, table, budget=DEFAULT_SEARCH_BUDGET):
+        try:
+            result = original(plan, table, budget)
+        except SearchBudgetError:
+            calls.append((plan.params.c, "unknown"))
+            raise
+        calls.append((plan.params.c, result[0]))
+        return result
+
+    hits = 0
+    for name, module in list(sys.modules.items()):
+        if name == "llltool" or name.startswith("llltool."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+                    hits += 1
+    assert hits
+    return calls
+
+
+def test_every_table_check_is_one_is_locally_good_call(monkeypatch):
+    ring = sinkless_orientation(
+        graph_from_edges(10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)])
+    )
+    calls = count_table_checks(monkeypatch)
+    # estimate_lbad_prob: one call per trial, and the calls carry its counts
+    for N, budget in ((1, DEFAULT_SEARCH_BUDGET), (2, 1)):
+        calls.clear()
+        rep = estimate_lbad_prob(
+            ring, LocalParams(0, 1, N, Fraction(1, 32), Fraction(1, 64)),
+            depth=3, trials=60, seed=5, s=Fraction(21, 20), budget=budget,
+        )
+        verdicts = Counter(good for _, good in calls)
+        assert len(calls) == 60
+        assert (verdicts[False], verdicts["unknown"]) == (rep["bad"], rep["unknown"])
+    # LBadPredicate.contains: one call per row, a row being bad when its
+    # table is not locally good
+    calls.clear()
+    path = proper_coloring(path_graph(3), 2)
+    pred = LBadPredicate(path, LocalParams(1, 1, 1, HALF), 2, DEFAULT_SEARCH_BUDGET)
+    rows = list(itertools.product(range(4), repeat=len(pred.domain)))
+    bad = sum(pred.contains(row) for row in rows)
+    assert len(calls) == len(rows)
+    assert Counter(good for _, good in calls) == {False: bad, True: len(rows) - bad}
+    # the randomized pipeline: per attempt, the plans in constraint order
+    # up to the first one the table fails, or all of them on success
+    calls.clear()
+    c5 = proper_coloring(cycle_graph(5), 3)
+    params = PipelineParams(
+        p=Fraction(1, 3), d=2, s=Fraction(6, 5), eps=Fraction(1, 4),
+        eta=Fraction(1, 64), R=1, N=1, depth=3,
+    )
+    rep = pipeline(c5, params, mode="randomized", seed=2, trials=40)
+    assert rep["status"] == "solved"
+    attempts = []
+    for c, good in calls:
+        if c == 0:
+            attempts.append([])
+        attempts[-1].append((c, good))
+    assert len(attempts) == rep["attempts"]
+    for attempt in attempts[:-1]:
+        assert [c for c, _ in attempt] == list(range(len(attempt)))
+        assert [good for _, good in attempt[:-1]] == [True] * (len(attempt) - 1)
+        assert attempt[-1][1] is False
+    assert attempts[-1] == [(c.id, True) for c in c5.constraints]
+    assert max(len(attempt) for attempt in attempts[:-1]) > 1

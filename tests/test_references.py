@@ -1,15 +1,17 @@
 """Every function, class and method the package defines is used by the program.
 
-A definition counts as used when its name is loaded, as a bare name or as
-an attribute, anywhere in `src/` or `perfbench/` outside its own body, or
+A function or class counts as used when its name is loaded, as a bare
+name or as an attribute, anywhere in `src/` or `perfbench/` outside its
+own body; a method only when it is loaded as an attribute there, since a
+bare name of the same spelling cannot call it. Either also counts as used
 when it is the last part of a name in the `SPANS` or `COUNTED` tables of
 `perfbench/run.py`, which the tracer looks up by name. A use from `tests/`
 does not count: code that only tests call belongs in the tests, as the
 oracles in `tests/conftest.py` do. The package `__init__` is not read: a
-re-export is not a use. Names are matched without types, so the check
-finds helpers that nothing names, not every dead method. Dunder methods
-are called implicitly and skipped. Stdlib-only, so the check needs no
-linter.
+re-export is not a use. Attributes are matched without types, so a
+method still counts as used when another class's attribute shares its
+name. Dunder methods are called implicitly and skipped. Stdlib-only, so
+the check needs no linter.
 """
 
 import ast
@@ -24,11 +26,14 @@ RUN_PY = ROOT / "perfbench" / "run.py"
 EXEMPT = {"lg_degree_check"}
 
 
-def names_used(node) -> list[str]:
+def names_used(node, attributes_only: bool = False) -> list[str]:
+    """Attribute names loaded under `node`, and bare names unless
+    `attributes_only`."""
     return [
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Name) and not attributes_only
     ]
 
 
@@ -59,16 +64,23 @@ def definitions(tree):
 
 def unreferenced(defining: list[str], sources: list[str], traced=()) -> list[str]:
     """Definitions in `defining` that neither `sources`, outside their own
-    body, nor `traced` name."""
-    used = Counter(name for text in sources for name in names_used(ast.parse(text)))
-    used.update(traced)
-    return sorted(
-        qualname
-        for text in defining
-        for qualname, node in definitions(ast.parse(text))
-        if not (node.name.startswith("__") and node.name.endswith("__"))
-        and used[node.name] == names_used(node).count(node.name)
-    )
+    body, nor `traced` name; methods by attribute only."""
+    trees = [ast.parse(text) for text in sources]
+    used = {
+        method: Counter(name for tree in trees for name in names_used(tree, method))
+        for method in (False, True)
+    }
+    for counter in used.values():
+        counter.update(traced)
+    flagged = []
+    for text in defining:
+        for qualname, node in definitions(ast.parse(text)):
+            method = "." in qualname
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if used[method][node.name] == names_used(node, method).count(node.name):
+                flagged.append(qualname)
+    return sorted(flagged)
 
 
 def check(root: Path, exempt: set[str]) -> tuple[list[str], list[str]]:
@@ -101,6 +113,23 @@ def test_the_check_flags_only_unreferenced_definitions():
     )
     caller = "print(used(), Box())\n"
     assert unreferenced([module], [module, caller]) == ["Box.spare", "recursive"]
+
+
+def test_a_bare_name_does_not_save_a_method():
+    module = (
+        "def degree():\n    return 0\n"
+        "class Graph:\n"
+        "    def degree(self, v):\n        return v\n"
+        "    def size(self):\n        return 1\n"
+        "    def order(self):\n        return 2\n"
+    )
+    # `degree` and `size` are loaded only as bare names, `order` as an
+    # attribute; the function `degree` is used, the method of that name not.
+    caller = "size = 3\nprint(degree(), size, Graph().order())\n"
+    assert unreferenced([module], [module, caller]) == ["Graph.degree", "Graph.size"]
+    # An attribute load saves a function, and any method of its name.
+    caller = "import mod\nprint(mod.degree(), Graph().size(), Graph().order())\n"
+    assert unreferenced([module], [module, caller]) == []
 
 
 def test_the_check_counts_traced_names_and_not_test_uses(tmp_path):
