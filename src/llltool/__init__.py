@@ -37,7 +37,6 @@ from .local_goodness import (
     estimate_lbad_prob,
     is_locally_good,
     lbad_bound,
-    lg_degree_check,
 )
 from .moser_tardos import (
     MAXIMAL_GREEDY,

@@ -33,7 +33,7 @@ from .errors import (
     SearchBudgetError,
 )
 from .exact import _iroot, float_of, format_rational, parse_rational, pow_compare
-from .graphs import GrowthProfile, greedy_proper_coloring, power_graph
+from .graphs import GrowthProfile, greedy_proper_coloring
 from .local_goodness import (
     DEFAULT_SEARCH_BUDGET,
     LocalParams,
@@ -45,7 +45,7 @@ from .local_goodness import (
     require_budget,
 )
 from .moser_tardos import COMPLETED, MAXIMAL_GREEDY, mta_run
-from .tables import Table, sample_table
+from .tables import CellSampler, CellSource, KeyedTable
 
 
 def _square_independent(csp: Csp, ids) -> bool:
@@ -59,12 +59,27 @@ def _square_independent(csp: Csp, ids) -> bool:
     return True
 
 
+def _square_coloring(csp: Csp) -> list[int]:
+    """Greedy proper coloring of the square of the dependency graph.
+
+    c's neighbours in the square are its radius-2 ball, the union of the
+    closed neighborhoods of the constraints in c's closed neighborhood.
+    Each row is built as the coloring reads it, repeats and all, and no
+    graph is built.
+    """
+    closed = csp.closed_neighborhoods
+    return greedy_proper_coloring(
+        [u for a in ball for u in closed[a]] for ball in closed
+    )
+
+
 def _pick(
     csp: Csp,
     cid: int,
     fixed: Mapping[int, int],
     current: Mapping[int, Fraction] | list[Fraction],
     d: int,
+    exact: dict[tuple[int, int], Fraction],
 ) -> tuple[dict[int, int], list[tuple[int, Fraction]]]:
     """First acceptable row for c's free variables, with its target masses.
 
@@ -73,7 +88,9 @@ def _pick(
     keeps mass at most (d+1) * current[a], decided in integers. Returns
     the row as labels and every target's mass once the row is fixed,
     ascending. Each candidate writes its labels into one small labeling
-    of the fixed labels the evaluated targets' domains read.
+    of the fixed labels the evaluated targets' domains read. The accepted
+    masses are read from `exact`, keyed by (total, scale), and built into
+    it on a miss, so that equal pairs share one Fraction.
 
     Only the targets whose domains share a variable with c's free
     variables are evaluated. Any other target keeps `current[a]`, which
@@ -103,9 +120,13 @@ def _pick(
             total, scale = conditional_weight(csp, a, local)
             if total * bottom > top * scale:
                 break
-            weights.append((a, total, scale))
+            weights.append((a, (total, scale)))
         else:
-            after.update((a, Fraction(total, scale)) for a, total, scale in weights)
+            for a, pair in weights:
+                mass = exact.get(pair)
+                if mass is None:
+                    mass = exact[pair] = Fraction(*pair)
+                after[a] = mass
             return dict(zip(free, row)), list(after.items())
     raise InternalInvariantError(f"no qualifying assignment for constraint {cid}")
 
@@ -136,8 +157,32 @@ def induction_step(csp: Csp, fixed: Mapping[int, int], color_class) -> dict[int,
             a: conditional_mass(csp, a, fixed)
             for a in sorted(csp.closed_neighborhoods[cid])
         }
-        merged.update(_pick(csp, cid, fixed, current, d)[0])
+        merged.update(_pick(csp, cid, fixed, current, d, {})[0])
     return merged
+
+
+def _base_masses(csp: Csp) -> tuple[list[Fraction], list[int]]:
+    """Each constraint's `prob_bad`, once per distinct explicit bad set.
+
+    Returns the distinct masses and each constraint's slot in them.
+    Constraints with equal explicit bad sets, which share one `bad_index`
+    entry, share a slot; a predicate-backed constraint gets a slot of its
+    own. The masses are computed in id order, so a predicate that refuses
+    under the cap refuses where it would alone.
+    """
+    masses: list[Fraction] = []
+    slots: list[int] = []
+    shared: dict[frozenset, int] = {}
+    for c in csp.constraints:
+        explicit = isinstance(c.bad, frozenset)
+        slot = shared.get(c.bad) if explicit else None
+        if slot is None:
+            slot = len(masses)
+            masses.append(prob_bad(csp, c.id))
+            if explicit:
+                shared[c.bad] = slot
+        slots.append(slot)
+    return masses, slots
 
 
 def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
@@ -147,6 +192,13 @@ def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
     entry checks the running mass of a constraint against
     (d+1)^k times its starting mass, k counting the classes whose closed
     neighborhood reached it so far.
+
+    The classes are those of a greedy coloring of the square of the
+    dependency graph, in id order; each constraint's radius-2 ball is
+    read off the closed neighborhoods (`_square_coloring`), and no graph
+    is built. The base masses are `prob_bad`, computed once per distinct
+    explicit bad set (a lookup of its total in the problem's `bad_index`)
+    and once per predicate-backed constraint, in id order.
 
     The conditional masses are carried from class to class in one array.
     Classes are square-independent, so no other member of a class fixes a
@@ -167,61 +219,72 @@ def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
     mass or by the class that last reached it, so no refusal is lost. A
     member with no free variable evaluates nothing. Every target of the
     closed neighborhood still counts as reached, so the ledger's `k` does
-    not depend on the skip. The base masses are `prob_bad`, a lookup of
-    each explicit bad set's total in the problem's `bad_index`.
+    not depend on the skip.
+
+    The exact values take few distinct forms, so each is built once per
+    solve in a dict that lives for the call: an accepted mass once per
+    (total, scale) pair, and a ledger bound once per (base mass, k).
     """
-    dep = csp.dependency_graph
-    d = dep.max_degree()
-    base_mass = [prob_bad(csp, c.id) for c in csp.constraints]
-    p = max(base_mass, default=Fraction(0))
+    d = csp.dependency_graph.max_degree()
+    masses, slots = _base_masses(csp)
+    p = max(masses, default=Fraction(0))
     if not lll_condition(p, d, "double_exp").holds:
         raise InvalidParameterError(
             f"p(d+1)^(d+1) = {float_of(p * Fraction(d + 1) ** (d + 1))} is not < 1"
         )
-    colors = greedy_proper_coloring(power_graph(dep, 2))
     classes: dict[int, list[int]] = {}
-    for cid, color in enumerate(colors):
+    for cid, color in enumerate(_square_coloring(csp)):
         classes.setdefault(color, []).append(cid)
 
     fixed: dict[int, int] = {}
-    mass = list(base_mass)
-    # The ledger bound is base mass times power = (d+1)**k, kept as an
-    # integer so that `ok` is decided cross-multiplied, as in `_pick`.
-    bound = list(base_mass)
-    power = [1] * len(base_mass)
-    ok = [True] * len(base_mass)
-    touched = [0] * len(base_mass)
+    exact: dict[tuple[int, int], Fraction] = {}
+    mass = [masses[slot] for slot in slots]
+    bound = list(mass)
+    bounds: dict[tuple[int, int], Fraction] = {}
+    ok = [True] * len(mass)
+    touched = [0] * len(mass)
     for index, color in enumerate(sorted(classes)):
         # Members are ascending already; fixing each member's row at once
         # leaves the others' searches as they were, by square-independence.
         members = classes[color]
         reached = []
         for cid in members:
-            labels, masses = _pick(csp, cid, fixed, mass, d)
+            labels, after = _pick(csp, cid, fixed, mass, d, exact)
             fixed.update(labels)
-            for a, after in masses:
-                mass[a] = after
+            for a, value in after:
+                mass[a] = value
                 reached.append(a)
         if ledger is not None:
             for a in reached:
-                touched[a] += 1
-                power[a] *= d + 1
-                base, after = base_mass[a], mass[a]
-                top = base.numerator * power[a]
-                bound[a] = Fraction(top, base.denominator)
-                ok[a] = after.numerator * base.denominator <= top * after.denominator
-            for c in range(len(mass)):
-                ledger.append(
-                    {
-                        "class_index": index,
-                        "class": members,
-                        "constraint": c,
-                        "mass": mass[c],
-                        "k": touched[c],
-                        "bound": bound[c],
-                        "ok": ok[c],
-                    }
+                k = touched[a] = touched[a] + 1
+                key = (slots[a], k)
+                limit = bounds.get(key)
+                if limit is None:
+                    base = masses[slots[a]]
+                    limit = bounds[key] = Fraction(
+                        base.numerator * (d + 1) ** k, base.denominator
+                    )
+                bound[a] = limit
+                # Integers, cross-multiplied, as `_pick` decides its limits.
+                value = mass[a]
+                ok[a] = (
+                    value.numerator * limit.denominator
+                    <= limit.numerator * value.denominator
                 )
+            ledger += [
+                {
+                    "class_index": index,
+                    "class": members,
+                    "constraint": c,
+                    "mass": value,
+                    "k": k,
+                    "bound": limit,
+                    "ok": good,
+                }
+                for c, (value, k, limit, good) in enumerate(
+                    zip(mass, touched, bound, ok)
+                )
+            ]
     labeling = {v: 0 for v in csp.variables}
     labeling.update(fixed)
     if not is_solution(csp, labeling):
@@ -406,7 +469,7 @@ def parameter_advisor(
 
 
 def _first_not_locally_good(
-    plans: list[SearchPlan], table: Table, budget: int
+    plans: list[SearchPlan], table: CellSource, budget: int
 ) -> int | None:
     """The first constraint id where the table is not locally good, or None.
 
@@ -464,12 +527,12 @@ def pipeline(
             )
             for c in csp.constraints
         ]
+        # Keyed tables: the search and the run draw only the cells they read.
+        cells = CellSampler(csp.weights, seed)
         table = None
         unknowns = 0
         for attempt in range(trials):
-            candidate = sample_table(
-                csp.weights, csp.variables, params.depth, seed, attempt
-            )
+            candidate = KeyedTable(cells, csp.variables, params.depth, attempt)
             try:
                 if _first_not_locally_good(plans, candidate, budget) is None:
                     table = candidate

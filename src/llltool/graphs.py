@@ -216,15 +216,21 @@ def power_graph(g: FiniteGraph, r: int) -> FiniteGraph:
     return FiniteGraph(g.n, tuple(map(tuple, adj)))
 
 
-def greedy_proper_coloring(g: FiniteGraph) -> list[int]:
-    """Smallest-available-color greedy in id order; uses <= maxdeg+1 colors."""
-    colors: list[int] = [-1] * g.n
-    for v in range(g.n):
-        taken = {colors[u] for u in g.adjacency[v] if colors[u] >= 0}
+def greedy_proper_coloring(neighbors) -> list[int]:
+    """Smallest-available-color greedy in id order; uses <= maxdeg+1 colors.
+
+    `neighbors` yields each vertex's neighbours in id order, as
+    `g.adjacency` does for a graph g. Only the ids below a vertex are
+    read, so a row may hold the vertex itself or later ids, and may be
+    built as it is read.
+    """
+    colors: list[int] = []
+    for v, nbrs in enumerate(neighbors):
+        taken = {colors[u] for u in nbrs if u < v}
         c = 0
         while c in taken:
             c += 1
-        colors[v] = c
+        colors.append(c)
     return colors
 
 

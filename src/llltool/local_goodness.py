@@ -334,38 +334,6 @@ def gamma_at_radius(dep: FiniteGraph, radius: int) -> int:
     return max_ball_sizes(dep, radius)[radius]
 
 
-def lg_degree_check(csp: Csp, R: int) -> dict:
-    """Meta-dependency degree versus the growth margins at 2R and 2R+1.
-
-    `bound` and `pass` use gamma(2R) - 1. That margin can be exceeded:
-    two R-balls may be disjoint while domains of their boundary
-    constraints still share a variable, which stretches the interaction
-    range to 2R+1. The report therefore also carries the safe margin
-    gamma(2R+1) - 1 (`safe_bound`, `safe_pass`).
-
-    Constraints a and b interact exactly when some a' in B(a, R) and
-    b' in B(b, R) share a variable, i.e. when dist(a, b) <= 2R+1. The
-    meta-problem's dependency graph is thus the (2R+1)-th power of the
-    base dependency graph, and `safe_bound` is its exact maximum degree,
-    not only an upper bound.
-    """
-    dep = csp.dependency_graph
-    # Meta-constraint a watches dom_R(a), which depends on R alone: every
-    # meta-problem at R, the smallest one too, has this dependency graph.
-    meta = build_lg_csp(csp, R, 1, Fraction(1, 2), 1).dependency_graph
-    max_degree = meta.max_degree()
-    bound = gamma_at_radius(dep, 2 * R) - 1
-    safe_bound = gamma_at_radius(dep, 2 * R + 1) - 1
-    return {
-        "R": R,
-        "max_degree": max_degree,
-        "bound": bound,
-        "pass": max_degree <= bound,
-        "safe_bound": safe_bound,
-        "safe_pass": max_degree <= safe_bound,
-    }
-
-
 def lbad_bound(d: int, eta: Fraction, R: int, gammaR: int, N: int) -> Fraction:
     """Rational upper bound R*eta / (xi*(1-eta)*(1+eta)**N).
 

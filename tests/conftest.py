@@ -51,6 +51,7 @@ from llltool.graphs import (
     maximal_independent_set,
     power_graph,
 )
+from llltool.local_goodness import build_lg_csp, gamma_at_radius
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import Table, sample_table
 from llltool.witness import WitnessDigraph, _compatible_on_cells, _vertex_cells
@@ -497,6 +498,38 @@ def naive_locally_bad(csp, table, c, R, N, eps):
     return False
 
 
+def lg_degree_check(csp: Csp, R: int) -> dict:
+    """Meta-dependency degree versus the growth margins at 2R and 2R+1.
+
+    `bound` and `pass` use gamma(2R) - 1. That margin can be exceeded:
+    two R-balls may be disjoint while domains of their boundary
+    constraints still share a variable, which stretches the interaction
+    range to 2R+1. The report therefore also carries the safe margin
+    gamma(2R+1) - 1 (`safe_bound`, `safe_pass`).
+
+    Constraints a and b interact exactly when some a' in B(a, R) and
+    b' in B(b, R) share a variable, i.e. when dist(a, b) <= 2R+1. The
+    meta-problem's dependency graph is thus the (2R+1)-th power of the
+    base dependency graph, and `safe_bound` is its exact maximum degree,
+    not only an upper bound. Only the tests read this report.
+    """
+    dep = csp.dependency_graph
+    # Meta-constraint a watches dom_R(a), which depends on R alone: every
+    # meta-problem at R, the smallest one too, has this dependency graph.
+    meta = build_lg_csp(csp, R, 1, Fraction(1, 2), 1).dependency_graph
+    max_degree = meta.max_degree()
+    bound = gamma_at_radius(dep, 2 * R) - 1
+    safe_bound = gamma_at_radius(dep, 2 * R + 1) - 1
+    return {
+        "R": R,
+        "max_degree": max_degree,
+        "bound": bound,
+        "pass": max_degree <= bound,
+        "safe_bound": safe_bound,
+        "safe_pass": max_degree <= safe_bound,
+    }
+
+
 def _folner_reachable(local, table, inside, N, eps, dep):
     ids = [a.id for a in local.constraints]
     depth = table.depth
@@ -915,7 +948,7 @@ def quotient_solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int,
             f"p(d+1)^(d+1) = {float_of(p * Fraction(d + 1) ** (d + 1))} is not < 1"
         )
     base_mass = {c.id: prob_bad(csp, c.id) for c in csp.constraints}
-    colors = greedy_proper_coloring(power_graph(dep, 2))
+    colors = greedy_proper_coloring(power_graph(dep, 2).adjacency)
     classes: dict[int, list[int]] = {}
     for cid, color in enumerate(colors):
         classes.setdefault(color, []).append(cid)

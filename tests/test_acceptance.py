@@ -18,6 +18,7 @@ from conftest import (
     all_tables,
     compatible_by_levels,
     enumerate_all_witnesses,
+    lg_degree_check,
     make_csp,
     paired_hypergraph,
     pairwise_neighbors,
@@ -60,7 +61,6 @@ from llltool.local_goodness import (
     gamma_at_radius,
     is_locally_good,
     lbad_bound,
-    lg_degree_check,
 )
 from llltool.moser_tardos import (
     COMPLETED,

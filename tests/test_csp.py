@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     TINY_FAMILY,
+    lg_degree_check,
     make_csp,
     materialize_cap,
     pairwise_neighbors,
@@ -42,7 +43,7 @@ from llltool.errors import (
     MissingVariableError,
 )
 from llltool.exact import e_interval
-from llltool.local_goodness import LBadPredicate, build_lg_csp, lg_degree_check
+from llltool.local_goodness import LBadPredicate, build_lg_csp
 
 
 def test_weights_must_sum_to_one():

@@ -54,9 +54,11 @@ from llltool.generators import (
 from llltool.graphs import (
     GrowthProfile,
     graph_from_edges,
+    greedy_proper_coloring,
     growth_profile,
     power_graph,
 )
+from llltool.tables import sample_table
 
 
 def path_graph(n):
@@ -683,7 +685,7 @@ def test_picks_evaluate_only_the_targets_a_row_can_touch(monkeypatch):
         calls.append(cid)
         return conditional_weight(csp, cid, fixed)
 
-    def checked_pick(csp, cid, fixed, current, d):
+    def checked_pick(csp, cid, fixed, current, d, exact):
         free = {v for v in csp.constraints[cid].domain if v not in fixed}
         touched = {
             a for a in csp.closed_neighborhoods[cid]
@@ -692,7 +694,7 @@ def test_picks_evaluate_only_the_targets_a_row_can_touch(monkeypatch):
         seen["no free variable"] += not free
         seen["skipped target"] += len(csp.closed_neighborhoods[cid]) - len(touched)
         del calls[:]
-        result = pick(csp, cid, fixed, current, d)
+        result = pick(csp, cid, fixed, current, d, exact)
         assert set(calls) <= touched
         assert free or not calls
         return result
@@ -738,3 +740,97 @@ def test_one_row_index_per_distinct_bad_set():
         assert bad_by_size.setdefault(len(c.domain), c.bad) is c.bad
     assert len({id(entry) for entry in coloring.bad_index}) == len(by_size) == 3
     assert len({id(c.bad) for c in coloring.constraints}) == 3
+
+
+def square_colored_problems(rng):
+    """Problems whose squares the colouring tests compare, under seeded names."""
+    problems = list(TINY_FAMILY)
+    problems.append(make_csp(3, []))
+    # isolated constraints, an empty domain among them
+    problems.append(make_csp(4, [((0,), [(0,)]), ((), [()]), ((2, 3), [(1, 1)])]))
+    for _ in range(12):
+        n = rng.randint(2, 12)
+        names = rng.sample(range(n), n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randint(1, min(len(pairs), 2 * n)))
+        graph = graph_from_edges(n, [(names[u], names[v]) for u, v in edges])
+        problems.append(proper_coloring(graph, rng.randint(1, 3)))
+    for _ in range(12):
+        n = rng.randint(3, 16)
+        edges = [
+            tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 4)))))
+            for _ in range(rng.randint(1, 10))
+        ]
+        problems.append(hypergraph_2coloring(Hypergraph(n, tuple(edges))))
+    return problems
+
+
+def test_square_coloring_matches_the_power_graph_route():
+    problems = square_colored_problems(random.Random(73))
+    used = set()
+    for csp in problems:
+        square = power_graph(build_dependency_graph(csp), 2)
+        colors = derand._square_coloring(csp)
+        assert colors == greedy_proper_coloring(square.adjacency)
+        classes = {}
+        for cid, color in enumerate(colors):
+            classes.setdefault(color, []).append(cid)
+        assert all(_square_independent(csp, ids) for ids in classes.values())
+        used.add(len(classes))
+    assert 0 in used and max(used) >= 6
+
+
+def test_shared_base_masses_keep_the_quotient_route_ledger():
+    zeros, mixed, swapped = [(0,) * 5], [(0, 1, 0, 1, 0)], [(1, 0, 0, 1, 0)]
+    domains = [tuple(range(start, start + 5)) for start in range(0, 32, 4)]
+    # A path of 5-variable domains: c0, c1 and c7 share one explicit set,
+    # c2 and c3 hold distinct sets of equal total, c4 and c5 are predicates.
+    bads = [zeros, zeros, mixed, swapped, AllZero(), AllZeroWithMass(),
+            [(0, 0, 1, 1, 0)], zeros]
+    for weights in (None, (Fraction(1, 4), Fraction(3, 4))):
+        csp = make_csp(33, list(zip(domains, bads)), weights=weights)
+        assert csp.bad_index[0] is csp.bad_index[1] is csp.bad_index[7]
+        assert csp.bad_index[2] is not csp.bad_index[3]
+        assert csp.bad_index[2][1] == csp.bad_index[3][1]
+        masses, slots = derand._base_masses(csp)
+        assert slots == [0, 0, 1, 2, 3, 4, 5, 0]
+        assert masses == [prob_bad(csp, cid) for cid in (0, 2, 3, 4, 5, 6)]
+        ledgers = ([], [])
+        fast = solve_double_exp(csp, ledgers[0])
+        assert fast == quotient_solve_double_exp(csp, ledgers[1])
+        assert len(ledgers[0]) == len(ledgers[1]) > 0
+        for entry, oracle in zip(*ledgers):
+            assert entry == oracle
+            assert type(entry["mass"]) is Fraction
+            assert type(entry["bound"]) is Fraction
+        with materialize_cap(4):
+            refusals = [
+                outcome(lambda: solve_double_exp(csp, [])),
+                outcome(lambda: quotient_solve_double_exp(csp, [])),
+            ]
+        assert refusals[0] == refusals[1] == (
+            "CapExceededError", "materializing constraint 4 needs 32 rows, cap 4"
+        )
+
+
+def test_randomized_pipeline_reads_the_cells_a_stored_table_holds(monkeypatch):
+    params = PipelineParams(
+        p=Fraction(1, 2), d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
+        eta=Fraction(1, 64), R=1, N=1, depth=3,
+    )
+    statuses = set()
+    for csp, seed in itertools.product(TINY_FAMILY, (0, 1, 2)):
+        keyed = pipeline(csp, params, mode="randomized", seed=seed, trials=4)
+        drawn = []
+
+        def stored(*_):
+            """The whole table of the next attempt, as `sample_table` draws it."""
+            drawn.append(len(drawn))
+            return sample_table(csp.weights, csp.variables, params.depth, seed, drawn[-1])
+
+        with monkeypatch.context() as patched:
+            patched.setattr(derand, "KeyedTable", stored)
+            assert pipeline(csp, params, mode="randomized", seed=seed, trials=4) == keyed
+        assert len(drawn) == keyed["attempts"]
+        statuses.add(keyed["status"])
+    assert statuses >= {"solved", "no_good_table"}

@@ -243,7 +243,7 @@ def test_power_graph_one_is_identity():
 @settings(max_examples=60)
 @given(small_graphs())
 def test_greedy_coloring_is_proper_and_small(g):
-    colors = greedy_proper_coloring(g)
+    colors = greedy_proper_coloring(g.adjacency)
     for u, v in g.edges():
         assert colors[u] != colors[v]
     assert max(colors, default=-1) <= g.max_degree()

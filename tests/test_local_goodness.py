@@ -13,6 +13,7 @@ from conftest import (
     encode_column,
     folner_totals,
     is_folner,
+    lg_degree_check,
     local_csp,
     make_csp,
     materialize_cap,
@@ -52,7 +53,6 @@ from llltool.local_goodness import (
     gamma_at_radius,
     is_locally_good,
     lbad_bound,
-    lg_degree_check,
 )
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import CellSampler, KeyedTable, Table, sample_table

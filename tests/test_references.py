@@ -20,10 +20,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_PY = ROOT / "perfbench" / "run.py"
-# Named only from tests/. ROADMAP item 1 still edits it, and may give it
-# a caller in `src/`. The set must equal what the check flags, so it can
-# only shrink.
-EXEMPT = {"lg_degree_check"}
+# Definitions named only from tests/. The set must equal what the check
+# flags, so it can only shrink; it is empty.
+EXEMPT: set[str] = set()
 
 
 def names_used(node, attributes_only: bool = False) -> list[str]:
