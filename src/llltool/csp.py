@@ -10,13 +10,15 @@ exact mass shortcut.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import (
     CapExceededError,
@@ -102,11 +104,6 @@ class Constraint:
                         f"constraint {self.id}: bad row {row} does not match domain"
                     )
 
-    def bad_contains(self, row: tuple[int, ...]) -> bool:
-        if isinstance(self.bad, frozenset):
-            return row in self.bad
-        return self.bad.contains(row)
-
 
 # An explicit bad set's rows grouped by position and label, keyed by the
 # int `label * width + position` (an int key costs less memory than a
@@ -128,6 +125,24 @@ def _row_index(rows: frozenset, numerators: tuple[int, ...]) -> RowIndex:
     return {key: shared.setdefault(tuple(g), tuple(g)) for key, g in groups.items()}, total
 
 
+# A constraint's row readers are module-level functions and itemgetters, not
+# lambdas: a problem is pickled for worker processes.
+def _one_row(v: int, f: Mapping[int, int]) -> tuple[int]:
+    return (f[v],)
+
+
+def _empty_row(f: Mapping[int, int]) -> tuple[()]:
+    return ()
+
+
+def _row_reader(domain: tuple[int, ...]) -> Callable:
+    if len(domain) > 1:
+        return operator.itemgetter(*domain)
+    if domain:
+        return functools.partial(_one_row, domain[0])
+    return _empty_row
+
+
 @dataclass(frozen=True)
 class Csp:
     """A validated problem and the structure derived from it on construction.
@@ -136,6 +151,10 @@ class Csp:
     with weights[l] = n[l] / D. `bad_index[cid]` is the `RowIndex` of an
     explicit bad set, one per distinct set and shared by every constraint
     whose set equals it, or None for a predicate, which is never read here.
+    `row_readers[cid]` maps a labeling that covers the domain to the
+    constraint's row, and `bad_tests[cid]` tells whether a row is bad: the
+    set's `__contains__`, one per distinct set, or the predicate's
+    `contains`, bound here but not called.
     """
 
     variables: tuple[int, ...]
@@ -152,6 +171,8 @@ class Csp:
     bad_index: tuple[RowIndex | None, ...] = field(
         init=False, repr=False, compare=False
     )
+    row_readers: tuple[Callable, ...] = field(init=False, repr=False, compare=False)
+    bad_tests: tuple[Callable, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if list(self.variables) != sorted(set(self.variables)):
@@ -170,7 +191,7 @@ class Csp:
             w.numerator * (denominator // w.denominator) for w in self.weights
         )
         vset = set(self.variables)
-        shared: dict[frozenset, RowIndex] = {}
+        shared: dict[frozenset, tuple[RowIndex, Callable]] = {}
         for idx, c in enumerate(self.constraints):
             if c.id != idx:
                 raise InvalidInputError("constraint ids must be dense 0..m-1 in order")
@@ -184,7 +205,7 @@ class Csp:
                             raise InvalidInputError(
                                 f"constraint {c.id}: label {lab} out of range"
                             )
-                shared[c.bad] = _row_index(c.bad, numerators)
+                shared[c.bad] = _row_index(c.bad, numerators), c.bad.__contains__
         dep = build_dependency_graph(self)
         derive = object.__setattr__  # the dataclass is frozen
         derive(self, "dependency_graph", dep)
@@ -192,9 +213,14 @@ class Csp:
             frozenset(nbrs).union((cid,)) for cid, nbrs in enumerate(dep.adjacency)
         ))
         derive(self, "weight_scale", (denominator, numerators))
-        derive(self, "bad_index", tuple(
-            shared[c.bad] if isinstance(c.bad, frozenset) else None
+        entries = [
+            shared[c.bad] if isinstance(c.bad, frozenset) else (None, c.bad.contains)
             for c in self.constraints
+        ]
+        derive(self, "bad_index", tuple(index for index, _ in entries))
+        derive(self, "bad_tests", tuple(test for _, test in entries))
+        derive(self, "row_readers", tuple(
+            _row_reader(c.domain) for c in self.constraints
         ))
 
     def constraint(self, cid: int) -> Constraint:
@@ -220,7 +246,7 @@ def violates(csp: Csp, cid: int, f: Mapping[int, int]) -> bool:
         if v not in f:
             raise MissingVariableError(f"labeling undefined on variable {v}")
         row.append(f[v])
-    return c.bad_contains(tuple(row))
+    return csp.bad_tests[cid](tuple(row))
 
 
 def is_solution(csp: Csp, f: Mapping[int, int]) -> bool:
@@ -245,8 +271,9 @@ def materialize_bad(csp: Csp, cid: int) -> frozenset:
     if isinstance(c.bad, frozenset):
         return c.bad
     _check_row_cap(cid, csp.label_count ** len(c.domain))
+    bad_test = csp.bad_tests[cid]
     return frozenset(
-        row for row in assignment_rows(csp.label_count, len(c.domain)) if c.bad.contains(row)
+        row for row in assignment_rows(csp.label_count, len(c.domain)) if bad_test(row)
     )
 
 
@@ -297,7 +324,7 @@ def conditional_weight(csp: Csp, cid: int, fixed: Mapping[int, int]) -> tuple[in
     if index is not None:
         groups, unpinned_total = index
         if not free:
-            return int(tuple(full) in c.bad), 1
+            return int(csp.bad_tests[cid](tuple(full))), 1
         if len(free) == len(full):
             return unpinned_total, scale ** len(free)
         pinned = [i for i, lab in enumerate(full) if lab is not None]
@@ -321,11 +348,12 @@ def conditional_weight(csp: Csp, cid: int, fixed: Mapping[int, int]) -> tuple[in
             if shortcut is not None:
                 return shortcut.numerator, shortcut.denominator
         _check_row_cap(cid, csp.label_count ** len(free))
+    bad_test = csp.bad_tests[cid]
     total = 0
     for labels in assignment_rows(csp.label_count, len(free)):
         for i, lab in zip(free, labels):
             full[i] = lab
-        if c.bad_contains(tuple(full)):
+        if bad_test(tuple(full)):
             mass = 1
             for lab in labels:
                 mass *= numerators[lab]
@@ -425,10 +453,13 @@ def lll_condition(p: Fraction, d: int, variant: str, s: Fraction | None = None) 
 
 
 class _QuotientPredicate(BadPredicate):
-    """Bad set of a constraint conditioned on a fixed partial labeling."""
+    """Bad set of a constraint conditioned on a fixed partial labeling.
 
-    def __init__(self, inner, domain: tuple[int, ...], reduced: tuple[int, ...], fixed: dict[int, int]):
-        self.inner = inner
+    `bad_test` is the constraint's membership test in the base problem.
+    """
+
+    def __init__(self, bad_test, domain: tuple[int, ...], reduced: tuple[int, ...], fixed: dict[int, int]):
+        self.bad_test = bad_test
         self.domain = domain
         self.reduced = reduced
         self.fixed = dict(fixed)
@@ -436,10 +467,7 @@ class _QuotientPredicate(BadPredicate):
     def contains(self, row: tuple[int, ...]) -> bool:
         merged = dict(zip(self.reduced, row))
         merged.update(self.fixed)
-        full = tuple(merged[v] for v in self.domain)
-        if isinstance(self.inner, frozenset):
-            return full in self.inner
-        return self.inner.contains(full)
+        return self.bad_test(tuple(merged[v] for v in self.domain))
 
 
 @dataclass(frozen=True)
@@ -481,7 +509,7 @@ def quotient_csp(csp: Csp, f: Mapping[int, int]) -> QuotientCsp:
             new_constraints.append(Constraint(c.id, reduced, rows))
         else:
             sub = {v: fixed[v] for v in c.domain if v in fixed}
-            pred = _QuotientPredicate(c.bad, c.domain, reduced, sub)
+            pred = _QuotientPredicate(csp.bad_tests[c.id], c.domain, reduced, sub)
             new_constraints.append(Constraint(c.id, reduced, pred))
     reduced_csp = Csp(remaining, csp.label_count, csp.weights, tuple(new_constraints))
     return QuotientCsp(csp, fixed, reduced_csp)

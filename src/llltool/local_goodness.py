@@ -89,13 +89,14 @@ class SearchPlan:
     Everything the search reads of (csp, params) is built here: c is
     validated, one BFS finds the R-ball, and for each r < R the walk's
     order (r-ball ids ascending, then the outer shell), the r-ball size
-    `n_in` and the ordered domains with their bad sets are stored.
+    `n_in` and the ordered domains with their bad tests are stored.
     `domain` is dom_R(c), the sorted union of the ball's domains: the
     only columns a verdict can read.
     """
 
     def __init__(self, csp: Csp, params: LocalParams):
         self.center = csp.constraint(params.c)
+        self.center_bad = csp.bad_tests[params.c]
         self.params = params
         dist = bfs_distances(csp.dependency_graph, params.c, params.R)
         ids = sorted(dist)
@@ -107,9 +108,8 @@ class SearchPlan:
             order = [a for a in ids if dist[a] <= r]
             n_in = len(order)  # positions below n_in lie in the r-ball
             order += [a for a in ids if dist[a] > r]
-            constraints = [csp.constraint(a) for a in order]
-            domains = [a.domain for a in constraints]
-            bads = [a.bad_contains for a in constraints]
+            domains = [csp.constraint(a).domain for a in order]
+            bads = [csp.bad_tests[a] for a in order]
             self._radii.append((order, n_in, domains, bads))
 
     def _exceeded(self, budget: int, r: int) -> SearchBudgetError:
@@ -148,7 +148,7 @@ class SearchPlan:
         """
         c, N, eps = self.params.c, self.params.N, self.params.eps
         if not self.center.domain:
-            if self.center.bad_contains(()):
+            if self.center_bad(()):
                 return MtSequence(tuple(frozenset({c}) for _ in range(N))), 1
             return None, 1
         order, n_in, domains, bads = self._radii[r]

@@ -142,7 +142,11 @@ def mta_run(
     The labeling and the violated set are built once; a step then re-reads
     only the variables it resampled and re-checks only the closed
     neighbourhoods of the fired constraints, the only constraints whose
-    rows can have changed.
+    rows can have changed. A check reads the constraint's row through
+    `csp.row_readers` and tests it with `csp.bad_tests`, both built with
+    the problem: the labeling covers every variable and every id checked
+    names a constraint, so none of `violates`' refusals can arise here.
+    Replay (`check_consistency`) keeps `violates`.
 
     Raises ScriptError when a scripted step fires a constraint that is not
     currently violated, or is not pairwise domain-disjoint, and
@@ -154,10 +158,11 @@ def mta_run(
         raise InvalidParameterError("max_iters must be >= 0")
     dep = csp.dependency_graph
     closed = csp.closed_neighborhoods
+    readers, tests = csp.row_readers, csp.bad_tests
     rng = random.Random(strategy.seed) if strategy.kind == "random" else None
     levels = {v: 0 for v in csp.variables}
     labeling = {v: table.get(v, 0) for v in csp.variables}
-    violated = {c.id for c in csp.constraints if violates(csp, c.id, labeling)}
+    violated = {cid for cid, test in enumerate(tests) if test(readers[cid](labeling))}
     # Holds every violated id, and possibly stale ones (see _choose).
     heap = sorted(violated) if strategy.kind == "first_singleton" else None
     iterations: list[IterationRecord] = []
@@ -190,7 +195,7 @@ def mta_run(
             levels[v] += 1
             labeling[v] = table.get(v, levels[v])
         for cid in frozenset().union(*(closed[a] for a in fired)):
-            if violates(csp, cid, labeling):
+            if tests[cid](readers[cid](labeling)):
                 if cid not in violated:
                     violated.add(cid)
                     if heap is not None:

@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .csp import Constraint, Csp, materialize_cap_default, prob_bad
+from .csp import Csp, materialize_cap_default, prob_bad
 from .errors import (
     CapExceededError,
     DepthExceededError,
@@ -155,8 +156,8 @@ def witness_from_levels(level_sets, csp: Csp) -> WitnessDigraph:
     )
 
 
-def _vertex_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[Constraint, tuple]]:
-    """Each vertex's constraint with the (variable, row) cells it reads.
+def _vertex_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[Callable, tuple]]:
+    """Each vertex's bad test with the (variable, row) cells it reads.
 
     Vertex x reads row k of variable v, k counting x's in-neighbours whose
     constraint contains v: one pass over the edges. Cells come in domain
@@ -171,8 +172,8 @@ def _vertex_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[Constraint, tuple]]
             if v in row:
                 row[v] += 1
     return [
-        (c, tuple((v, row[v]) for v in c.domain))
-        for c, row in zip(constraints, counts)
+        (csp.bad_tests[cid], tuple((v, row[v]) for v in c.domain))
+        for cid, c, row in zip(g.decorations, constraints, counts)
     ]
 
 
@@ -190,9 +191,9 @@ def _bad_mass_product(g: WitnessDigraph, csp: Csp) -> Fraction:
 
 
 def _compatible_on_cells(vertex_cells, cell) -> bool:
-    for constraint, cells in vertex_cells:
+    for bad_test, cells in vertex_cells:
         row = tuple(cell(v, r) for v, r in cells)
-        if not constraint.bad_contains(row):
+        if not bad_test(row):
             return False
     return True
 
@@ -200,7 +201,7 @@ def _compatible_on_cells(vertex_cells, cell) -> bool:
 def _pruned_mass(checks, numerators) -> int:
     """Sum of the label-numerator products of every labelling that passes.
 
-    Position i takes each label in turn; the checks at i, each a constraint
+    Position i takes each label in turn; the checks at i, each a bad test
     and the positions it reads, must then hold, or the subtree is skipped.
     Depth first and iterative, since positions may number in the thousands
     when there is one label.
@@ -221,8 +222,7 @@ def _pruned_mass(checks, numerators) -> int:
             continue
         labels[i] = label
         if all(
-            constraint.bad_contains(tuple(labels[j] for j in read))
-            for constraint, read in checks[i]
+            bad_test(tuple(labels[j] for j in read)) for bad_test, read in checks[i]
         ):
             if i + 1 == m:
                 total += mass[i] * numerators[label]
@@ -256,13 +256,13 @@ def verify_mt1_exact(
     k = csp.label_count
     if k ** m > cap:
         raise CapExceededError(f"{k}**{m} cell assignments exceed cap {cap}")
-    checks: list[list[tuple[Constraint, tuple[int, ...]]]] = [[] for _ in range(m)]
+    checks: list[list[tuple[Callable, tuple[int, ...]]]] = [[] for _ in range(m)]
     compatible = True
-    for constraint, cells in vertex_cells:
+    for bad_test, cells in vertex_cells:
         read = tuple(position[cell] for cell in cells)
         if read:
-            checks[max(read)].append((constraint, read))
-        elif not constraint.bad_contains(()):
+            checks[max(read)].append((bad_test, read))
+        elif not bad_test(()):
             compatible = False
     # Masses are products of integer weight numerators over the common
     # denominator scale**m, divided out once at the end.

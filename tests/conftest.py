@@ -11,6 +11,7 @@ and the replay primitives they are checking against.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 from collections import Counter
@@ -38,6 +39,7 @@ from llltool.csp import (
     build_dependency_graph,
     is_solution,
     lll_condition,
+    load_problem,
     prob_bad,
     quotient_csp,
     uniform_weights,
@@ -86,6 +88,13 @@ def make_csp(n_vars, specs, k=2, weights=None):
     return Csp(tuple(range(n_vars)), k, tuple(weights), tuple(constraints))
 
 
+def in_bad_set(constraint: Constraint, row) -> bool:
+    """Whether the row is in the constraint's bad set, read off `bad` itself."""
+    if isinstance(constraint.bad, frozenset):
+        return row in constraint.bad
+    return constraint.bad.contains(row)
+
+
 # A fixed family of tiny problems: at most 3 constraints, 2 labels,
 # domains of size <= 2. Exhaustive checks quantify over all of these.
 TINY_FAMILY = [
@@ -101,6 +110,45 @@ TINY_FAMILY = [
     make_csp(1, [((0,), [(0,), (1,)])]),
     make_csp(1, [((), [()]), ((0,), [(1,)])]),
 ]
+
+
+class OddSum(BadPredicate):
+    """Rows whose labels sum to an odd number, known by membership only."""
+
+    def contains(self, row):
+        return sum(row) % 2 == 1
+
+    def __eq__(self, other):
+        return isinstance(other, OddSum)
+
+    def __hash__(self):
+        return hash("odd sum")
+
+
+# Beside TINY_FAMILY: predicate-backed bad sets (a custom predicate,
+# AlwaysViolated, and "always" loaded from JSON) on domains of 0 to 3
+# variables, and three labels.
+PREDICATE_PROBLEMS = [
+    make_csp(4, [((0, 1, 2), OddSum()), ((), []), ((3,), [(1,)]),
+                 ((1, 2, 3), [(0, 0, 0), (1, 1, 1)])]),
+    make_csp(3, [((0,), AlwaysViolated()), ((0, 1, 2), OddSum()),
+                 ((1, 2), [(0, 2), (2, 1)]), ((), OddSum())], k=3),
+    load_problem(json.dumps({
+        "variables": 4,
+        "labels": {"count": 2, "weights": ["1/3", "2/3"]},
+        "constraints": [
+            {"id": 0, "domain": [0, 1, 3], "bad": "always"},
+            {"id": 1, "domain": [2], "bad": [[0]]},
+            {"id": 2, "domain": [], "bad": [[]]},
+        ],
+    })),
+]
+
+
+def all_labelings(csp):
+    """Every total labeling of the problem's variables."""
+    for labels in assignment_rows(csp.label_count, len(csp.variables)):
+        yield dict(zip(csp.variables, labels))
 
 
 def pairwise_neighbors(csp):
@@ -396,7 +444,7 @@ def leaf_mt1_lhs(g: WitnessDigraph, csp: Csp) -> Fraction:
     for labels in itertools.product(range(csp.label_count), repeat=len(cells)):
         label_of = dict(zip(cells, labels))
         if all(
-            constraint.bad_contains(tuple(label_of[cell] for cell in read))
+            in_bad_set(constraint, tuple(label_of[cell] for cell in read))
             for constraint, read in reads
         ):
             mass = Fraction(1)
@@ -565,7 +613,7 @@ def _folner_reachable(local, table, inside, N, eps, dep):
             if any(levels[v] >= depth for v in dom):
                 continue
             row = tuple(table.get(v, levels[v]) for v in dom)
-            if local.constraint(a).bad_contains(row):
+            if in_bad_set(local.constraint(a), row):
                 fireable.append(a)
         for step in independent_subsets(dep, fireable):
             nxt = tuple(
@@ -616,7 +664,7 @@ def recursive_folner_search(
     depth = table.depth
     center = csp.constraint(c)
     if not center.domain:
-        if center.bad_contains(()):
+        if in_bad_set(center, ()):
             return MtSequence(tuple(frozenset({c}) for _ in range(N))), 1
         return None, 1
 
@@ -643,7 +691,7 @@ def recursive_folner_search(
         if a not in ball_r:
             return True  # localized bad set is everything
         row = tuple(table.get(v, state.levels[v]) for v in dom)
-        return csp.constraint(a).bad_contains(row)
+        return in_bad_set(csp.constraint(a), row)
 
     def dfs() -> MtSequence | None:
         k = key()
@@ -810,10 +858,11 @@ def naive_mta_run(csp, table, strategy, max_iters=None):
     """The resampling loop by full rescan: every step re-reads every cell.
 
     Each pass rebuilds the labeling from the levels and re-checks every
-    constraint. Returns (status, fired set per pass, violated ids per pass
-    in ascending order, final labeling, final levels); the passes line up
-    with `RunTrace.iterations`, the trailing one that fires nothing
-    included.
+    constraint against its bad set itself, not through `violates` or the
+    problem's `bad_tests`. Returns (status, fired set per pass, violated
+    ids per pass in ascending order, final labeling, final levels); the
+    passes line up with `RunTrace.iterations`, the trailing one that fires
+    nothing included.
     """
     if max_iters is None:
         max_iters = len(csp.constraints) * table.depth
@@ -826,7 +875,8 @@ def naive_mta_run(csp, table, strategy, max_iters=None):
     while True:
         labeling = {v: table.get(v, levels[v]) for v in csp.variables}
         violated = tuple(
-            c.id for c in csp.constraints if violates(csp, c.id, labeling)
+            c.id for c in csp.constraints
+            if in_bad_set(c, tuple(labeling[v] for v in c.domain))
         )
         violated_per_step.append(violated)
         if not violated:
@@ -873,7 +923,7 @@ def solve_edgeless(csp: Csp) -> dict[int, int]:
     labeling = {v: 0 for v in csp.variables}
     for c in csp.constraints:
         for row in assignment_rows(csp.label_count, len(c.domain)):
-            if not c.bad_contains(row):
+            if not in_bad_set(c, row):
                 labeling.update(zip(c.domain, row))
                 break
         else:

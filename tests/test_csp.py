@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    PREDICATE_PROBLEMS,
     TINY_FAMILY,
+    all_labelings,
     lg_degree_check,
     make_csp,
     materialize_cap,
@@ -169,7 +171,7 @@ def test_quotient_problem_gets_its_own_index():
 
 
 def test_built_index_leaves_equality_hash_and_pickling_alone():
-    for csp in TINY_FAMILY:
+    for csp in TINY_FAMILY + PREDICATE_PROBLEMS:
         fresh = Csp(csp.variables, csp.label_count, csp.weights, csp.constraints)
         assert csp == fresh and hash(csp) == hash(fresh)
         assert repr(csp) == repr(fresh)
@@ -177,6 +179,31 @@ def test_built_index_leaves_equality_hash_and_pickling_alone():
         assert copy == csp and hash(copy) == hash(csp)
         assert copy.dependency_graph == build_dependency_graph(fresh)
         assert copy.closed_neighborhoods == fresh.closed_neighborhoods
+        for f in all_labelings(csp):
+            for cid in range(len(csp.constraints)):
+                assert copy.bad_tests[cid](copy.row_readers[cid](f)) == (
+                    csp.bad_tests[cid](csp.row_readers[cid](f))
+                )
+    # Equal explicit sets share one test, in a pickled copy too.
+    shared = make_csp(3, [((0, 1), [(0, 1)]), ((1, 2), [(0, 1)]), ((2,), [(1,)])])
+    for csp in (shared, pickle.loads(pickle.dumps(shared))):
+        assert csp.bad_tests[0] is csp.bad_tests[1]
+        assert csp.bad_tests[0] is not csp.bad_tests[2]
+
+
+def test_row_readers_and_bad_tests_match_violates():
+    rng = random.Random(2525)
+    problems = (
+        TINY_FAMILY + PREDICATE_PROBLEMS + [random_tiny_csp(rng) for _ in range(200)]
+    )
+    arities = set()
+    for csp in problems:
+        for c in csp.constraints:
+            arities.add(len(c.domain))
+            read, test = csp.row_readers[c.id], csp.bad_tests[c.id]
+            for f in all_labelings(csp):
+                assert test(read(f)) == violates(csp, c.id, f)
+    assert arities == {0, 1, 2, 3}
 
 
 def _unread(*args):

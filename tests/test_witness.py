@@ -162,7 +162,7 @@ def test_in_level_counts_and_cells():
     g = witness_from_levels([{0}, {1}, {0}], PAIR)
     # vertex 2 (top, constraint 0 on vars 0,1) has in-neighbors 0 and 1;
     # var 0 is hit by the level-0 copy of constraint 0 only
-    assert _vertex_cells(g, PAIR)[2] == (PAIR.constraint(0), ((0, 1), (1, 2)))
+    assert _vertex_cells(g, PAIR)[2] == (PAIR.bad_tests[0], ((0, 1), (1, 2)))
 
 
 def test_compatibility_reads_chained_rows():
@@ -727,9 +727,8 @@ def test_vertex_cells_match_pairwise_in_level_counts():
             expected = []
             for x, cid in enumerate(g.decorations):
                 counts = in_level_counts(g, csp, x)
-                constraint = csp.constraint(cid)
-                cells = tuple((v, counts[v]) for v in constraint.domain)
-                expected.append((constraint, cells))
+                cells = tuple((v, counts[v]) for v in csp.constraint(cid).domain)
+                expected.append((csp.bad_tests[cid], cells))
             assert _vertex_cells(g, csp) == expected
             checked += 1
     assert checked > 300
