@@ -126,8 +126,11 @@ _STRATEGIES = {
 
 
 def _sequence_from_file(inputs: _Inputs, path: str) -> MtSequence:
+    """A script: a JSON list of steps, each a list of integer constraint ids."""
     obj = inputs.json(path)
-    if not isinstance(obj, list):
+    if not isinstance(obj, list) or not all(
+        isinstance(step, list) and all(type(c) is int for c in step) for step in obj
+    ):
         raise InvalidInputError("script must be a JSON list of constraint-id lists")
     return MtSequence.from_lists(obj)
 
@@ -188,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     v1.add_argument("--depth", type=int, required=True)
     v1.add_argument("--trials", type=int, default=10_000)
     v1.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v1.add_argument("--cap", type=int, default=None)
 
     v2 = sub.add_parser("verify-mt2", help="single-sink series partial sums")
     v2.add_argument("--problem", required=True)
@@ -339,7 +341,7 @@ def _cmd_verify_mt1(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     g = witness.witness_from_json(inputs.json(args.witness))
     if args.mode == "exact":
-        results = witness.verify_mt1_exact(g, csp, args.depth, args.cap)
+        results = witness.verify_mt1_exact(g, csp, args.depth)
     else:
         results = witness.verify_mt1_monte_carlo(
             g, csp, args.trials, args.seed, args.depth

@@ -39,13 +39,13 @@ from .local_goodness import (
     LocalParams,
     SearchPlan,
     build_lg_csp,
-    decode_table,
+    cell_id,
     is_locally_good,
     lbad_bound,
     require_budget,
 )
 from .moser_tardos import COMPLETED, MAXIMAL_GREEDY, mta_run
-from .tables import CellSampler, CellSource, KeyedTable
+from .tables import CellSampler, CellSource, KeyedTable, Table
 
 
 def _square_independent(csp: Csp, ids) -> bool:
@@ -492,8 +492,10 @@ def pipeline(
     """Find a good table, then run the maximal resampler to completion.
 
     Deterministic mode derandomizes the meta-problem whose solutions are
-    exactly the good tables; it returns a structured infeasibility report
-    instead of attempting an enumeration past the caps. Randomized mode
+    exactly the good tables (`build_lg_csp`, one variable per table cell)
+    and reads the table off its labeling cell by cell, through `cell_id`.
+    It returns a structured infeasibility report instead of enumerating
+    past the materialization cap or the search budget. Randomized mode
     samples tables until one is locally good everywhere.
     """
     require_budget(budget)
@@ -508,7 +510,11 @@ def pipeline(
         except CapExceededError as exc:
             report.update({"status": "infeasible", "cap_failed": str(exc)})
             return report
-        table = decode_table(meta_labeling, csp.label_count, params.depth)
+        depth = params.depth
+        table = Table(depth, {
+            v: tuple(meta_labeling[cell_id(v, row, depth)] for row in range(depth))
+            for v in csp.variables
+        })
         # The meta-problem's bad sets hold one search plan per constraint.
         plans = [a.bad.plan for a in lg.constraints]
         bad = _first_not_locally_good(plans, table, budget)

@@ -37,15 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .csp import (
-    BadPredicate,
-    Constraint,
-    Csp,
-    csp_stats,
-    materialize_cap_default,
-)
+from .csp import BadPredicate, Constraint, Csp, csp_stats
 from .errors import (
-    CapExceededError,
     HypothesisError,
     InvalidParameterError,
     SearchBudgetError,
@@ -242,54 +235,43 @@ def require_budget(budget: int) -> None:
         raise InvalidParameterError("budget must be >= 0")
 
 
-def decode_column(code: int, k: int, depth: int) -> tuple[int, ...]:
-    if code < 0 or code >= k**depth:
-        raise InvalidParameterError(f"column code {code} out of range")
-    out = []
-    for _ in range(depth):
-        out.append(code % k)
-        code //= k
-    return tuple(out)
+def cell_id(v: int, row: int, depth: int) -> int:
+    """The meta-problem variable that holds cell (v, row) of a depth-deep table."""
+    # A column's cells are contiguous, and row 0 is its last, least
+    # significant cell, as in a k-ary column code: picks fix whole columns,
+    # so their lexicographic candidates come in the order of the codes.
+    return v * depth + depth - 1 - row
 
 
-def decode_table(codes: dict[int, int], k: int, depth: int) -> Table:
-    """The depth-deep table whose column at v has the code codes[v]."""
-    return Table(depth, {v: decode_column(code, k, depth) for v, code in codes.items()})
+def _cells(columns, depth: int) -> tuple[int, ...]:
+    """The cells of these columns, ascending: each column's rows last to first."""
+    return tuple(
+        cell_id(v, row, depth) for v in columns for row in reversed(range(depth))
+    )
 
 
 class LBadPredicate(BadPredicate):
-    """Column assignments on dom_R(c) under which c is not locally good.
+    """Cell assignments on dom_R(c) under which c is not locally good.
 
-    Membership rebuilds a depth-deep table on exactly dom_R(c); by
-    locality no other column can influence the verdict, so the zero
-    columns a caller might imagine elsewhere never need representing.
+    The domain is the cells of the columns dom_R(c) (`plan.domain`), so a
+    row holds each column's `depth` cells in turn, row 0 last. Membership
+    rebuilds a depth-deep table on exactly those columns; by locality no
+    other column can influence the verdict.
     """
 
     def __init__(self, base: Csp, params: LocalParams, depth: int, budget: int):
-        self.base = base
         self.plan = SearchPlan(base, params)
-        self.domain = self.plan.domain
+        self.domain = _cells(self.plan.domain, depth)
         self.depth = depth
         self.budget = budget
 
     def contains(self, row: tuple[int, ...]) -> bool:
-        table = decode_table(
-            dict(zip(self.domain, row)), self.base.label_count, self.depth
-        )
+        d = self.depth
+        table = Table(d, {
+            v: row[i * d:(i + 1) * d][::-1] for i, v in enumerate(self.plan.domain)
+        })
         good, _ = is_locally_good(self.plan, table, self.budget)
         return not good
-
-
-def column_weights(weights: tuple[Fraction, ...], depth: int) -> tuple[Fraction, ...]:
-    """Product measure over columns, indexed by column code."""
-    k = len(weights)
-    out = []
-    for code in range(k**depth):
-        mass = Fraction(1)
-        for lab in decode_column(code, k, depth):
-            mass *= weights[lab]
-        out.append(mass)
-    return tuple(out)
 
 
 def build_lg_csp(
@@ -300,30 +282,26 @@ def build_lg_csp(
     depth: int,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Csp:
-    """Meta-problem over depth-deep columns: solutions are the good tables.
+    """Meta-problem over the cells of a depth-deep table: solutions are the good tables.
 
-    Constraint c watches dom_R(c), the union of domains across the R-ball,
-    and forbids exactly the column assignments failing is_locally_good at
-    c. Bad sets stay predicate-backed; materializing them is the caller's
-    (capped) choice.
+    Variable `cell_id(v, row, depth)` is cell (v, row), with the base
+    problem's labels and weights. Constraint c watches the cells of
+    dom_R(c), the union of domains across the R-ball, and forbids exactly
+    the assignments failing is_locally_good at c. Two constraints share a
+    cell exactly when they share a column, so the dependency graph is that
+    of the columns. Bad sets stay predicate-backed; a mass or a
+    materialization enumerates k**cells rows, under
+    `materialize_cap_default()`.
     """
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
     require_budget(budget)
-    cap = materialize_cap_default()
-    if csp.label_count**depth > cap:
-        raise CapExceededError(
-            f"{csp.label_count}**{depth} column labels exceed cap {cap}"
-        )
     constraints = []
     for a in csp.constraints:
         bad = LBadPredicate(csp, LocalParams(a.id, R, N, eps), depth, budget)
         constraints.append(Constraint(a.id, bad.domain, bad))
     return Csp(
-        csp.variables,
-        csp.label_count**depth,
-        column_weights(csp.weights, depth),
-        tuple(constraints),
+        _cells(csp.variables, depth), csp.label_count, csp.weights, tuple(constraints)
     )
 
 

@@ -82,8 +82,12 @@ def table_from_json(obj) -> Table:
         depth = int(obj["depth"])
         vs = [int(v) for v in obj["variables"]]
         rows = obj["rows"]
+        if len(set(vs)) != len(vs):
+            raise InvalidInputError("table variables must be distinct")
         if len(rows) != depth:
             raise InvalidInputError("row count must equal depth")
+        if not all(isinstance(row, list) and len(row) == len(vs) for row in rows):
+            raise InvalidInputError("each row must list one label per variable")
         columns = {
             v: tuple(int(rows[r][i]) for r in range(depth)) for i, v in enumerate(vs)
         }

@@ -63,7 +63,10 @@ def witness_from_json(obj) -> WitnessDigraph:
         if [int(r["id"]) for r in verts] != list(range(len(verts))):
             raise InvalidInputError("vertex ids must be 0..n-1")
         decorations = tuple(int(r["constraint"]) for r in verts)
-        edges = frozenset((int(a), int(b)) for a, b in obj["edges"])
+        pairs = obj["edges"]
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise InvalidInputError("each edge must be a list [a, b]")
+        edges = frozenset((int(a), int(b)) for a, b in pairs)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed witness JSON: {exc}") from exc
     return WitnessDigraph(decorations, edges)
@@ -232,18 +235,14 @@ def _pruned_mass(checks, numerators) -> int:
     return total
 
 
-def verify_mt1_exact(
-    g: WitnessDigraph, csp: Csp, depth: int, cap: int | None = None
-) -> dict:
+def verify_mt1_exact(g: WitnessDigraph, csp: Csp, depth: int) -> dict:
     """Exact compatibility probability versus the product of bad masses.
 
     Cells are labelled vertex by vertex, and each vertex is tested as soon
     as its last cell is set, so no subtree below an incompatible prefix is
-    walked. `cap` (default `materialize_cap_default()`) bounds the full
-    k**cells assignment count all the same; the rhs masses read the default.
+    walked. `materialize_cap_default()` bounds the full k**cells
+    assignment count all the same, and the rhs masses.
     """
-    cap = materialize_cap_default() if cap is None else cap
-    _require_cap(cap)
     vertex_cells = _cells_within(g, csp, depth)
     # Cell positions in first-read order, and at each position the vertices
     # whose last cell it is, with the positions they read. A vertex that
@@ -254,6 +253,7 @@ def verify_mt1_exact(
             position.setdefault(cell, len(position))
     m = len(position)
     k = csp.label_count
+    cap = materialize_cap_default()
     if k ** m > cap:
         raise CapExceededError(f"{k}**{m} cell assignments exceed cap {cap}")
     checks: list[list[tuple[Callable, tuple[int, ...]]]] = [[] for _ in range(m)]

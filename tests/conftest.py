@@ -21,6 +21,7 @@ from fractions import Fraction
 from unittest import mock
 
 from llltool.errors import (
+    CapExceededError,
     DepthExceededError,
     InternalInvariantError,
     InvalidInputError,
@@ -40,6 +41,7 @@ from llltool.csp import (
     is_solution,
     lll_condition,
     load_problem,
+    materialize_cap_default,
     prob_bad,
     quotient_csp,
     uniform_weights,
@@ -53,7 +55,16 @@ from llltool.graphs import (
     maximal_independent_set,
     power_graph,
 )
-from llltool.local_goodness import build_lg_csp, gamma_at_radius
+from llltool.local_goodness import (
+    DEFAULT_SEARCH_BUDGET,
+    LocalParams,
+    SearchPlan,
+    build_lg_csp,
+    cell_id,
+    gamma_at_radius,
+    is_locally_good,
+    require_budget,
+)
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import Table, sample_table
 from llltool.witness import WitnessDigraph, _compatible_on_cells, _vertex_cells
@@ -528,6 +539,84 @@ def encode_column(column, k):
             raise InvalidParameterError(f"label {lab} out of range")
         code += lab * k**row
     return code
+
+
+def decode_column(code, k, depth):
+    """Inverse of `encode_column` for a depth-deep column."""
+    if code < 0 or code >= k**depth:
+        raise InvalidParameterError(f"column code {code} out of range")
+    out = []
+    for _ in range(depth):
+        out.append(code % k)
+        code //= k
+    return tuple(out)
+
+
+def decode_table(codes, k, depth) -> Table:
+    """The depth-deep table whose column at v has the code codes[v]."""
+    return Table(depth, {v: decode_column(code, k, depth) for v, code in codes.items()})
+
+
+def column_weights(weights, depth):
+    """Product measure over depth-deep columns, indexed by column code."""
+    k = len(weights)
+    out = []
+    for code in range(k**depth):
+        mass = Fraction(1)
+        for lab in decode_column(code, k, depth):
+            mass *= weights[lab]
+        out.append(mass)
+    return tuple(out)
+
+
+class ColumnLBadPredicate(BadPredicate):
+    """Column-code assignments on dom_R(c) under which c is not locally good."""
+
+    def __init__(self, base, params, depth, budget):
+        self.k = base.label_count
+        self.plan = SearchPlan(base, params)
+        self.domain = self.plan.domain
+        self.depth = depth
+        self.budget = budget
+
+    def contains(self, row):
+        table = decode_table(dict(zip(self.domain, row)), self.k, self.depth)
+        return not is_locally_good(self.plan, table, self.budget)[0]
+
+
+def column_lg_csp(csp, R, N, eps, depth, budget=DEFAULT_SEARCH_BUDGET) -> Csp:
+    """The meta-problem over whole columns: one variable per base variable,
+    labelled by its column's code among k**depth, under the column weights.
+
+    The oracle for `build_lg_csp`'s cells. It refuses k**depth column
+    labels past the materialization cap, before any mass is asked for.
+    """
+    if depth < 1:
+        raise InvalidParameterError("depth must be >= 1")
+    require_budget(budget)
+    cap = materialize_cap_default()
+    if csp.label_count**depth > cap:
+        raise CapExceededError(
+            f"{csp.label_count}**{depth} column labels exceed cap {cap}"
+        )
+    constraints = []
+    for a in csp.constraints:
+        bad = ColumnLBadPredicate(csp, LocalParams(a.id, R, N, eps), depth, budget)
+        constraints.append(Constraint(a.id, bad.domain, bad))
+    return Csp(
+        csp.variables,
+        csp.label_count**depth,
+        column_weights(csp.weights, depth),
+        tuple(constraints),
+    )
+
+
+def cell_table(csp, labeling, depth):
+    """The table a cell labeling of `build_lg_csp` holds, cell by cell."""
+    return Table(depth, {
+        v: tuple(labeling[cell_id(v, row, depth)] for row in range(depth))
+        for v in csp.variables
+    })
 
 
 def naive_locally_bad(csp, table, c, R, N, eps):

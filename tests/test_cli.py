@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_csp
+from conftest import make_csp, materialize_cap
 from llltool import cli
 from llltool.cli import main
 from llltool.csp import dump_problem, load_problem
@@ -165,7 +165,7 @@ REPORTED_KEYS = {
     "mta": {"problem", "depth", "trials", "strategy", "jobs"},
     "consistency": {"problem", "table", "script"},
     "witness": {"problem", "max_vertices", "cap", "sink", "script", "witness"},
-    "verify-mt1": {"problem", "witness", "mode", "depth", "trials", "cap"},
+    "verify-mt1": {"problem", "witness", "mode", "depth", "trials"},
     "verify-mt2": {"problem", "c", "alpha", "beta", "max_vertices", "cap"},
     "locally-good": {"problem", "table", "c", "R", "N", "eps", "budget"},
     "lbad": {"problem", "c", "R", "N", "eps", "eta", "s", "depth", "trials"},
@@ -290,6 +290,26 @@ def test_consistency_exit_code_tracks_the_verdict(tmp_path, capsys):
     assert code == 1 and payload["results"]["consistent"] is False
 
 
+@pytest.mark.parametrize(
+    "script", [[5], [None], [[0], "01"], [{"0": 1}], [[True]], [[0.0]], {"0": [0]}]
+)
+def test_a_script_step_that_is_not_a_list_of_ids_exits_two(tmp_path, capsys, script):
+    prob = problem_file(tmp_path, make_csp(1, [((0,), [(1,)])]))
+    table = table_file(tmp_path, [[1], [0], [0]])
+    path = write(tmp_path, "script.json", script)
+    for argv in (
+        ["consistency", "--problem", prob, "--table", table, "--script", path],
+        ["witness", "--problem", prob, "--script", path],
+        ["mta", "--problem", prob, "--depth", "3", "--table", table, "--script", path],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "llltool: error: script must be a JSON list of constraint-id lists\n"
+        )
+
+
 def test_witness_build_validate_and_enumerate(tmp_path, capsys):
     csp = make_csp(1, [((0,), [(1,)])])
     prob = problem_file(tmp_path, csp)
@@ -344,15 +364,16 @@ def test_verify_mt1_exact_over_the_cli(tmp_path, capsys):
     assert code == 0
     assert payload["results"]["pass"] is True
     assert Fraction(payload["results"]["lhs"]) == Fraction(1, 4)
-    assert payload["parameters"]["cap"] is None
+    assert "cap" not in payload["parameters"]
 
-    code, payload = run(
-        ["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3",
-         "--cap", "16"],
-        capsys,
-    )
+    # the materialization cap is the variable's: 2**2 cells fit under 4
+    with materialize_cap(4):
+        code, again = run(
+            ["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3"],
+            capsys,
+        )
     assert code == 0
-    assert payload["parameters"]["cap"] == 16
+    assert again["results"] == payload["results"]
 
 
 def test_verify_mt2_report_names_its_cap(tmp_path, capsys):
@@ -567,7 +588,6 @@ def test_a_negative_cap_exits_two(tmp_path, capsys):
     commands = (
         ["witness", "--problem", prob, "--sink", "0", "--max-vertices", "3"],
         mt2 + ["--alpha", "1/4", "--beta", "1/2"],
-        ["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3"],
     )
     # refused before the premise of verify-mt2 is checked, too
     for argv in commands + (mt2 + ["--alpha", "1/2", "--beta", "1/4"],):
@@ -576,13 +596,21 @@ def test_a_negative_cap_exits_two(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == "llltool: error: cap must be >= 0\n"
     # cap 0 stays legal and refuses as any cap does
-    for argv, message in zip(commands, (
-        "more than 0 representatives",
-        "more than 0 representatives",
-        "2**2 cell assignments exceed cap 0",
-    )):
+    for argv in commands:
         assert main(argv + ["--cap", "0"]) == 3
-        assert capsys.readouterr().err == f"llltool: budget: {message}\n"
+        assert capsys.readouterr().err == (
+            "llltool: budget: more than 0 representatives\n"
+        )
+    # verify-mt1 has no --cap: it reads the materialization cap
+    mt1 = ["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3"]
+    with pytest.raises(SystemExit):
+        main(mt1 + ["--cap", "0"])
+    capsys.readouterr()
+    with materialize_cap(0):
+        assert main(mt1) == 3
+    assert capsys.readouterr().err == (
+        "llltool: budget: 2**2 cell assignments exceed cap 0\n"
+    )
 
 
 def test_a_negative_iteration_cap_exits_two(tmp_path, capsys):

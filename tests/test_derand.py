@@ -7,6 +7,9 @@ import pytest
 from conftest import (
     TINY_FAMILY,
     UnsatisfiableConstraintError,
+    cell_table,
+    column_lg_csp,
+    decode_table,
     make_csp,
     materialize_cap,
     paired_hypergraph,
@@ -58,6 +61,7 @@ from llltool.graphs import (
     growth_profile,
     power_graph,
 )
+from llltool.local_goodness import build_lg_csp
 from llltool.tables import sample_table
 
 
@@ -640,6 +644,46 @@ def test_small_cap_deterministic_pipeline_matches_the_quotient_route(monkeypatch
         rep.get("budget_failed") for rep in values
     }
     assert ("InvalidParameterError", "p(d+1)^(d+1) = 2.0 is not < 1") in reports
+
+
+def lg_route(build, read_table, csp, R, N, eps, depth):
+    """One meta-problem route: its dependency graph, each constraint's base
+    mass, and the derandomized table with its ledger."""
+    meta = build(csp, R, N, eps, depth)
+    masses = [outcome(lambda: prob_bad(meta, c.id)) for c in meta.constraints]
+    ledger = []
+    solved = outcome(
+        lambda: read_table(csp, solve_double_exp(meta, ledger), depth)
+    )
+    return meta.dependency_graph.adjacency, masses, solved, ledger
+
+
+def test_cell_meta_problem_matches_the_column_code_oracle():
+    # Cells against column codes: equal dependency graphs, equal base
+    # masses or equal refusals, and the same table and ledger from
+    # solve_double_exp, or the same refusal.
+    problems = [
+        proper_coloring(path_graph(3), 2),
+        proper_coloring(graph_from_edges(4, [(0, 1), (2, 3)]), 2),
+        proper_coloring(path_graph(2), 3),
+        TINY_FAMILY[6],  # skewed weights
+        TINY_FAMILY[8],  # an empty domain
+        sinkless_orientation(cycle_graph(3)),
+    ]
+
+    def codes(csp, labeling, depth):
+        return decode_table(labeling, csp.label_count, depth)
+
+    kinds = set()
+    for csp, depth, R, N, eps in itertools.product(
+        problems, (1, 2, 3), (0, 1, 2), (1, 2), (Fraction(1, 24), Fraction(1, 2))
+    ):
+        with materialize_cap(512):
+            old = lg_route(column_lg_csp, codes, csp, R, N, eps, depth)
+            new = lg_route(build_lg_csp, cell_table, csp, R, N, eps, depth)
+        assert old == new, (csp, depth, R, N, eps)
+        kinds.add(new[2][0])
+    assert kinds == {"value", "CapExceededError", "InvalidParameterError"}
 
 
 def bridged_blocks(rng):

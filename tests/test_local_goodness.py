@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     TINY_FAMILY,
+    cell_table,
+    column_weights,
+    decode_column,
     encode_column,
     folner_totals,
     is_folner,
@@ -33,7 +37,6 @@ from llltool.csp import (
 from llltool import local_goodness
 from llltool.derand import PipelineParams, pipeline
 from llltool.errors import (
-    CapExceededError,
     HypothesisError,
     InvalidParameterError,
     SearchBudgetError,
@@ -46,9 +49,8 @@ from llltool.local_goodness import (
     LocalParams,
     SearchPlan,
     build_lg_csp,
+    cell_id,
     check_lbad_hypotheses,
-    column_weights,
-    decode_column,
     estimate_lbad_prob,
     gamma_at_radius,
     is_locally_good,
@@ -372,29 +374,33 @@ def test_column_weights_are_the_product_measure():
     assert sum(w) == 1
 
 
+def test_cell_ids_lay_out_columns_row_zero_last():
+    assert [cell_id(v, row, 3) for v in (0, 1) for row in range(3)] == [
+        2, 1, 0, 5, 4, 3
+    ]
+    lg = build_lg_csp(proper_coloring(path_graph(3), 2), R=0, N=1, eps=HALF, depth=2)
+    assert lg.variables == tuple(range(6))
+    assert lg.constraint(1).domain == (2, 3, 4, 5)
+
+
 def test_lg_problem_solutions_are_exactly_the_good_tables():
     csp = proper_coloring(path_graph(3), 2)
     depth = 2
     lg = build_lg_csp(csp, R=1, N=1, eps=HALF, depth=depth)
-    assert lg.label_count == 4
-    assert lg.constraint(0).domain == (0, 1, 2)
+    assert lg.label_count == 2
+    assert lg.constraint(0).domain == tuple(range(6))
     mismatches = 0
-    for code0 in range(4):
-        for code1 in range(4):
-            for code2 in range(4):
-                assignment = {0: code0, 1: code1, 2: code2}
-                table = Table(depth, {
-                    v: decode_column(assignment[v], 2, depth)
-                    for v in csp.variables
-                })
-                direct = all(
-                    is_locally_good(
-                        SearchPlan(csp, LocalParams(c.id, 1, 1, HALF)), table
-                    )[0]
-                    for c in csp.constraints
-                )
-                if is_solution(lg, assignment) != direct:
-                    mismatches += 1
+    for labels in itertools.product(range(2), repeat=6):
+        assignment = dict(zip(lg.variables, labels))
+        table = cell_table(csp, assignment, depth)
+        direct = all(
+            is_locally_good(
+                SearchPlan(csp, LocalParams(c.id, 1, 1, HALF)), table
+            )[0]
+            for c in csp.constraints
+        )
+        if is_solution(lg, assignment) != direct:
+            mismatches += 1
     assert mismatches == 0
 
 
@@ -404,34 +410,34 @@ def test_lg_bad_mass_agrees_with_direct_enumeration():
     lg = build_lg_csp(csp, R=1, N=1, eps=HALF, depth=depth)
     pred = lg.constraint(0).bad
     assert isinstance(pred, LBadPredicate)
-    w = column_weights(csp.weights, depth)
     total = Fraction(0)
     dom = lg.constraint(0).domain
-    for row in _rows(4, len(dom)):
-        table = Table(depth, {
-            v: decode_column(code, 2, depth) for v, code in zip(dom, row)
-        })
+    for row in itertools.product(range(2), repeat=len(dom)):
+        table = cell_table(csp, dict(zip(dom, row)), depth)
         if not is_locally_good(SearchPlan(csp, LocalParams(0, 1, 1, HALF)), table)[0]:
             mass = Fraction(1)
-            for code in row:
-                mass *= w[code]
+            for lab in row:
+                mass *= csp.weights[lab]
             total += mass
     assert prob_bad(lg, 0) == total
 
 
-def _rows(k, length):
-    if length == 0:
-        yield ()
-        return
-    for head in range(k):
-        for tail in _rows(k, length - 1):
-            yield (head,) + tail
-
-
-def test_lg_column_space_cap():
+def test_lg_problem_builds_deep_and_refuses_its_first_mass():
     csp = proper_coloring(path_graph(3), 2)
-    with materialize_cap(32), pytest.raises(CapExceededError):
-        build_lg_csp(csp, R=1, N=1, eps=HALF, depth=6)
+    started = time.perf_counter()
+    lg = build_lg_csp(csp, R=1, N=1, eps=HALF, depth=24)
+    assert time.perf_counter() - started < 1
+    assert len(lg.variables) == 3 * 24 and lg.label_count == 2
+    params = PipelineParams(
+        p=HALF, d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
+        eta=Fraction(1, 64), R=1, N=1, depth=24,
+    )
+    with materialize_cap(None):
+        rep = pipeline(csp, params, mode="deterministic")
+    assert rep["status"] == "infeasible"
+    assert rep["cap_failed"] == (
+        f"materializing constraint 0 needs {2**72} rows, cap {2**24}"
+    )
 
 
 def test_gamma_at_radius():
@@ -625,7 +631,7 @@ def test_every_table_check_is_one_is_locally_good_call(monkeypatch):
     calls.clear()
     path = proper_coloring(path_graph(3), 2)
     pred = LBadPredicate(path, LocalParams(1, 1, 1, HALF), 2, DEFAULT_SEARCH_BUDGET)
-    rows = list(itertools.product(range(4), repeat=len(pred.domain)))
+    rows = list(itertools.product(range(2), repeat=len(pred.domain)))
     bad = sum(pred.contains(row) for row in rows)
     assert len(calls) == len(rows)
     assert Counter(good for _, good in calls) == {False: bad, True: len(rows) - bad}

@@ -50,6 +50,17 @@ def test_table_json_rejects_row_count_mismatch():
         table_from_json({"depth": 2, "variables": [0], "rows": [[0]]})
 
 
+def test_table_json_refuses_a_repeated_variable():
+    with pytest.raises(InvalidInputError):
+        table_from_json({"depth": 1, "variables": [0, 0], "rows": [[0, 1]]})
+
+
+@pytest.mark.parametrize("row", [[0, 1, 1], [0], "01"])
+def test_table_json_refuses_a_row_that_is_not_one_label_per_variable(row):
+    with pytest.raises(InvalidInputError):
+        table_from_json({"depth": 2, "variables": [0, 1], "rows": [[0, 0], row]})
+
+
 def test_derive_u64_is_stable():
     # frozen probe: any change to the keyed hash layout must show up here
     assert derive_u64(0, 0, 0, 0) == derive_u64(0, 0, 0, 0)

@@ -14,6 +14,7 @@ from conftest import (
     is_isomorphic,
     leaf_mt1_lhs,
     make_csp,
+    materialize_cap,
     naive_longest_path_levels,
     pairwise_validate_witness,
     pairwise_witness_from_levels,
@@ -77,6 +78,13 @@ def test_digraph_json_round_trip():
 def test_digraph_json_requires_dense_ids():
     with pytest.raises(InvalidInputError):
         witness_from_json({"vertices": [{"id": 1, "constraint": 0}], "edges": []})
+
+
+@pytest.mark.parametrize("edge", ["01", [0], [0, 1, 1], {"0": 1}])
+def test_digraph_json_refuses_an_edge_that_is_not_a_pair(edge):
+    vertices = [{"id": 0, "constraint": 0}, {"id": 1, "constraint": 0}]
+    with pytest.raises(InvalidInputError):
+        witness_from_json({"vertices": vertices, "edges": [edge]})
 
 
 def test_repeats_of_one_constraint_chain_up():
@@ -198,8 +206,8 @@ def test_mt1_exact_refuses_rows_past_depth():
 
 def test_mt1_exact_cell_cap():
     g = witness_from_levels([{0, 1}], PAIR)
-    with pytest.raises(CapExceededError):
-        verify_mt1_exact(g, PAIR, depth=3, cap=7)
+    with materialize_cap(7), pytest.raises(CapExceededError):
+        verify_mt1_exact(g, PAIR, depth=3)
 
 
 def truncation_safe(g, csp, depth):
