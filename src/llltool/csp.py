@@ -31,6 +31,7 @@ from .exact import (
     e_power_less,
     float_of,
     format_rational,
+    parse_int,
     parse_rational,
 )
 from .graphs import FiniteGraph
@@ -522,22 +523,22 @@ def load_problem(text: str) -> Csp:
     except ValueError as exc:
         raise InvalidInputError(f"not valid JSON: {exc}") from exc
     try:
-        n = int(obj["variables"])
+        n = parse_int(obj["variables"])
         labels = obj["labels"]
-        k = int(labels["count"])
+        k = parse_int(labels["count"])
         if "weights" in labels and labels["weights"] is not None:
             weights = tuple(parse_rational(w) for w in labels["weights"])
         else:
             weights = uniform_weights(k)
         constraints = []
         for entry in obj.get("constraints", []):
-            cid = int(entry["id"])
-            domain = tuple(int(v) for v in entry["domain"])
+            cid = parse_int(entry["id"])
+            domain = tuple(parse_int(v) for v in entry["domain"])
             raw = entry["bad"]
             if raw == "always":
                 bad: frozenset | BadPredicate = AlwaysViolated()
             else:
-                bad = frozenset(tuple(int(l) for l in row) for row in raw)
+                bad = frozenset(tuple(parse_int(l) for l in row) for row in raw)
             constraints.append(Constraint(cid, domain, bad))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed problem JSON: {exc}") from exc

@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameterError,
     SearchBudgetError,
 )
-from .exact import _iroot, float_of, format_rational, parse_rational, pow_compare
+from .exact import _iroot, float_of, format_rational, parse_int, parse_rational, pow_compare
 from .graphs import GrowthProfile, greedy_proper_coloring
 from .local_goodness import (
     DEFAULT_SEARCH_BUDGET,
@@ -330,13 +330,13 @@ def params_from_json(obj) -> PipelineParams:
     try:
         return PipelineParams(
             p=parse_rational(obj["p"]),
-            d=int(obj["d"]),
+            d=parse_int(obj["d"]),
             s=parse_rational(obj["s"]),
             eps=parse_rational(obj["eps"]),
             eta=parse_rational(obj["eta"]),
-            R=int(obj["R"]),
-            N=int(obj["N"]),
-            depth=int(obj["depth"]),
+            R=parse_int(obj["R"]),
+            N=parse_int(obj["N"]),
+            depth=parse_int(obj["depth"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed params JSON: {exc}") from exc

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InternalInvariantError, InvalidParameterError
+from .errors import InternalInvariantError, InvalidInputError, InvalidParameterError
 
 
 def parse_rational(value) -> Fraction:
@@ -28,6 +28,17 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameterError(f"not a rational: {value!r}") from exc
     raise InvalidParameterError(f"not a rational: {value!r}")
+
+
+def parse_int(value) -> int:
+    """Read an integer field of a JSON input: only an int itself.
+
+    Bools, floats and numeric strings are refused rather than truncated
+    or coerced, with InvalidInputError.
+    """
+    if type(value) is int:
+        return value
+    raise InvalidInputError(f"not an integer: {value!r}")
 
 
 def format_rational(x: Fraction) -> str:

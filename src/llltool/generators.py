@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .csp import Constraint, Csp, uniform_weights
 from .errors import InvalidInputError, InvalidParameterError
+from .exact import parse_int
 from .graphs import FiniteGraph
 
 
@@ -30,8 +31,8 @@ class Hypergraph:
 
 def hypergraph_from_obj(obj) -> Hypergraph:
     try:
-        n = int(obj["n"])
-        edges = tuple(tuple(sorted(int(v) for v in e)) for e in obj.get("edges", []))
+        n = parse_int(obj["n"])
+        edges = tuple(tuple(sorted(parse_int(v) for v in e)) for e in obj.get("edges", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed hypergraph: {exc}") from exc
     return Hypergraph(n, edges)

@@ -1,7 +1,8 @@
 """Finite undirected graphs: balls, growth profiles, powers, greedy routines.
 
-Vertices are dense ids 0..n-1. All procedures are deterministic; greedy
-routines scan vertices in id order so reruns are bit-identical.
+Vertices are dense ids 0..n-1. All procedures are deterministic, so reruns
+are bit-identical: the greedy colouring scans vertices in id order, and the
+greedy independent set in the order its caller gives.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import InvalidInputError, InvalidParameterError
-from .exact import pow_compare
+from .exact import parse_int, pow_compare
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class FiniteGraph:
 def graph_from_edges(n: int, edges) -> FiniteGraph:
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        u, v = parse_int(e[0]), parse_int(e[1])
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge {e} out of range for n={n}")
         if u == v:
@@ -61,7 +62,7 @@ def load_graph_json(text: str) -> FiniteGraph:
     """Parse {"n": N, "edges": [[u,v],...]}."""
     try:
         obj = json.loads(text)
-        return graph_from_edges(int(obj["n"]), obj.get("edges", []))
+        return graph_from_edges(parse_int(obj["n"]), obj.get("edges", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed graph JSON: {exc}") from exc
 
@@ -234,14 +235,17 @@ def greedy_proper_coloring(neighbors) -> list[int]:
     return colors
 
 
-def maximal_independent_set(g: FiniteGraph, eligible) -> frozenset[int]:
-    """Greedy by id within `eligible`: independent in g and inclusion-maximal."""
-    eligible = set(eligible)
-    for v in eligible:
+def maximal_independent_set(g: FiniteGraph, order) -> frozenset[int]:
+    """Greedy over `order`, in the order given: independent in g and maximal.
+
+    Each vertex is taken unless a neighbour was taken before it, so the
+    result is inclusion-maximal among the vertices of `order`. Passing
+    `sorted(ids)` gives the greedy-by-id set.
+    """
+    chosen: set[int] = set()
+    for v in order:
         if not 0 <= v < g.n:
             raise InvalidParameterError(f"vertex {v} out of range")
-    chosen: set[int] = set()
-    for v in sorted(eligible):
-        if all(u not in chosen for u in g.adjacency[v]):
+        if chosen.isdisjoint(g.adjacency[v]):
             chosen.add(v)
     return frozenset(chosen)

@@ -4,6 +4,13 @@ The resampling loop never draws fresh randomness: variable v read at level n
 always yields table row n. A run therefore is a pure function of
 (csp, table, strategy), and any run is summarized by the sequence of fired
 constraint sets, which `check_consistency` can replay against the table.
+
+One step of the loop is one transition: `_choose` picks the fired set
+(each strategy's rule, and the checks on a scripted step, live there),
+the fired domains are redrawn, and `_recheck` re-tests the closed
+neighbourhoods of the fired constraints once the new labels are written.
+`mta_run` reads those labels from its table; `_recheck` takes them from
+wherever the caller wrote them.
 """
 
 from __future__ import annotations
@@ -98,31 +105,58 @@ class RunTrace:
         return sum(len(rec.fired) for rec in self.iterations)
 
 
-def _choose(strategy: Strategy, violated: set[int], heap, dep, rng, step_index: int):
+def _choose(strategy: Strategy, violated: set[int], heap, csp: Csp, rng, step_index: int):
+    """The fired set of one step, or None when a script has run out.
+
+    Raises ScriptError when a scripted step fires a constraint that is not
+    currently violated, or is not pairwise domain-disjoint.
+    """
     if strategy.kind == "first_singleton":
         # The least violated id; ids no longer violated are dropped lazily.
         while heap[0] not in violated:
             heapq.heappop(heap)
         return frozenset((heap[0],))
     if strategy.kind == "maximal_greedy":
-        return maximal_independent_set(dep, violated)
+        return maximal_independent_set(csp.dependency_graph, sorted(violated))
     if strategy.kind == "random":
         # Random permutation, then greedy: a random maximal independent set.
         order = sorted(violated)
         rng.shuffle(order)
-        chosen: list[int] = []
-        taken: set[int] = set()
-        for cid in order:
-            if taken.isdisjoint(dep.adjacency[cid]) and cid not in taken:
-                chosen.append(cid)
-                taken.add(cid)
-        return frozenset(chosen)
+        return maximal_independent_set(csp.dependency_graph, order)
     if strategy.kind == "scripted":
         assert strategy.script is not None
         if step_index >= len(strategy.script.steps):
             return None
-        return strategy.script.steps[step_index]
+        fired = strategy.script.steps[step_index]
+        if not fired <= violated:
+            raise ScriptError(
+                f"step {step_index} fires non-violated constraints "
+                f"{sorted(fired.difference(violated))}"
+            )
+        if not _check_step_disjoint(csp, fired):
+            raise ScriptError(f"step {step_index} is not domain-disjoint")
+        return fired
     raise InvalidParameterError(f"unknown strategy kind {strategy.kind!r}")
+
+
+def _recheck(csp: Csp, labeling: dict[int, int], fired, violated: set[int], heap) -> None:
+    """Re-test the constraints a step can have changed, after its new labels.
+
+    The caller has written new labels for the domains of `fired`; only the
+    closed neighbourhoods of the fired constraints read those variables.
+    Each is tested through `csp.row_readers` and `csp.bad_tests`, and
+    `violated` is updated in place. An id that becomes violated is pushed
+    on `heap` when there is one, so the heap keeps every violated id.
+    """
+    closed, readers, tests = csp.closed_neighborhoods, csp.row_readers, csp.bad_tests
+    for cid in frozenset().union(*(closed[a] for a in fired)):
+        if tests[cid](readers[cid](labeling)):
+            if cid not in violated:
+                violated.add(cid)
+                if heap is not None:
+                    heapq.heappush(heap, cid)
+        else:
+            violated.discard(cid)
 
 
 def mta_run(
@@ -139,25 +173,24 @@ def mta_run(
     variable past the last table row; `iteration_cap` after `max_iters`
     steps, or when a script runs out while violations remain.
 
-    The labeling and the violated set are built once; a step then re-reads
-    only the variables it resampled and re-checks only the closed
-    neighbourhoods of the fired constraints, the only constraints whose
-    rows can have changed. A check reads the constraint's row through
-    `csp.row_readers` and tests it with `csp.bad_tests`, both built with
-    the problem: the labeling covers every variable and every id checked
-    names a constraint, so none of `violates`' refusals can arise here.
-    Replay (`check_consistency`) keeps `violates`.
+    The labeling and the violated set are built once. A step is one
+    transition: `_choose` picks the fired set, the loop redraws the fired
+    domains from the table's next rows, and `_recheck` re-tests only the
+    closed neighbourhoods of the fired constraints, the only constraints
+    whose rows can have changed. A check reads the constraint's row
+    through `csp.row_readers` and tests it with `csp.bad_tests`, both
+    built with the problem: the labeling covers every variable and every
+    id checked names a constraint, so none of `violates`' refusals can
+    arise here. Replay (`check_consistency`) keeps `violates`.
 
-    Raises ScriptError when a scripted step fires a constraint that is not
-    currently violated, or is not pairwise domain-disjoint, and
-    InvalidParameterError for a negative `max_iters`.
+    Raises ScriptError (from `_choose`) when a scripted step fires a
+    constraint that is not currently violated, or is not pairwise
+    domain-disjoint, and InvalidParameterError for a negative `max_iters`.
     """
     if max_iters is None:
         max_iters = len(csp.constraints) * table.depth
     elif max_iters < 0:
         raise InvalidParameterError("max_iters must be >= 0")
-    dep = csp.dependency_graph
-    closed = csp.closed_neighborhoods
     readers, tests = csp.row_readers, csp.bad_tests
     rng = random.Random(strategy.seed) if strategy.kind == "random" else None
     levels = {v: 0 for v in csp.variables}
@@ -174,19 +207,11 @@ def mta_run(
         if step_index >= max_iters:
             status = ITERATION_CAP
             break
-        fired = _choose(strategy, violated, heap, dep, rng, step_index)
+        fired = _choose(strategy, violated, heap, csp, rng, step_index)
         if fired is None:
             # Script ended with violations left: treat as hitting the cap.
             status = ITERATION_CAP
             break
-        if strategy.kind == "scripted":
-            if not fired <= violated:
-                raise ScriptError(
-                    f"step {step_index} fires non-violated constraints "
-                    f"{sorted(fired.difference(violated))}"
-                )
-            if not _check_step_disjoint(csp, fired):
-                raise ScriptError(f"step {step_index} is not domain-disjoint")
         iterations.append(IterationRecord(fired))
         touched = [v for cid in fired for v in csp.constraints[cid].domain]
         if any(levels[v] + 1 >= table.depth for v in touched):
@@ -194,14 +219,7 @@ def mta_run(
         for v in touched:
             levels[v] += 1
             labeling[v] = table.get(v, levels[v])
-        for cid in frozenset().union(*(closed[a] for a in fired)):
-            if tests[cid](readers[cid](labeling)):
-                if cid not in violated:
-                    violated.add(cid)
-                    if heap is not None:
-                        heapq.heappush(heap, cid)
-            else:
-                violated.discard(cid)
+        _recheck(csp, labeling, fired, violated, heap)
         step_index += 1
     iterations.append(IterationRecord(frozenset()))
     return RunTrace(status, iterations, labeling, levels)

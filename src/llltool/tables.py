@@ -32,6 +32,7 @@ from .errors import (
     InvalidParameterError,
     MissingVariableError,
 )
+from .exact import parse_int
 
 _SCALE = 1 << 64
 # derive_u64's packing of (trial, variable, row).
@@ -79,8 +80,8 @@ class Table:
 
 def table_from_json(obj) -> Table:
     try:
-        depth = int(obj["depth"])
-        vs = [int(v) for v in obj["variables"]]
+        depth = parse_int(obj["depth"])
+        vs = [parse_int(v) for v in obj["variables"]]
         rows = obj["rows"]
         if len(set(vs)) != len(vs):
             raise InvalidInputError("table variables must be distinct")
@@ -89,7 +90,7 @@ def table_from_json(obj) -> Table:
         if not all(isinstance(row, list) and len(row) == len(vs) for row in rows):
             raise InvalidInputError("each row must list one label per variable")
         columns = {
-            v: tuple(int(rows[r][i]) for r in range(depth)) for i, v in enumerate(vs)
+            v: tuple(parse_int(rows[r][i]) for r in range(depth)) for i, v in enumerate(vs)
         }
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InvalidInputError(f"malformed table JSON: {exc}") from exc

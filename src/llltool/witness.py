@@ -26,7 +26,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .exact import binomial_sigma, float_of, format_rational
+from .exact import binomial_sigma, float_of, format_rational, parse_int
 from .moser_tardos import MtSequence, _check_step_disjoint
 from .tables import CellSampler, KeyedTable
 
@@ -59,14 +59,14 @@ class WitnessDigraph:
 
 def witness_from_json(obj) -> WitnessDigraph:
     try:
-        verts = sorted(obj["vertices"], key=lambda r: int(r["id"]))
-        if [int(r["id"]) for r in verts] != list(range(len(verts))):
+        verts = sorted(obj["vertices"], key=lambda r: parse_int(r["id"]))
+        if [parse_int(r["id"]) for r in verts] != list(range(len(verts))):
             raise InvalidInputError("vertex ids must be 0..n-1")
-        decorations = tuple(int(r["constraint"]) for r in verts)
+        decorations = tuple(parse_int(r["constraint"]) for r in verts)
         pairs = obj["edges"]
         if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
             raise InvalidInputError("each edge must be a list [a, b]")
-        edges = frozenset((int(a), int(b)) for a, b in pairs)
+        edges = frozenset((parse_int(a), parse_int(b)) for a, b in pairs)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed witness JSON: {exc}") from exc
     return WitnessDigraph(decorations, edges)

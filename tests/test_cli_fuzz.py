@@ -7,7 +7,9 @@ is at most 4096 in every run, where the default 2**24 would let a
 deterministic `pipeline` list millions of meta-rows. Whatever the input,
 `main` must exit 0, 1, 2 or 3, never 4 (an internal fault); on exit 0
 its report parses back and names its command. Malformed script and table
-shapes come from a second rng, so they leave the other draws as they are.
+shapes, and integers of the problem, table and witness given as floats,
+numeric strings or bools, come from a second rng, so they leave the other
+draws as they are.
 """
 
 import io
@@ -92,6 +94,32 @@ def malform(odd, table, script):
     if odd.random() < 0.1:
         r = odd.randrange(len(rows))
         rows[r] = odd.choice([rows[r] + [0], "".join(map(str, rows[r])) or "0"])
+
+
+def integer_slots(problem, table, witness):
+    """Every (container, key) whose value the parsers read as an integer."""
+    slots = [(problem, "variables"), (problem["labels"], "count"), (table, "depth")]
+    for c in problem["constraints"]:
+        slots.append((c, "id"))
+        slots += [(c["domain"], i) for i in range(len(c["domain"]))]
+        if c["bad"] != "always":
+            slots += [(row, i) for row in c["bad"] for i in range(len(row))]
+    slots += [(table["variables"], i) for i in range(len(table["variables"]))]
+    slots += [(row, i) for row in table["rows"] if isinstance(row, list)
+              for i in range(len(row))]
+    for vertex in witness["vertices"]:
+        slots += [(vertex, "id"), (vertex, "constraint")]
+    slots += [(edge, i) for edge in witness["edges"] for i in (0, 1)]
+    return slots
+
+
+def misshape_integer(odd, problem, table, witness):
+    """Now and then an integer the parsers must refuse: as a float, a
+    numeric string or a bool. Drawn from `odd` alone, as in `malform`."""
+    if odd.random() < 0.15:
+        container, key = odd.choice(integer_slots(problem, table, witness))
+        value = container[key]
+        container[key] = odd.choice([value + 0.5, float(value), str(value), bool(value)])
 
 
 def random_witness(rng, m):
@@ -200,11 +228,13 @@ def test_no_random_input_crashes_the_cli(tmp_path):
             problem, n, k, m = random_problem(rng)
             table, script = random_table(rng, n, k), random_script(rng, m)
             malform(odd, table, script)
+            witness = random_witness(rng, m)
+            misshape_integer(odd, problem, table, witness)
             contents = {
                 "problem": json.dumps(problem),
                 "table": json.dumps(table),
                 "script": json.dumps(script),
-                "witness": json.dumps(random_witness(rng, m)),
+                "witness": json.dumps(witness),
                 "params": json.dumps(random_params(rng)),
                 "graph": random_graph(rng, rng.randint(0, 6)),
             }

@@ -1,10 +1,14 @@
+import copy
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from llltool.errors import InvalidParameterError
+from llltool.csp import load_problem
+from llltool.derand import params_from_json
+from llltool.errors import InvalidInputError, InvalidParameterError
 from llltool.exact import (
     binomial_sigma,
     certified_less,
@@ -15,6 +19,10 @@ from llltool.exact import (
     pow_compare,
     rational_pow_leq,
 )
+from llltool.generators import hypergraph_from_obj
+from llltool.graphs import load_graph_json
+from llltool.tables import table_from_json
+from llltool.witness import witness_from_json
 
 
 def test_parse_rational_forms():
@@ -29,6 +37,61 @@ def test_parse_rational_rejects_junk():
         parse_rational("three quarters")
     with pytest.raises(InvalidParameterError):
         parse_rational("1/0")
+
+
+# Each JSON reader with a well-formed input and the paths of its integers.
+INTEGER_READERS = {
+    "load_problem": (
+        lambda obj: load_problem(json.dumps(obj)),
+        {"variables": 3, "labels": {"count": 3},
+         "constraints": [{"id": 0, "domain": [0, 2], "bad": [[0, 1]]}]},
+        [("variables",), ("labels", "count"), ("constraints", 0, "id"),
+         ("constraints", 0, "domain", 1), ("constraints", 0, "bad", 0, 1)],
+    ),
+    "table_from_json": (
+        table_from_json,
+        {"depth": 2, "variables": [0, 1], "rows": [[0, 1], [1, 0]]},
+        [("depth",), ("variables", 1), ("rows", 0, 1)],
+    ),
+    "witness_from_json": (
+        witness_from_json,
+        {"vertices": [{"id": 0, "constraint": 1}, {"id": 1, "constraint": 0}],
+         "edges": [[0, 1]]},
+        [("vertices", 0, "id"), ("vertices", 0, "constraint"), ("edges", 0, 1)],
+    ),
+    "load_graph_json": (
+        lambda obj: load_graph_json(json.dumps(obj)),
+        {"n": 3, "edges": [[0, 1], [1, 2]]},
+        [("n",), ("edges", 1, 0)],
+    ),
+    "hypergraph_from_obj": (
+        hypergraph_from_obj,
+        {"n": 3, "edges": [[0, 1, 2]]},
+        [("n",), ("edges", 0, 1)],
+    ),
+    "params_from_json": (
+        params_from_json,
+        {"p": "1/24", "d": 1, "s": "2", "eps": "1/2", "eta": "1/64",
+         "R": 1, "N": 2, "depth": 3},
+        [("d",), ("R",), ("N",), ("depth",)],
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(INTEGER_READERS))
+def test_json_readers_refuse_integers_given_as_floats_strings_or_bools(reader):
+    read, good, paths = INTEGER_READERS[reader]
+    read(good)
+    for path in paths:
+        for shape in (lambda x: x + 0.5, float, str, bool):
+            obj = copy.deepcopy(good)
+            *parents, key = path
+            container = obj
+            for step in parents:
+                container = container[step]
+            container[key] = shape(container[key])
+            with pytest.raises(InvalidInputError):
+                read(obj)
 
 
 @given(st.fractions())

@@ -268,6 +268,11 @@ def test_maximal_independent_set_deterministic():
     assert runs.pop() == frozenset({0, 2, 4})
 
 
+def test_maximal_independent_set_is_greedy_in_the_given_order():
+    assert maximal_independent_set(path(3), [1, 0, 2]) == frozenset({1})
+    assert maximal_independent_set(path(3), [0, 1, 2]) == frozenset({0, 2})
+
+
 def test_maximal_independent_set_range_check():
     with pytest.raises(InvalidParameterError):
         maximal_independent_set(cycle(3), [7])

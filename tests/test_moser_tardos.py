@@ -16,6 +16,7 @@ from conftest import (
     some_tables,
     table_from_rows,
 )
+from llltool.csp import violates
 from llltool.errors import (
     DepthExceededError,
     InvalidInputError,
@@ -30,6 +31,7 @@ from llltool.moser_tardos import (
     ITERATION_CAP,
     MAXIMAL_GREEDY,
     MtSequence,
+    _recheck,
     check_consistency,
     mt_monte_carlo,
     mta_run,
@@ -338,3 +340,38 @@ def test_scripted_runs_match_the_oracle_errors_included():
     assert outcomes == {
         COMPLETED, DEPTH_EXHAUSTED, ITERATION_CAP, "script_error"
     }
+
+
+def test_recheck_matches_a_full_rescan_on_labels_from_anywhere():
+    """Labels written by hand, not read from a table: after `_recheck` the
+    violated set is what a full rescan through `violates` finds, and the
+    heap holds every violated id."""
+    rng = random.Random(2027)
+    problems = TINY_FAMILY + [random_tiny_csp(rng) for _ in range(100)]
+    fired_sizes = Counter()
+    for csp in problems:
+        k = csp.label_count
+
+        def rescan(labeling):
+            return {
+                c.id for c in csp.constraints
+                if violates(csp, c.id, {v: labeling[v] for v in c.domain})
+            }
+
+        labeling = {v: rng.randrange(k) for v in csp.variables}
+        violated = rescan(labeling)
+        heap = sorted(violated)
+        for _ in range(6):
+            # an arbitrary domain-disjoint set, violated or not
+            fired, seen = set(), set()
+            for c in rng.sample(csp.constraints, rng.randint(0, len(csp.constraints))):
+                if seen.isdisjoint(c.domain):
+                    fired.add(c.id)
+                    seen.update(c.domain)
+            for v in seen:
+                labeling[v] = rng.randrange(k)
+            _recheck(csp, labeling, frozenset(fired), violated, heap)
+            assert violated == rescan(labeling)
+            assert violated <= set(heap)
+            fired_sizes[len(fired)] += 1
+    assert {0, 1, 2} <= set(fired_sizes)
