@@ -17,10 +17,13 @@ from .errors import InternalInvariantError, InvalidInputError, InvalidParameterE
 
 
 def parse_rational(value) -> Fraction:
-    """Parse "a/b", "a", int, or Fraction into an exact Fraction."""
+    """Parse "a/b", "a", int, or Fraction into an exact Fraction.
+
+    A bool is not an int here, as in `parse_int`.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         try:

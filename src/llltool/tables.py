@@ -66,17 +66,6 @@ class Table:
             raise DepthExceededError(f"row {row} outside depth {self.depth}")
         return self.columns[v][row]
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(sorted(self.columns))
-
-    def to_json(self) -> dict:
-        vs = self.variables()
-        return {
-            "depth": self.depth,
-            "variables": list(vs),
-            "rows": [[self.columns[v][r] for v in vs] for r in range(self.depth)],
-        }
-
 
 def table_from_json(obj) -> Table:
     try:

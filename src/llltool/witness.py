@@ -181,7 +181,13 @@ def _vertex_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[Callable, tuple]]:
 
 
 def _cells_within(g: WitnessDigraph, csp: Csp, depth: int):
-    """`_vertex_cells`, refusing the least cell whose row is past `depth`."""
+    """`_vertex_cells` of a witness digraph of `csp`.
+
+    Refuses, with InvalidInputError, a digraph that `validate_witness`
+    rejects, and then the least cell whose row is past `depth`.
+    """
+    if not validate_witness(g, csp):
+        raise InvalidInputError("digraph is not a witness digraph of the problem")
     vertex_cells = _vertex_cells(g, csp)
     past = [cell for _, cells in vertex_cells for cell in cells if cell[1] >= depth]
     if past:
@@ -431,20 +437,31 @@ def _stack_sums(
     below it; the reached ids are an int bitmask, grown with `|`, so a
     state is the key `(bottom, reach_mask, room)`. Depth first with an
     explicit stack of frames. No stack is listed. Raises CapExceededError
-    exactly when there are more than `cap` stacks: every state lies on
-    some stack, so the stacks below it are never more than the total.
+    when there are more than `cap` stacks: every state lies on some
+    stack, so the stacks below it are never more than the total. Raises
+    it also, before a state's lists are built, once the memo's entries
+    past entry 0, `room` per state, would exceed
+    `materialize_cap_default()`.
     """
     csp.constraint(c)
     if max_vertices < 1:
         raise InvalidParameterError("max_vertices must be >= 1")
     closed = _closed_masks(csp)
+    limit = materialize_cap_default()
     # A state maps to [stacks, counts, sums], the lists indexed by the
     # vertices added below its bottom level; entry 0 is the stack that
     # ends there.
     memo: dict[tuple, list] = {}
+    entries = 0
 
     def open_frame(state):
+        nonlocal entries
         bottom, reach, room = state
+        entries += room
+        if entries > limit:
+            raise CapExceededError(
+                f"the series memo would hold {entries} entries, cap {limit}"
+            )
         totals = [1, [1] + [0] * room, [1] + [0] * room]
         return state, _levels_below(bottom, reach, room, closed), totals
 

@@ -340,6 +340,16 @@ def table_from_rows(rows: list[list[int]]) -> Table:
     return Table(len(rows), columns)
 
 
+def table_to_json(table: Table) -> dict:
+    """The JSON a table file holds, variables ascending: `table_from_json`'s input."""
+    vs = sorted(table.columns)
+    return {
+        "depth": table.depth,
+        "variables": vs,
+        "rows": [[table.columns[v][r] for v in vs] for r in range(table.depth)],
+    }
+
+
 def orientation_of(csp_labeling, edges) -> list[tuple[int, int]]:
     """Directed edge list realized by a sinkless-orientation labeling."""
     out = []

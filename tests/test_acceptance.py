@@ -26,6 +26,7 @@ from conftest import (
     realizable_by_sequence,
     sequences_upto,
     some_tables,
+    table_to_json,
 )
 from llltool.cli import main
 from llltool.csp import (
@@ -413,7 +414,7 @@ def test_criterion_10_reports_reproduce_and_json_round_trips(tmp_path, capsys):
     assert dump_problem(load_problem(json.dumps(dump_problem(csp)))) == \
         dump_problem(csp)
     table = Table(3, {0: (0, 1, 2), 1: (2, 2, 0)})
-    assert table_from_json(table.to_json()).to_json() == table.to_json()
+    assert table_to_json(table_from_json(table_to_json(table))) == table_to_json(table)
     seq = MtSequence.from_lists([[0], [2, 4], [1]])
     assert MtSequence.from_lists(seq.to_json()).to_json() == seq.to_json()
     g = full_witness_digraph(MtSequence.from_lists([[0], [0]]), csp)

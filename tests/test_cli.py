@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_csp, materialize_cap
+from conftest import make_csp, materialize_cap, table_to_json
 from llltool import cli
 from llltool.cli import main
 from llltool.csp import dump_problem, load_problem
@@ -61,7 +61,7 @@ def problem_file(tmp_path, csp, name="problem.json"):
 
 def table_file(tmp_path, rows, name="table.json"):
     columns = {v: tuple(row[v] for row in rows) for v in range(len(rows[0]))}
-    return write(tmp_path, name, Table(len(rows), columns).to_json())
+    return write(tmp_path, name, table_to_json(Table(len(rows), columns)))
 
 
 def test_generate_matches_the_library_constructors(tmp_path, capsys):
@@ -340,6 +340,13 @@ def test_witness_build_validate_and_enumerate(tmp_path, capsys):
     wbad = write(tmp_path, "broken.json", broken)
     code, payload = run(["witness", "--problem", prob, "--witness", wbad], capsys)
     assert code == 1 and payload["results"]["valid"] is False
+    # and the product law is not checked on it
+    for mode in ("exact", "monte_carlo"):
+        assert main(["verify-mt1", "--problem", prob, "--witness", wbad,
+                     "--depth", "3", "--mode", mode]) == 2
+        assert capsys.readouterr().err == (
+            "llltool: error: digraph is not a witness digraph of the problem\n"
+        )
 
     code, payload = run(
         ["witness", "--problem", prob, "--sink", "0", "--max-vertices", "3",

@@ -78,20 +78,46 @@ INTEGER_READERS = {
 }
 
 
+def reshaped(good, path, shape):
+    """A deep copy of `good` with the value at `path` passed through `shape`."""
+    obj = copy.deepcopy(good)
+    *parents, key = path
+    container = obj
+    for step in parents:
+        container = container[step]
+    container[key] = shape(container[key])
+    return obj
+
+
 @pytest.mark.parametrize("reader", sorted(INTEGER_READERS))
 def test_json_readers_refuse_integers_given_as_floats_strings_or_bools(reader):
     read, good, paths = INTEGER_READERS[reader]
     read(good)
     for path in paths:
         for shape in (lambda x: x + 0.5, float, str, bool):
-            obj = copy.deepcopy(good)
-            *parents, key = path
-            container = obj
-            for step in parents:
-                container = container[step]
-            container[key] = shape(container[key])
             with pytest.raises(InvalidInputError):
-                read(obj)
+                read(reshaped(good, path, shape))
+
+
+# Each rational field of a JSON reader, in a well-formed input.
+PROBLEM = {"variables": 1, "labels": {"count": 1, "weights": [1]},
+           "constraints": [{"id": 0, "domain": [0], "bad": []}]}
+PARAMS = {"p": 0, "d": 1, "s": 2, "eps": "1/2", "eta": "1/64",
+          "R": 1, "N": 2, "depth": 3}
+RATIONAL_FIELDS = {
+    "weights": (lambda obj: load_problem(json.dumps(obj)), PROBLEM,
+                ("labels", "weights", 0)),
+    **{key: (params_from_json, PARAMS, (key,)) for key in ("p", "s", "eps", "eta")},
+}
+
+
+@pytest.mark.parametrize("field", sorted(RATIONAL_FIELDS))
+def test_json_readers_refuse_rationals_given_as_bools(field):
+    read, good, path = RATIONAL_FIELDS[field]
+    read(good)
+    for flag in (True, False):
+        with pytest.raises(InvalidParameterError, match="not a rational"):
+            read(reshaped(good, path, lambda _: flag))
 
 
 @given(st.fractions())

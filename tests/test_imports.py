@@ -1,10 +1,10 @@
-"""Every name a module imports is used in that module, importing the
-package pulls in no process pool, only `csp.materialize_cap_default`
-reads the environment, and only `Csp.__post_init__` writes a frozen
-object.
+"""Every name a module imports is used in that module, each module
+imports on its own, importing every module pulls in no process pool,
+only `csp.materialize_cap_default` reads the environment, and only
+`Csp.__post_init__` writes a frozen object.
 
 Stdlib-only, so the check needs no linter. The package `__init__` is
-skipped: its imports are the public re-exports.
+skipped: it imports nothing and holds only `__version__`.
 """
 
 import ast
@@ -134,10 +134,23 @@ def test_only_problem_construction_writes_a_frozen_object():
     assert owners == {("csp.py", "Csp.__post_init__")}
 
 
+def run_python(code: str) -> str:
+    """Stdout of `code` run in a fresh interpreter that imports from `src/`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_each_module_imports_on_its_own(path):
+    # Importers name the modules, in no fixed order, so an import cycle
+    # must not hide behind the order of some other importer.
+    run_python(f"import llltool.{path.stem}")
+
+
 def test_importing_the_package_leaves_the_process_pool_out():
     # `mt_monte_carlo` imports the pool only when it runs with jobs > 1
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = "import sys, llltool; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    imports = "; ".join(f"import llltool.{path.stem}" for path in MODULES)
+    out = run_python(f"import sys; {imports}; "
+                     "print('concurrent.futures.process' in sys.modules)")
     assert out.strip() == "False"

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import table_to_json
+
 from llltool.errors import (
     DepthExceededError,
     InvalidInputError,
@@ -42,7 +44,7 @@ def test_get_bounds():
 
 def test_table_json_round_trip():
     t = Table(2, {0: (0, 1), 3: (1, 1)})
-    assert table_from_json(t.to_json()) == t
+    assert table_from_json(table_to_json(t)) == t
 
 
 def test_table_json_rejects_row_count_mismatch():

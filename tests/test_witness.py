@@ -205,9 +205,22 @@ def test_mt1_exact_refuses_rows_past_depth():
 
 
 def test_mt1_exact_cell_cap():
-    g = witness_from_levels([{0, 1}], PAIR)
+    g = witness_from_levels([{0}, {1}], PAIR)  # 4 cells: 2**4 > 7
     with materialize_cap(7), pytest.raises(CapExceededError):
         verify_mt1_exact(g, PAIR, depth=3)
+
+
+@pytest.mark.parametrize("g", [
+    # constraints 0 and 1 share variable 1 on one level
+    witness_from_levels([{0, 1}], PAIR),
+    WitnessDigraph((0, 1), frozenset({(0, 1), (1, 0)})),
+], ids=["one-level", "cycle"])
+def test_mt1_refuses_a_digraph_that_is_not_a_witness(g):
+    assert not validate_witness(g, PAIR)
+    with pytest.raises(InvalidInputError, match="not a witness digraph"):
+        verify_mt1_exact(g, PAIR, depth=3)
+    with pytest.raises(InvalidInputError, match="not a witness digraph"):
+        verify_mt1_monte_carlo(g, PAIR, trials=10, seed=0, depth=3)
 
 
 def truncation_safe(g, csp, depth):
@@ -277,7 +290,7 @@ def test_mt1_monte_carlo_verdict_is_the_integer_hoeffding_test():
     cases = [
         (witness_from_levels([{0}], CHAIN), CHAIN),
         (witness_from_levels([{0}, {0}], CHAIN), CHAIN),
-        (witness_from_levels([{0, 1}], PAIR), PAIR),
+        (witness_from_levels([{0}, {1}], PAIR), PAIR),
         (witness_from_levels([{0}, {1}, {0}], PAIR), PAIR),
     ]
     for g, csp in cases:
@@ -376,6 +389,22 @@ def test_mt2_range_check():
         verify_mt2_partial_sums(
             0, CHAIN, {0: Fraction(1)}, {0: Fraction(1, 4)}, max_vertices=2
         )
+
+
+def test_mt2_series_memo_refuses_past_the_materialization_cap():
+    # One constraint: the states are a chain with rooms n-1 down to 0, so
+    # the memo holds n(n-1)/2 entries past entry 0 at n vertices. At 6 the
+    # third state (5 + 4 + 3) is refused before its lists are built.
+    alpha, beta = {0: Fraction(1, 4)}, {0: Fraction(1, 2)}
+    with materialize_cap(10):
+        rep = verify_mt2_partial_sums(0, CHAIN, alpha, beta, max_vertices=5)
+        assert rep["digraphs"] == 5
+        with pytest.raises(CapExceededError, match="12 entries, cap 10"):
+            verify_mt2_partial_sums(0, CHAIN, alpha, beta, max_vertices=6)
+    with materialize_cap(0):
+        rep = verify_mt2_partial_sums(0, CHAIN, alpha, beta, max_vertices=1)
+        assert rep["digraphs"] == 1
+        assert [g.n for g in enumerate_sink_star(0, CHAIN, max_vertices=1)] == [1]
 
 
 def test_mt2_sum_matches_the_fraction_sum_over_digraphs():
