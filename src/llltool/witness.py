@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .csp import Csp, materialize_cap_default, prob_bad
+from .csp import Csp, _row_reader, materialize_cap_default, prob_bad
 from .errors import (
     CapExceededError,
     DepthExceededError,
@@ -183,9 +183,12 @@ def _vertex_cells(g: WitnessDigraph, csp: Csp) -> list[tuple[Callable, tuple]]:
 def _cells_within(g: WitnessDigraph, csp: Csp, depth: int):
     """`_vertex_cells` of a witness digraph of `csp`.
 
-    Refuses, with InvalidInputError, a digraph that `validate_witness`
-    rejects, and then the least cell whose row is past `depth`.
+    Refuses, with InvalidParameterError, a depth below 1; with
+    InvalidInputError, a digraph that `validate_witness` rejects; and then
+    the least cell whose row is past `depth`.
     """
+    if depth < 1:
+        raise InvalidParameterError("depth must be >= 1")
     if not validate_witness(g, csp):
         raise InvalidInputError("digraph is not a witness digraph of the problem")
     vertex_cells = _vertex_cells(g, csp)
@@ -211,7 +214,8 @@ def _pruned_mass(checks, numerators) -> int:
     """Sum of the label-numerator products of every labelling that passes.
 
     Position i takes each label in turn; the checks at i, each a bad test
-    and the positions it reads, must then hold, or the subtree is skipped.
+    and a reader of the positions it reads, must then hold, or the subtree
+    is skipped.
     Depth first and iterative, since positions may number in the thousands
     when there is one label.
     """
@@ -230,9 +234,10 @@ def _pruned_mass(checks, numerators) -> int:
             i -= 1
             continue
         labels[i] = label
-        if all(
-            bad_test(tuple(labels[j] for j in read)) for bad_test, read in checks[i]
-        ):
+        for bad_test, reader in checks[i]:
+            if not bad_test(reader(labels)):
+                break
+        else:
             if i + 1 == m:
                 total += mass[i] * numerators[label]
             else:
@@ -262,12 +267,12 @@ def verify_mt1_exact(g: WitnessDigraph, csp: Csp, depth: int) -> dict:
     cap = materialize_cap_default()
     if k ** m > cap:
         raise CapExceededError(f"{k}**{m} cell assignments exceed cap {cap}")
-    checks: list[list[tuple[Callable, tuple[int, ...]]]] = [[] for _ in range(m)]
+    checks: list[list[tuple[Callable, Callable]]] = [[] for _ in range(m)]
     compatible = True
     for bad_test, cells in vertex_cells:
         read = tuple(position[cell] for cell in cells)
         if read:
-            checks[max(read)].append((bad_test, read))
+            checks[max(read)].append((bad_test, _row_reader(read)))
         elif not bad_test(()):
             compatible = False
     # Masses are products of integer weight numerators over the common
@@ -297,10 +302,13 @@ def verify_mt1_monte_carlo(
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     vertex_cells = _cells_within(g, csp, depth)
+    # A keyed cell depends on (seed, trial, v, row) alone, so the tables
+    # need only the columns the witness reads.
+    columns = sorted({v for _, cells in vertex_cells for v, _ in cells})
     cells = CellSampler(csp.weights, seed)
     hits = 0
     for trial in range(trials):
-        table = KeyedTable(cells, csp.variables, depth, trial)
+        table = KeyedTable(cells, columns, depth, trial)
         if _compatible_on_cells(vertex_cells, table.get):
             hits += 1
     rhs = _bad_mass_product(g, csp)
@@ -480,10 +488,17 @@ def _stack_sums(
     root = ((c,), closed[c], max_vertices - 1)
     frames = [open_frame(root)]
     pending: list[tuple[int, ...]] = []  # the level each open parent waits on
+    # A state with no room left has only the stack that ends there; it is
+    # added as is, and opens no frame and no memo entry.
+    ends = [1, [1], [1]]
     while frames:
         (_, reach, room), levels, totals = frames[-1]
         for level, covered in levels:
-            child = (level, reach | covered, room - len(level))
+            left = room - len(level)
+            if not left:
+                add(totals, level, ends)
+                continue
+            child = (level, reach | covered, left)
             below = memo.get(child)
             if below is None:
                 pending.append(level)

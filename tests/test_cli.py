@@ -383,6 +383,23 @@ def test_verify_mt1_exact_over_the_cli(tmp_path, capsys):
     assert again["results"] == payload["results"]
 
 
+def test_verify_mt1_refuses_a_depth_below_one_in_both_modes(tmp_path, capsys):
+    # one vertex that reads no cell (an empty domain), and one that reads
+    # row 0: neither mode decides anything at a depth below 1
+    empty = problem_file(tmp_path, make_csp(1, [((), [()])]), "empty.json")
+    one = problem_file(tmp_path, make_csp(1, [((0,), [(1,)])]), "one.json")
+    wfile = write(tmp_path, "witness.json",
+                  WitnessDigraph((0,), frozenset()).to_json())
+    for prob in (empty, one):
+        for mode in ("exact", "monte_carlo"):
+            for depth in ("-5", "0"):
+                assert main(["verify-mt1", "--problem", prob, "--witness", wfile,
+                             "--mode", mode, "--depth", depth]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == "llltool: error: depth must be >= 1\n"
+
+
 def test_verify_mt2_report_names_its_cap(tmp_path, capsys):
     prob = problem_file(tmp_path, make_csp(1, [((0,), [(1,)])]))
     code, payload = run(

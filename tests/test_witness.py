@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    PREDICATE_PROBLEMS,
     TINY_FAMILY,
     canonical_form,
     compatible_by_levels,
@@ -223,6 +224,42 @@ def test_mt1_refuses_a_digraph_that_is_not_a_witness(g):
         verify_mt1_monte_carlo(g, PAIR, trials=10, seed=0, depth=3)
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_mt1_refuses_a_depth_below_one_in_both_modes(depth):
+    # an empty-domain vertex reads no cell, and a vertex with cells reads
+    # row 0: the depth is refused before either is looked at
+    empty = make_csp(1, [((), [()])])
+    for g, csp in ((witness_from_levels([{0}], empty), empty),
+                   (witness_from_levels([{0}], CHAIN), CHAIN)):
+        with pytest.raises(InvalidParameterError, match="depth must be >= 1"):
+            verify_mt1_exact(g, csp, depth=depth)
+        with pytest.raises(InvalidParameterError, match="depth must be >= 1"):
+            verify_mt1_monte_carlo(g, csp, trials=10, seed=0, depth=depth)
+
+
+def test_mt1_monte_carlo_ignores_variables_the_witness_does_not_read():
+    # variables and constraints appended after the witness's ids leave
+    # every cell it reads, and so the report, unchanged
+    base = make_csp(3, [((0, 1), [(0, 1), (1, 1)]), ((1, 2), [(0, 0)])],
+                    weights=(Fraction(1, 4), Fraction(3, 4)))
+    wider = make_csp(
+        6,
+        [((0, 1), [(0, 1), (1, 1)]), ((1, 2), [(0, 0)]),
+         ((3, 4), [(1, 0)]), ((4, 5), AlwaysViolated()), ((5,), [(0,)])],
+        weights=(Fraction(1, 4), Fraction(3, 4)),
+    )
+    levels = [{0}, {1}, {0}]
+    for seed in (0, 5, 2**64 + 9):
+        rep = verify_mt1_monte_carlo(
+            witness_from_levels(levels, base), base, trials=400, seed=seed, depth=3
+        )
+        again = verify_mt1_monte_carlo(
+            witness_from_levels(levels, wider), wider, trials=400, seed=seed,
+            depth=3,
+        )
+        assert rep == again
+
+
 def truncation_safe(g, csp, depth):
     """Whether every row g reads, by the pairwise in-level counts, is < depth."""
     return all(
@@ -244,15 +281,17 @@ MT1_EXTRA = [
 
 
 def test_mt1_exact_matches_the_full_leaf_walk():
+    # PREDICATE_PROBLEMS give row readers of every width (0 to 3 cells),
+    # three labels, predicates and skewed weights
     checked = 0
-    for csp in TINY_FAMILY + MT1_EXTRA:
+    for csp in TINY_FAMILY + MT1_EXTRA + PREDICATE_PROBLEMS:
         for g in enumerate_all_witnesses(csp, 4):
             if not truncation_safe(g, csp, 3):
                 continue
             rep = verify_mt1_exact(g, csp, depth=3)
             assert Fraction(rep["lhs_exact"]) == leaf_mt1_lhs(g, csp)
             checked += 1
-    assert checked >= 240
+    assert checked >= 493
 
 
 def test_mt1_exact_matches_the_full_leaf_walk_on_ten_cells():
