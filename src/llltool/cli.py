@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("solve", help="deterministic solving by conditional masses")
     so.add_argument("--problem", required=True)
-    so.add_argument("--method", required=True, choices=["double-exp"])
     so.add_argument("--ledger", action="store_true")
 
     ad = sub.add_parser("advisor", help="derive pipeline parameters from growth")

@@ -294,9 +294,6 @@ def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class PipelineParams:
-    p: Fraction
-    d: int
-    s: Fraction
     eps: Fraction
     eta: Fraction
     R: int
@@ -304,20 +301,13 @@ class PipelineParams:
     depth: int
 
     def __post_init__(self):
-        if not 0 <= self.p < 1:
-            raise InvalidParameterError("p must lie in [0,1)")
-        if self.s <= 1:
-            raise InvalidParameterError("s must exceed 1")
         if not 0 < self.eps < 1 or not 0 < self.eta < 1:
             raise InvalidParameterError("eps and eta must lie in (0,1)")
-        if self.d < 0 or self.R < 0 or self.N < 1 or self.depth < 1:
-            raise InvalidParameterError("d, R >= 0 and N, depth >= 1 required")
+        if self.R < 0 or self.N < 1 or self.depth < 1:
+            raise InvalidParameterError("R >= 0 and N, depth >= 1 required")
 
     def to_json(self) -> dict:
         return {
-            "p": format_rational(self.p),
-            "d": self.d,
-            "s": format_rational(self.s),
             "eps": format_rational(self.eps),
             "eta": format_rational(self.eta),
             "R": self.R,
@@ -327,11 +317,10 @@ class PipelineParams:
 
 
 def params_from_json(obj) -> PipelineParams:
+    """Read the five fields of a parameter file; any other key is ignored,
+    so a file that also names p, d and s loads to the same params."""
     try:
         return PipelineParams(
-            p=parse_rational(obj["p"]),
-            d=parse_int(obj["d"]),
-            s=parse_rational(obj["s"]),
             eps=parse_rational(obj["eps"]),
             eta=parse_rational(obj["eta"]),
             R=parse_int(obj["R"]),
@@ -449,7 +438,7 @@ def parameter_advisor(
     n_value = _least_power_above(1 + eta, target)
     depth = (d + 1) * n_value + 1
     feasible = n_value <= 30 and depth <= 8
-    params = PipelineParams(p, d, s, eps, eta, chosen_r, max(n_value, 1), depth)
+    params = PipelineParams(eps, eta, chosen_r, max(n_value, 1), depth)
     report = {
         "eps": format_rational(eps),
         "eta": format_rational(eta),

@@ -258,6 +258,21 @@ def float_of(x: Fraction) -> float:
     return x.numerator / x.denominator
 
 
+def hoeffding_side(count: int, trials: int, mean: Fraction) -> int:
+    """Where `count` hits in `trials` draws fall against the band
+    trials * mean +- 2 * sqrt(trials): -1 below it, 0 inside, 1 above.
+
+    Exact. By Hoeffding each side of the band has mass at most exp(-8), so
+    a two-sided test accepts 0 and a one-sided test every side <= 0. It
+    accepts every count the reported float 4-sigma `tolerance` band does,
+    bar an exact tie at mean 1/2, since 4 * sigma * n <= 2 * sqrt(n).
+    """
+    deviation = count - trials * mean
+    if 2 * deviation**2 < 8 * trials:
+        return 0
+    return 1 if deviation > 0 else -1
+
+
 def binomial_sigma(p: Fraction, trials: int) -> float:
     """Standard deviation of a Bernoulli(p) frequency over `trials` samples."""
     q = min(max(float_of(p), 0.0), 1.0)

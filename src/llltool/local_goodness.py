@@ -48,6 +48,7 @@ from .exact import (
     e_interval,
     float_of,
     format_rational,
+    hoeffding_side,
     rational_pow_leq,
 )
 from .graphs import FiniteGraph, bfs_distances, max_ball_sizes
@@ -392,12 +393,6 @@ def estimate_lbad_prob(
         if not good:
             bad += 1
     frequency = Fraction(bad + unknown, trials)
-    # One-sided Hoeffding test at level exp(-8), in integers and the one
-    # rational bound: P[X - n*b >= t] <= exp(-2 t**2 / n). `tolerance`, the
-    # float 4-sigma band it replaces, is only reported. The test accepts
-    # every count the band accepted, bar an exact tie at b = 1/2, since
-    # 4 * sigma * n <= 2 * sqrt(n).
-    excess = bad + unknown - trials * bound
     p_eff = min(bound, Fraction(1))
     tolerance = 4 * binomial_sigma(p_eff, trials)
     return {
@@ -411,7 +406,7 @@ def estimate_lbad_prob(
         "bound": float_of(bound),
         "bound_exact": format_rational(bound),
         "tolerance": tolerance,
-        "pass": excess <= 0 or 2 * excess**2 < 8 * trials,
+        "pass": hoeffding_side(bad + unknown, trials, bound) <= 0,
         "d": d,
         "p": format_rational(p),
         "gammaR": gamma_r,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .csp import Csp, _row_reader, materialize_cap_default, prob_bad
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .exact import binomial_sigma, float_of, format_rational, parse_int
+from .exact import binomial_sigma, float_of, format_rational, hoeffding_side, parse_int
 from .moser_tardos import MtSequence, _check_step_disjoint
 from .tables import CellSampler, KeyedTable
 
@@ -312,12 +312,6 @@ def verify_mt1_monte_carlo(
         if _compatible_on_cells(vertex_cells, table.get):
             hits += 1
     rhs = _bad_mass_product(g, csp)
-    # Two-sided Hoeffding test, in integers and the exact rhs:
-    # P[|X - n*rhs| >= t] <= 2 exp(-2 t**2 / n), here at t = 2 sqrt(n).
-    # `tolerance`, the float 4-sigma band it replaces, is only reported.
-    # The test accepts every count the band accepted, bar an exact tie at
-    # rhs = 1/2, since 4 * sigma * n <= 2 * sqrt(n).
-    deviation = hits - trials * rhs
     return {
         "mode": "monte_carlo",
         "trials": trials,
@@ -326,7 +320,7 @@ def verify_mt1_monte_carlo(
         "rhs": float_of(rhs),
         "rhs_exact": format_rational(rhs),
         "tolerance": 4 * binomial_sigma(rhs, trials),
-        "pass": 2 * deviation**2 < 8 * trials,
+        "pass": hoeffding_side(hits, trials, rhs) == 0,
     }
 
 
@@ -335,22 +329,31 @@ def enumerate_sink_star(
 ) -> list[WitnessDigraph]:
     """All single-sink witness digraphs with sink decoration c, up to iso.
 
-    One digraph per level stack of `_sink_stacks`, in its order.
-    Raises InvalidParameterError when c names no constraint, and
-    CapExceededError past `cap` representatives or, before any digraph
-    is built, when the digraphs' vertex pairs (an n-vertex digraph has
-    n(n-1)/2, a bound on its edges) exceed `materialize_cap_default()`.
+    One digraph per level stack of `_sink_stacks`, sorted by vertex count,
+    then as tuples. Raises InvalidParameterError when c names no
+    constraint, and CapExceededError past `cap` representatives or, before
+    any digraph is built, when the digraphs' vertex pairs (an n-vertex
+    digraph has n(n-1)/2, a bound on its edges) exceed
+    `materialize_cap_default()`. The pairs are counted as the stacks come,
+    and a stack is kept only while they are within that cap.
     """
     _require_cap(cap)
-    stacks = _sink_stacks(c, csp, max_vertices, cap)
-    sizes = (sum(map(len, stack)) for stack in stacks)
-    pairs = sum(n * (n - 1) // 2 for n in sizes)
     limit = materialize_cap_default()
+    kept = []
+    pairs = 0
+    for count, stack in enumerate(_sink_stacks(c, csp, max_vertices), 1):
+        if count > cap:
+            raise CapExceededError(f"more than {cap} representatives")
+        n = sum(map(len, stack))
+        pairs += n * (n - 1) // 2
+        if pairs <= limit:
+            kept.append((n, stack))
     if pairs > limit:
         raise CapExceededError(
-            f"{len(stacks)} digraphs have {pairs} vertex pairs, cap {limit}"
+            f"{count} digraphs have {pairs} vertex pairs, cap {limit}"
         )
-    return [witness_from_levels(stack, csp) for stack in stacks]
+    kept.sort()
+    return [witness_from_levels(stack, csp) for _, stack in kept]
 
 
 def _require_cap(cap: int) -> None:
@@ -402,34 +405,29 @@ def _levels_below(bottom, reach: int, room: int, closed: list[int]):
 
 
 def _sink_stacks(
-    c: int, csp: Csp, max_vertices: int, cap: int
-) -> list[tuple[tuple[int, ...], ...]]:
+    c: int, csp: Csp, max_vertices: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Level stacks of the single-sink witnesses at c, bottom level first.
 
     Grows level stacks downward from the top level {c}. A stack is valid
     when each level is domain-disjoint, each non-bottom vertex has a
     neighbor directly below (so levels are longest-path levels) and each
     non-top vertex has a neighbor somewhere above (so the sink is unique).
-    Distinct stacks are automatically non-isomorphic. Stacks come sorted
-    by vertex count, then as tuples.
+    Distinct stacks are automatically non-isomorphic. Stacks are yielded
+    depth first, as they are grown, and none is kept.
     """
     csp.constraint(c)
     if max_vertices < 1:
         raise InvalidParameterError("max_vertices must be >= 1")
     closed = _closed_masks(csp)
-    results: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
     todo = [(((c,),), 1, closed[c])]
     while todo:
         stack, size, reach = todo.pop()
-        results.append((size, stack))
-        if len(results) > cap:
-            raise CapExceededError(f"more than {cap} representatives")
+        yield stack
         for level, covered in _levels_below(
             stack[0], reach, max_vertices - size, closed
         ):
             todo.append(((level,) + stack, size + len(level), reach | covered))
-    results.sort()
-    return [stack for _, stack in results]
 
 
 def _stack_sums(

@@ -419,7 +419,5 @@ def test_criterion_10_reports_reproduce_and_json_round_trips(tmp_path, capsys):
     assert MtSequence.from_lists(seq.to_json()).to_json() == seq.to_json()
     g = full_witness_digraph(MtSequence.from_lists([[0], [0]]), csp)
     assert witness_from_json(g.to_json()).to_json() == g.to_json()
-    pp = PipelineParams(p=Fraction(1, 16), d=4, s=Fraction(21, 20),
-                        eps=Fraction(1, 24), eta=Fraction(1, 64),
-                        R=1, N=2, depth=3)
+    pp = PipelineParams(eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=2, depth=3)
     assert params_from_json(pp.to_json()).to_json() == pp.to_json()

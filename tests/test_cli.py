@@ -126,7 +126,7 @@ ENVELOPE_ARGV = {
     "lbad": ["--problem", "{sated}", "--c", "0", "--R", "1", "--N", "1",
              "--eps", "1/24", "--eta", "1/64", "--s", "6/5", "--depth", "2",
              "--trials", "5", "--seed", "7"],
-    "solve": ["--problem", "{one}", "--method", "double-exp"],
+    "solve": ["--problem", "{one}"],
     "advisor": ["--problem", "{sated}", "--s", "6/5", "--r-max", "8"],
     "pipeline": ["--problem", "{sated}", "--params", "{params}", "--trials", "3",
                  "--seed", "7"],
@@ -146,8 +146,7 @@ def envelope_inputs(tmp_path):
         "witness": write(tmp_path, "witness.json", full_witness_digraph(
             MtSequence.from_lists([[0], [0]]), one).to_json()),
         "params": write(tmp_path, "params.json", PipelineParams(
-            p=Fraction(0), d=0, s=Fraction(6, 5), eps=Fraction(1, 24),
-            eta=Fraction(1, 64), R=1, N=1, depth=2,
+            eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=2,
         ).to_json()),
     }
 
@@ -169,7 +168,7 @@ REPORTED_KEYS = {
     "verify-mt2": {"problem", "c", "alpha", "beta", "max_vertices", "cap"},
     "locally-good": {"problem", "table", "c", "R", "N", "eps", "budget"},
     "lbad": {"problem", "c", "R", "N", "eps", "eta", "s", "depth", "trials"},
-    "solve": {"problem", "method", "ledger"},
+    "solve": {"problem", "ledger"},
     "advisor": {"problem", "s", "r_max"},
     "pipeline": {"problem", "params", "mode", "trials", "budget"},
 }
@@ -516,8 +515,7 @@ def test_a_negative_search_budget_exits_two(tmp_path, capsys):
     prob = problem_file(tmp_path, csp)
     table = table_file(tmp_path, [[0, 0], [1, 1]])
     params = write(tmp_path, "params.json", PipelineParams(
-        p=Fraction(1, 2), d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=2,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=2,
     ).to_json())
     search = ["--c", "0", "--R", "1", "--N", "1", "--eps", "1/24"]
     for argv in (
@@ -672,15 +670,18 @@ def test_lbad_report_and_exit_zero_on_trivially_good_input(tmp_path, capsys):
     assert payload["results"]["frequency"] == 0.0
 
 
-def test_solve_double_exp_emits_solution_and_ledger(tmp_path, capsys):
+def two_edge_hypergraph(tmp_path, capsys) -> str:
+    """The 2-colouring of two 6-edges sharing a vertex, as a problem file."""
     hyp = write(tmp_path, "hyp.json",
                 {"n": 11, "edges": [list(range(6)), list(range(5, 11))]})
     code, generated = run(["generate", "--kind", "hyp2color", "--graph", hyp], capsys)
     assert code == 0
-    prob = write(tmp_path, "problem.json", generated)
-    code, payload = run(
-        ["solve", "--problem", prob, "--method", "double-exp", "--ledger"], capsys
-    )
+    return write(tmp_path, "problem.json", generated)
+
+
+def test_solve_double_exp_emits_solution_and_ledger(tmp_path, capsys):
+    prob = two_edge_hypergraph(tmp_path, capsys)
+    code, payload = run(["solve", "--problem", prob, "--ledger"], capsys)
     assert code == 0
     results = payload["results"]
     assert results["is_solution"] is True
@@ -691,11 +692,47 @@ def test_solve_double_exp_emits_solution_and_ledger(tmp_path, capsys):
         assert Fraction(entry["mass"]) <= Fraction(entry["bound"])
 
 
+def test_solve_takes_no_method(tmp_path, capsys):
+    # There is one solver, so there is nothing to choose: `--method` is
+    # refused, and the results stay pinned.
+    prob = two_edge_hypergraph(tmp_path, capsys)
+    code, payload = run(["solve", "--problem", prob, "--ledger"], capsys)
+    assert code == 0
+    assert payload["parameters"] == {"problem": prob, "ledger": True}
+    results = payload["results"]
+    assert results["assignment"] == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert [
+        (e["class_index"], e["constraint"], e["k"], e["mass"], e["bound"])
+        for e in results["ledger"]
+    ] == [(0, 0, 1, "0", "1/16"), (0, 1, 1, "1/32", "1/16"),
+          (1, 0, 2, "0", "1/8"), (1, 1, 2, "0", "1/8")]
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--problem", prob, "--method", "double-exp"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_advisor_params_run_through_the_pipeline(tmp_path, capsys):
+    prob = two_edge_hypergraph(tmp_path, capsys)
+    code, payload = run(["advisor", "--problem", prob, "--s", "2"], capsys)
+    assert code == 0
+    advised = payload["results"]["params"]
+    assert sorted(advised) == ["N", "R", "depth", "eps", "eta"]
+    params = write(tmp_path, "params.json", advised)
+    code, payload = run(
+        ["pipeline", "--problem", prob, "--params", params, "--seed", "7",
+         "--trials", "3"],
+        capsys,
+    )
+    assert code == 0
+    assert payload["results"]["params"] == advised
+    assert payload["results"]["status"] == "solved"
+
+
 def test_pipeline_exit_codes_follow_the_status(tmp_path, capsys):
     easy = problem_file(tmp_path, make_csp(2, [((0, 1), [])]), "easy.json")
     params = write(tmp_path, "params.json", PipelineParams(
-        p=Fraction(0), d=0, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=2,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=2,
     ).to_json())
     code, payload = run(
         ["pipeline", "--problem", easy, "--params", params, "--seed", "1",
@@ -709,8 +746,7 @@ def test_pipeline_exit_codes_follow_the_status(tmp_path, capsys):
 
     hard = problem_file(tmp_path, proper_coloring(cycle_graph(4), 2), "hard.json")
     det_params = write(tmp_path, "det.json", PipelineParams(
-        p=Fraction(1, 2), d=2, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=40,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=40,
     ).to_json())
     code, payload = run(
         ["pipeline", "--problem", hard, "--params", det_params, "--mode", "det"],
@@ -723,8 +759,7 @@ def test_pipeline_exit_codes_follow_the_status(tmp_path, capsys):
     edge_csp = proper_coloring(graph_from_edges(2, [(0, 1)]), 2)
     edge = problem_file(tmp_path, edge_csp, "edge.json")
     edge_params = write(tmp_path, "edge_params.json", PipelineParams(
-        p=Fraction(1, 2), d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=2,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=2,
     ).to_json())
     code, payload = run(
         ["pipeline", "--problem", edge, "--params", edge_params, "--mode", "det",
@@ -740,8 +775,7 @@ def test_pipeline_exit_codes_follow_the_status(tmp_path, capsys):
 
     stuck = problem_file(tmp_path, make_csp(1, [((0,), [(0,), (1,)])]), "stuck.json")
     stuck_params = write(tmp_path, "stuck_params.json", PipelineParams(
-        p=Fraction(0), d=0, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=3,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=3,
     ).to_json())
     code, payload = run(
         ["pipeline", "--problem", stuck, "--params", stuck_params, "--seed", "1",

@@ -197,8 +197,7 @@ def commands(rng, files, m):
                               "--eta", pick(rng, ["1/64", "1/2"], ["0"]),
                               "--s", pick(rng, ["6/5", "2"], ["1"]), "--depth", depth,
                               "--trials", "3", "--budget", budget],
-        ["solve"] + problem + ["--method", "double-exp"]
-        + (["--ledger"] if rng.random() < 0.5 else []),
+        ["solve"] + problem + (["--ledger"] if rng.random() < 0.5 else []),
         ["advisor"] + problem + ["--s", pick(rng, ["6/5", "2"], ["1"]),
                                  "--r-max", small()],
         ["pipeline"] + problem + ["--params", files["params"],

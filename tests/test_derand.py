@@ -198,20 +198,30 @@ def test_double_exp_five_coloring_a_path():
 
 def test_pipeline_params_validation_and_round_trip():
     params = PipelineParams(
-        p=Fraction(1, 16), d=4, s=Fraction(21, 20), eps=Fraction(1, 30),
-        eta=Fraction(1, 64), R=1, N=2, depth=3,
+        eps=Fraction(1, 30), eta=Fraction(1, 64), R=1, N=2, depth=3,
     )
     assert params_from_json(params.to_json()) == params
     with pytest.raises(InvalidParameterError):
         PipelineParams(
-            p=Fraction(1, 16), d=4, s=Fraction(21, 20), eps=Fraction(2),
-            eta=Fraction(1, 64), R=1, N=2, depth=3,
+            eps=Fraction(2), eta=Fraction(1, 64), R=1, N=2, depth=3,
         )
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="depth >= 1 required"):
         PipelineParams(
-            p=Fraction(3, 2), d=4, s=Fraction(21, 20), eps=Fraction(1, 30),
-            eta=Fraction(1, 64), R=1, N=2, depth=3,
+            eps=Fraction(1, 30), eta=Fraction(1, 64), R=1, N=2, depth=0,
         )
+
+
+def test_a_params_file_loads_with_or_without_p_d_and_s():
+    five = {"eps": "1/30", "eta": "1/64", "R": 1, "N": 2, "depth": 3}
+    params = params_from_json(five)
+    assert params == PipelineParams(
+        eps=Fraction(1, 30), eta=Fraction(1, 64), R=1, N=2, depth=3,
+    )
+    assert params.to_json() == five
+    # A file with p, d and s, as the advisor once wrote it, loads to equal
+    # params; nothing reads those three, so a bad value there is not refused.
+    assert params_from_json({"p": "1/16", "d": 4, "s": "21/20", **five}) == params
+    assert params_from_json({"p": "3/2", "d": -1, "s": "x", **five}) == params
 
 
 def test_least_growth_radius_frozen_case():
@@ -332,8 +342,7 @@ def test_advisor_accepts_a_profile_that_just_reaches_twice_the_radius():
 def test_pipeline_randomized_solves_easy_instances():
     csp = make_csp(2, [((0, 1), [])])
     params = PipelineParams(
-        p=Fraction(0), d=0, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=2,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=2,
     )
     rep = pipeline(csp, params, mode="randomized", seed=1, trials=5)
     assert rep["status"] == "solved"
@@ -345,8 +354,7 @@ def test_pipeline_randomized_solves_easy_instances():
 def test_pipeline_deterministic_reports_infeasible_past_caps():
     csp = proper_coloring(path_graph(3), 2)
     params = PipelineParams(
-        p=Fraction(1, 2), d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=40,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=40,
     )
     rep = pipeline(csp, params, mode="deterministic", seed=0)
     assert rep["status"] == "infeasible"
@@ -356,8 +364,7 @@ def test_pipeline_deterministic_reports_infeasible_past_caps():
 def test_pipeline_no_good_table_status():
     csp = make_csp(1, [((0,), [(0,), (1,)])])
     params = PipelineParams(
-        p=Fraction(0), d=0, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=3,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=3,
     )
     rep = pipeline(csp, params, mode="randomized", seed=1, trials=4)
     assert rep["status"] == "no_good_table"
@@ -367,8 +374,7 @@ def test_pipeline_no_good_table_status():
 def test_pipeline_rejects_unknown_mode():
     csp = make_csp(1, [((0,), [])])
     params = PipelineParams(
-        p=Fraction(0), d=0, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=2,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=2,
     )
     with pytest.raises(InvalidParameterError):
         pipeline(csp, params, mode="alchemy")
@@ -619,8 +625,7 @@ def test_small_cap_deterministic_pipeline_matches_the_quotient_route(monkeypatch
         problems, (1, 2), (4, 16, 64), (1, 3, 200_000)
     ):
         params = PipelineParams(
-            p=Fraction(1, 2), d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
-            eta=Fraction(1, 64), R=1, N=1, depth=depth,
+            eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=depth,
         )
 
         def run():
@@ -859,8 +864,7 @@ def test_shared_base_masses_keep_the_quotient_route_ledger():
 
 def test_randomized_pipeline_reads_the_cells_a_stored_table_holds(monkeypatch):
     params = PipelineParams(
-        p=Fraction(1, 2), d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=3,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=3,
     )
     statuses = set()
     for csp, seed in itertools.product(TINY_FAMILY, (0, 1, 2)):

@@ -15,6 +15,7 @@ from llltool.exact import (
     e_interval,
     float_of,
     format_rational,
+    hoeffding_side,
     parse_rational,
     pow_compare,
     rational_pow_leq,
@@ -71,9 +72,8 @@ INTEGER_READERS = {
     ),
     "params_from_json": (
         params_from_json,
-        {"p": "1/24", "d": 1, "s": "2", "eps": "1/2", "eta": "1/64",
-         "R": 1, "N": 2, "depth": 3},
-        [("d",), ("R",), ("N",), ("depth",)],
+        {"eps": "1/2", "eta": "1/64", "R": 1, "N": 2, "depth": 3},
+        [("R",), ("N",), ("depth",)],
     ),
 }
 
@@ -102,12 +102,11 @@ def test_json_readers_refuse_integers_given_as_floats_strings_or_bools(reader):
 # Each rational field of a JSON reader, in a well-formed input.
 PROBLEM = {"variables": 1, "labels": {"count": 1, "weights": [1]},
            "constraints": [{"id": 0, "domain": [0], "bad": []}]}
-PARAMS = {"p": 0, "d": 1, "s": 2, "eps": "1/2", "eta": "1/64",
-          "R": 1, "N": 2, "depth": 3}
+PARAMS = {"eps": "1/2", "eta": "1/64", "R": 1, "N": 2, "depth": 3}
 RATIONAL_FIELDS = {
     "weights": (lambda obj: load_problem(json.dumps(obj)), PROBLEM,
                 ("labels", "weights", 0)),
-    **{key: (params_from_json, PARAMS, (key,)) for key in ("p", "s", "eps", "eta")},
+    **{key: (params_from_json, PARAMS, (key,)) for key in ("eps", "eta")},
 }
 
 
@@ -226,6 +225,14 @@ def test_pow_compare_decides_giant_exponents_without_the_powers():
 
 def test_float_of_is_true_division():
     assert float_of(Fraction(1, 3)) == 1 / 3
+
+
+def test_hoeffding_band_at_a_hundred_draws_of_mean_one_half():
+    # 100 * 1/2 = 50 and 2 * sqrt(100) = 20: the band is 30 < count < 70.
+    side = {count: hoeffding_side(count, 100, Fraction(1, 2)) for count in range(101)}
+    assert [count for count, s in side.items() if s == 0] == list(range(31, 70))
+    assert [count for count, s in side.items() if s <= 0] == list(range(70))
+    assert side[30] == -1 and side[70] == 1
 
 
 def test_binomial_sigma_quarter():

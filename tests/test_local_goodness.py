@@ -429,8 +429,7 @@ def test_lg_problem_builds_deep_and_refuses_its_first_mass():
     assert time.perf_counter() - started < 1
     assert len(lg.variables) == 3 * 24 and lg.label_count == 2
     params = PipelineParams(
-        p=HALF, d=1, s=Fraction(6, 5), eps=Fraction(1, 24),
-        eta=Fraction(1, 64), R=1, N=1, depth=24,
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=24,
     )
     with materialize_cap(None):
         rep = pipeline(csp, params, mode="deterministic")
@@ -640,8 +639,7 @@ def test_every_table_check_is_one_is_locally_good_call(monkeypatch):
     calls.clear()
     c5 = proper_coloring(cycle_graph(5), 3)
     params = PipelineParams(
-        p=Fraction(1, 3), d=2, s=Fraction(6, 5), eps=Fraction(1, 4),
-        eta=Fraction(1, 64), R=1, N=1, depth=3,
+        eps=Fraction(1, 4), eta=Fraction(1, 64), R=1, N=1, depth=3,
     )
     rep = pipeline(c5, params, mode="randomized", seed=2, trials=40)
     assert rep["status"] == "solved"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -415,6 +416,27 @@ def test_sink_star_refuses_past_the_vertex_pair_cap(monkeypatch):
         enumerate_sink_star(0, CHAIN, max_vertices=3)
 
 
+def test_a_refused_sink_listing_keeps_no_more_stacks_than_the_cap_admits(
+    monkeypatch,
+):
+    # 3,000 chains of 1 to 3,000 vertices: about 4.5e9 vertex pairs. Held
+    # all at once, the stacks take about 35 MiB before the refusal; kept
+    # only while their pairs fit the default cap (chains up to about 465
+    # vertices), about 1 MiB.
+    monkeypatch.delenv("LLLTOOL_MATERIALIZE_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            CapExceededError,
+            match="^3000 digraphs have 4499999500 vertex pairs, cap 16777216$",
+        ):
+            enumerate_sink_star(0, CHAIN, max_vertices=3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_mt2_rejects_alpha_over_the_slack():
     alpha = {0: Fraction(1, 2)}
     beta = {0: Fraction(1, 4)}
@@ -598,7 +620,7 @@ def test_bitset_level_rule_matches_the_frozenset_rule():
         for c in sinks_at:
             # Every state `_sink_stacks` reaches is a stack's bottom level,
             # the ids the stack reaches and the room it leaves.
-            for stack in _sink_stacks(c, csp, max_vertices, 10**6):
+            for stack in _sink_stacks(c, csp, max_vertices):
                 reach = frozenset().union(*(closed[a] for lvl in stack for a in lvl))
                 room = max_vertices - sum(map(len, stack))
                 fast = list(_levels_below(stack[0], mask_of(reach), room, masks))
@@ -629,7 +651,7 @@ def test_deep_stacks_do_not_exhaust_the_recursion_limit():
     rep = verify_mt2_partial_sums(0, iso, half, half, max_vertices=1500, cap=10**6)
     assert rep["digraphs"] == 1500
     assert Fraction(rep["partial_sum_exact"]) == 1 - Fraction(1, 2**1500)
-    assert len(_sink_stacks(0, iso, 1500, 10**6)) == 1500
+    assert sum(1 for _ in _sink_stacks(0, iso, 1500)) == 1500
 
 
 def test_mt2_zero_alpha_sums_to_zero():
