@@ -377,12 +377,10 @@ def _cmd_locally_good(args, inputs: _Inputs) -> tuple:
 
 def _cmd_lbad(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
-    local = local_goodness.LocalParams(
-        args.c, args.R, args.N, parse_rational(args.eps), parse_rational(args.eta)
-    )
+    local = local_goodness.LocalParams(args.c, args.R, args.N, parse_rational(args.eps))
     results = local_goodness.estimate_lbad_prob(
         csp, local, args.depth, args.trials, args.seed,
-        parse_rational(args.s), args.budget,
+        parse_rational(args.s), parse_rational(args.eta), args.budget,
     )
     return results, EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
 

@@ -266,18 +266,6 @@ def _check_row_cap(cid: int, rows: int) -> None:
         )
 
 
-def materialize_bad(csp: Csp, cid: int) -> frozenset:
-    """Explicit row set of a constraint's bad set, enumerating under a cap."""
-    c = csp.constraint(cid)
-    if isinstance(c.bad, frozenset):
-        return c.bad
-    _check_row_cap(cid, csp.label_count ** len(c.domain))
-    bad_test = csp.bad_tests[cid]
-    return frozenset(
-        row for row in assignment_rows(csp.label_count, len(c.domain)) if bad_test(row)
-    )
-
-
 def prob_bad(csp: Csp, cid: int) -> Fraction:
     """Exact product-measure mass of the constraint's bad set.
 
@@ -432,9 +420,11 @@ def lll_condition(p: Fraction, d: int, variant: str, s: Fraction | None = None) 
     classic:    e * p * (d+1) < 1
     exponent:   p * (e*(d+1))**s < 1, rational s > 1
     double_exp: p * (d+1)**(d+1) < 1
+
+    p is a probability in [0,1]; at p = 1 no variant holds.
     """
-    if not 0 <= p < 1:
-        raise InvalidParameterError("p must lie in [0,1)")
+    if not 0 <= p <= 1:
+        raise InvalidParameterError("p must lie in [0,1]")
     if d < 0:
         raise InvalidParameterError("d must be >= 0")
     if variant == "classic":
@@ -546,7 +536,11 @@ def load_problem(text: str) -> Csp:
 
 
 def dump_problem(csp: Csp) -> dict:
-    """Inverse of load_problem; explicit bad rows are emitted sorted."""
+    """Inverse of load_problem; explicit bad rows are emitted sorted.
+
+    Only explicit and `"always"` bad sets serialize; a predicate-backed
+    one is refused.
+    """
     if csp.variables != tuple(range(len(csp.variables))):
         raise InvalidInputError("only dense-variable problems serialize")
     constraints = []
@@ -556,7 +550,7 @@ def dump_problem(csp: Csp) -> dict:
         elif isinstance(c.bad, frozenset):
             bad = [list(row) for row in sorted(c.bad)]
         else:
-            bad = [list(row) for row in sorted(materialize_bad(csp, c.id))]
+            raise InvalidInputError(f"constraint {c.id}: only explicit bad sets serialize")
         constraints.append({"id": c.id, "domain": list(c.domain), "bad": bad})
     return {
         "variables": len(csp.variables),

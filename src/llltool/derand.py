@@ -191,7 +191,8 @@ def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
     Pass a list as `ledger` to collect per-class exact mass records; each
     entry checks the running mass of a constraint against
     (d+1)^k times its starting mass, k counting the classes whose closed
-    neighborhood reached it so far.
+    neighborhood reached it so far. A constraint of mass 1 has no row to
+    pick; the least one is named in a HypothesisError.
 
     The classes are those of a greedy coloring of the square of the
     dependency graph, in id order; each constraint's radius-2 ball is
@@ -228,6 +229,9 @@ def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
     d = csp.dependency_graph.max_degree()
     masses, slots = _base_masses(csp)
     p = max(masses, default=Fraction(0))
+    if p == 1:
+        cid = next(cid for cid, slot in enumerate(slots) if masses[slot] == 1)
+        raise HypothesisError(f"constraint {cid} is violated by every labeling")
     if not lll_condition(p, d, "double_exp").holds:
         raise InvalidParameterError(
             f"p(d+1)^(d+1) = {float_of(p * Fraction(d + 1) ** (d + 1))} is not < 1"
@@ -376,17 +380,15 @@ def parameter_advisor(
         raise InvalidParameterError("d must be >= 0")
     if s <= 1:
         raise InvalidParameterError("s must exceed 1")
-    if not 0 <= p < 1:
-        raise InvalidParameterError("p must lie in [0,1)")
+    if not 0 <= p <= 1:
+        raise InvalidParameterError("p must lie in [0,1]")
     if growth.proxy_gamma == 0:
         raise InvalidParameterError(
             "the problem has no constraints (its growth profile is all "
             "zeros), so there are no parameters to advise"
         )
     if not lll_condition(p, d, "exponent", s).holds:
-        raise HypothesisError(
-            "p(e(d+1))^s < 1 fails", failed=["p (e (d+1))**s < 1"]
-        )
+        raise HypothesisError("p(e(d+1))^s < 1 fails")
 
     eps_hi = 1 - 1 / s
     # Rational over-approximation of gamma^(1/r): least n with (n/Q)^r >= gamma.
@@ -399,8 +401,7 @@ def parameter_advisor(
     if eps_lo >= eps_hi:
         raise HypothesisError(
             "growth proxy leaves no eps below 1 - 1/s at this profile "
-            "length; a longer profile shrinks the proxy",
-            failed=["egr proxy < (1-eps)^-1 < s"],
+            "length; a longer profile shrinks the proxy"
         )
     eps = (eps_lo + eps_hi) / 2
     if not growth.proxy_less_than(1 / (1 - eps)):
@@ -426,10 +427,7 @@ def parameter_advisor(
             eta = candidate
             break
     if eta is None:
-        raise HypothesisError(
-            "(1-eta)/(1+eta) > p^(1-eps-1/s) unreachable",
-            failed=["(1-eta)/(1+eta) > p**(1-eps-1/s)"],
-        )
+        raise HypothesisError("(1-eta)/(1+eta) > p^(1-eps-1/s) unreachable")
 
     gamma_r = growth.gamma_at(chosen_r)
     gamma_2r = growth.gamma_at(2 * chosen_r)
@@ -484,10 +482,14 @@ def pipeline(
     exactly the good tables (`build_lg_csp`, one variable per table cell)
     and reads the table off its labeling cell by cell, through `cell_id`.
     It returns a structured infeasibility report instead of enumerating
-    past the materialization cap or the search budget. Randomized mode
-    samples tables until one is locally good everywhere.
+    past the materialization cap or the search budget, and `no_good_table`,
+    the randomized mode's status, when no table is locally good at some
+    constraint. Randomized mode samples tables until one is locally good
+    everywhere.
     """
     require_budget(budget)
+    if trials < 1:
+        raise InvalidParameterError("trials must be >= 1")
     report: dict = {"mode": mode, "params": params.to_json()}
     if mode == "deterministic":
         try:
@@ -498,6 +500,9 @@ def pipeline(
             return report
         except CapExceededError as exc:
             report.update({"status": "infeasible", "cap_failed": str(exc)})
+            return report
+        except HypothesisError as exc:  # a meta-constraint no table escapes
+            report.update({"status": "no_good_table", "reason": str(exc)})
             return report
         depth = params.depth
         table = Table(depth, {
@@ -517,9 +522,7 @@ def pipeline(
             raise InvalidParameterError(f"unknown mode {mode!r}")
         # One search plan per constraint, shared by every sampled table.
         plans = [
-            SearchPlan(
-                csp, LocalParams(c.id, params.R, params.N, params.eps, params.eta)
-            )
+            SearchPlan(csp, LocalParams(c.id, params.R, params.N, params.eps))
             for c in csp.constraints
         ]
         # Keyed tables: the search and the run draw only the cells they read.

@@ -41,11 +41,7 @@ class SearchBudgetError(CapExceededError):
 
 
 class HypothesisError(LllToolError):
-    """A required hypothesis inequality fails for the supplied parameters."""
-
-    def __init__(self, message: str, failed: str | None = None):
-        super().__init__(message)
-        self.failed = failed
+    """A required hypothesis fails for the supplied problem or parameters."""
 
 
 class InternalInvariantError(LllToolError):

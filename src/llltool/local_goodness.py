@@ -64,7 +64,6 @@ class LocalParams:
     R: int
     N: int
     eps: Fraction
-    eta: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
         if self.R < 0:
@@ -73,8 +72,6 @@ class LocalParams:
             raise InvalidParameterError("N must be >= 1")
         if not 0 < self.eps < 1:
             raise InvalidParameterError("eps must lie in (0,1)")
-        if not 0 < self.eta < 1:
-            raise InvalidParameterError("eta must lie in (0,1)")
 
 
 class SearchPlan:
@@ -343,15 +340,13 @@ def check_lbad_hypotheses(
     if not 0 < eps < 1 or not 0 < eta < 1:
         raise InvalidParameterError("eps and eta must lie in (0,1)")
     gap = 1 - eps - Fraction(1) / s
-    failed = []
     if gap <= 0:
-        failed.append("eps + 1/s < 1")
-    else:
-        rhs = (1 - eta) / (1 + eta)
-        if p > 0 and not rational_pow_leq(p, gap, rhs):
-            failed.append("p**(1 - eps - 1/s) <= (1-eta)/(1+eta)")
-    if failed:
-        raise HypothesisError("probability-bound hypotheses fail", failed=failed)
+        raise HypothesisError("probability-bound hypotheses fail: eps + 1/s < 1")
+    if p > 0 and not rational_pow_leq(p, gap, (1 - eta) / (1 + eta)):
+        raise HypothesisError(
+            "probability-bound hypotheses fail: "
+            "p**(1 - eps - 1/s) <= (1-eta)/(1+eta)"
+        )
 
 
 def estimate_lbad_prob(
@@ -361,9 +356,13 @@ def estimate_lbad_prob(
     trials: int,
     seed: int,
     s: Fraction,
+    eta: Fraction,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> dict:
     """Monte Carlo frequency of bad locality at c versus the proved bound.
+
+    s and eta enter only the bound and its hypotheses
+    (`check_lbad_hypotheses`), not the locality test.
 
     Unknown verdicts (budget exhaustion) are reported and counted as bad,
     so they can only hurt the pass, never hide a failure. The pass is an
@@ -374,9 +373,9 @@ def estimate_lbad_prob(
     require_budget(budget)
     stats = csp_stats(csp)
     d, p = stats.max_dep_degree, stats.p_max
-    check_lbad_hypotheses(p, s, params.eps, params.eta)
+    check_lbad_hypotheses(p, s, params.eps, eta)
     gamma_r = gamma_at_radius(csp.dependency_graph, params.R)
-    bound = lbad_bound(d, params.eta, params.R, gamma_r, params.N)
+    bound = lbad_bound(d, eta, params.R, gamma_r, params.N)
     # Only these columns can change the verdict, and a keyed table draws
     # the cells the search reads exactly as a full-table sample would.
     plan = SearchPlan(csp, params)

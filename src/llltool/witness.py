@@ -527,7 +527,7 @@ def verify_mt2_partial_sums(
     Requires alpha, beta in [0,1) and, for every constraint a,
     alpha(a) <= beta(a) * prod over neighbors a' of (1 - beta(a')).
     The series is monotone, so every partial sum must already obey the
-    bound; raises HypothesisError listing constraints that break the
+    bound; raises HypothesisError naming the constraints that break the
     premise, and InvalidParameterError when c names no constraint or
     `cap` is negative.
     """
@@ -550,7 +550,7 @@ def verify_mt2_partial_sums(
         alphas[a.id] = av
     if offenders:
         raise HypothesisError(
-            "alpha exceeds beta times the neighbor slack", failed=offenders
+            f"alpha exceeds beta times the neighbor slack at constraints {offenders}"
         )
     # A stack's term is the product of its vertices' alphas. Over their
     # common denominator L, a term with n vertices is an integer over L**n,

@@ -23,6 +23,7 @@ from unittest import mock
 from llltool.errors import (
     CapExceededError,
     DepthExceededError,
+    HypothesisError,
     InternalInvariantError,
     InvalidInputError,
     InvalidParameterError,
@@ -104,6 +105,23 @@ def in_bad_set(constraint: Constraint, row) -> bool:
     if isinstance(constraint.bad, frozenset):
         return row in constraint.bad
     return constraint.bad.contains(row)
+
+
+def materialize_bad(csp: Csp, cid: int) -> frozenset:
+    """Explicit row set of a constraint's bad set, enumerating under the
+    materialization cap."""
+    c = csp.constraint(cid)
+    if isinstance(c.bad, frozenset):
+        return c.bad
+    rows, cap = csp.label_count ** len(c.domain), materialize_cap_default()
+    if rows > cap:
+        raise CapExceededError(
+            f"materializing constraint {cid} needs {rows} rows, cap {cap}"
+        )
+    return frozenset(
+        row for row in assignment_rows(csp.label_count, len(c.domain))
+        if in_bad_set(c, row)
+    )
 
 
 # A fixed family of tiny problems: at most 3 constraints, 2 labels,
@@ -1091,12 +1109,15 @@ def quotient_solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int,
     """
     dep = csp.dependency_graph
     d = dep.max_degree()
-    p = max((prob_bad(csp, c.id) for c in csp.constraints), default=Fraction(0))
+    base_mass = {c.id: prob_bad(csp, c.id) for c in csp.constraints}
+    certain = [cid for cid, mass in base_mass.items() if mass == 1]
+    if certain:
+        raise HypothesisError(f"constraint {certain[0]} is violated by every labeling")
+    p = max(base_mass.values(), default=Fraction(0))
     if not lll_condition(p, d, "double_exp").holds:
         raise InvalidParameterError(
             f"p(d+1)^(d+1) = {float_of(p * Fraction(d + 1) ** (d + 1))} is not < 1"
         )
-    base_mass = {c.id: prob_bad(csp, c.id) for c in csp.constraints}
     colors = greedy_proper_coloring(power_graph(dep, 2).adjacency)
     classes: dict[int, list[int]] = {}
     for cid, color in enumerate(colors):

@@ -331,8 +331,8 @@ def test_criterion_07_bad_locality_frequency_stays_under_the_bound():
     for n_firings, seed in ((2, 7), (100, 9)):
         rep = estimate_lbad_prob(
             csp,
-            LocalParams(0, 1, n_firings, params.eps, params.eta),
-            depth=3, trials=10_000, seed=seed, s=Fraction(21, 20),
+            LocalParams(0, 1, n_firings, params.eps),
+            depth=3, trials=10_000, seed=seed, s=Fraction(21, 20), eta=params.eta,
         )
         assert rep["pass"]
         assert rep["unknown"] == 0
@@ -344,12 +344,13 @@ def test_bad_locality_frequency_stays_under_a_bound_below_one():
     # cannot find a witness at all. Here the bound bites: R = 2 lets the
     # search leave c's ball, and at N = 12 the bound is 0.2297.
     csp = four_regular_ring()
-    params = LocalParams(0, 2, 12, Fraction(1, 20), Fraction(1, 2))
+    params = LocalParams(0, 2, 12, Fraction(1, 20))
+    eta = Fraction(1, 2)
     rep = estimate_lbad_prob(
-        csp, params, depth=4, trials=5_000, seed=11, s=Fraction(3),
+        csp, params, depth=4, trials=5_000, seed=11, s=Fraction(3), eta=eta,
     )
     bound = Fraction(rep["bound_exact"])
-    assert bound == lbad_bound(4, params.eta, 2, 9, 12) == \
+    assert bound == lbad_bound(4, eta, 2, 9, 12) == \
         Fraction(1953125, 8503056)
     assert rep["unknown"] == 0
     # One-sided Hoeffding test at level exp(-8), in integers and one

@@ -9,11 +9,14 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import make_csp, materialize_cap, table_to_json
+from conftest import dump_graph_json, make_csp, materialize_cap, table_to_json
+import llltool
 from llltool import cli
 from llltool.cli import main
 from llltool.csp import dump_problem, load_problem
@@ -75,6 +78,16 @@ def test_generate_matches_the_library_constructors(tmp_path, capsys):
     )
     assert code == 0
     assert payload == dump_problem(proper_coloring(cycle_graph(5), 3))
+
+
+def test_generate_reads_a_json_graph_as_the_text_edge_list(tmp_path, capsys):
+    text = write(tmp_path, "c5.txt", C5_TEXT)
+    graph = write(tmp_path, "c5.json", dump_graph_json(cycle_graph(5)))
+    for kind in ("sinkless", "coloring"):
+        _, from_text = run(["generate", "--kind", kind, "--graph", text], capsys)
+        code, from_json = run(["generate", "--kind", kind, "--graph", graph], capsys)
+        assert code == 0
+        assert from_json == from_text
 
 
 def test_generate_hypergraph_two_coloring(tmp_path, capsys):
@@ -216,6 +229,59 @@ def test_envelope_names_the_command_its_seed_and_each_input(
         ).hexdigest()
         for path in read
     }
+
+
+LBAD_ARGV = ["lbad", "--problem", "{sated}", "--c", "0", "--R", "1", "--N", "1",
+             "--eps", "1/24", "--depth", "2"]
+PIPELINE_ARGV = ["pipeline", "--problem", "{sated}", "--params", "{params}"]
+
+# Refusals of out-of-range flags and unreadable inputs, each with the
+# start of its message; "{name}" stands for a file of `refusal_inputs`.
+REFUSALS = [
+    (["mta", "--problem", "{one}", "--depth", "2", "--trials", "0"],
+     "trials must be >= 1"),
+    (["mta", "--problem", "{one}", "--depth", "2", "--jobs", "0"],
+     "jobs must be >= 1"),
+    (LBAD_ARGV + ["--eta", "1/64", "--s", "6/5", "--trials", "0"],
+     "trials must be >= 1"),
+    (LBAD_ARGV + ["--eta", "2", "--s", "6/5"], "eps and eta must lie in (0,1)"),
+    (LBAD_ARGV + ["--eta", "2", "--s", "1"], "s must exceed 1"),
+    (["verify-mt1", "--problem", "{one}", "--witness", "{witness}", "--depth", "3",
+      "--mode", "monte_carlo", "--trials", "0"], "trials must be >= 1"),
+    (["generate", "--kind", "coloring", "--graph", "{c5}", "--colors", "0"],
+     "need k >= 1 colors"),
+    (["pipeline", "--problem", "{sated}", "--params", "{garbled}"],
+     "{garbled} is not valid JSON: "),
+    (["verify-mt2", "--problem", "{ring}", "--c", "0", "--alpha", "1/16,1/16",
+      "--beta", "1/4", "--max-vertices", "3"],
+     "expected 1 or 5 comma-separated rationals, got 2"),
+    (PIPELINE_ARGV + ["--trials", "0"], "trials must be >= 1"),
+    (PIPELINE_ARGV + ["--mode", "det", "--trials", "0"], "trials must be >= 1"),
+]
+
+
+@pytest.fixture
+def refusal_inputs(envelope_inputs, tmp_path):
+    ring = proper_coloring(cycle_graph(5), 3)
+    return dict(
+        envelope_inputs,
+        ring=problem_file(tmp_path, ring, "ring.json"),
+        garbled=write(tmp_path, "garbled.json", "this is not json"),
+    )
+
+
+@pytest.mark.parametrize("template, message", REFUSALS)
+def test_out_of_range_flags_and_unreadable_inputs_exit_two(
+    template, message, refusal_inputs, capsys
+):
+    argv = [a.format(**refusal_inputs) for a in template]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "llltool: error: " + message.format(**refusal_inputs)
+    )
+    assert captured.err.count("\n") == 1
 
 
 def test_solve_has_no_pipeline_method(envelope_inputs, capsys):
@@ -414,6 +480,17 @@ def test_verify_mt2_report_names_its_cap(tmp_path, capsys):
     }
 
 
+def test_verify_mt2_takes_one_alpha_per_constraint(tmp_path, capsys):
+    ring = problem_file(tmp_path, proper_coloring(cycle_graph(5), 3))
+    argv = ["verify-mt2", "--problem", ring, "--c", "0", "--beta", "1/4",
+            "--max-vertices", "3", "--alpha"]
+    code, single = run(argv + ["1/16"], capsys)
+    assert code == 0
+    code, listed = run(argv + [",".join(["1/16"] * 5)], capsys)
+    assert code == 0
+    assert listed["results"] == single["results"]
+
+
 def test_verify_mt2_rejected_hypotheses_exit_one(tmp_path, capsys):
     csp = make_csp(1, [((0,), [(1,)])])
     prob = problem_file(tmp_path, csp)
@@ -424,7 +501,10 @@ def test_verify_mt2_rejected_hypotheses_exit_one(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("llltool: check failed:")
+    assert err == (
+        "llltool: check failed: alpha exceeds beta times the neighbor slack "
+        "at constraints [0]\n"
+    )
 
 
 @pytest.mark.parametrize("sink", ["99", "5", "-1"])
@@ -786,6 +866,38 @@ def test_pipeline_exit_codes_follow_the_status(tmp_path, capsys):
     assert payload["results"]["status"] == "no_good_table"
 
 
+def test_a_constraint_bad_on_every_labeling_is_a_checked_failure(tmp_path, capsys):
+    prob = problem_file(tmp_path, make_csp(1, [((0,), [(0,), (1,)])]))
+    params = write(tmp_path, "params.json", PipelineParams(
+        eps=Fraction(1, 24), eta=Fraction(1, 2), R=1, N=1, depth=3,
+    ).to_json())
+    code, payload = run(["stats", "--problem", prob, "--s", "3/2"], capsys)
+    assert code == 0
+    conditions = payload["results"]["conditions"]
+    assert [entry["holds"] for entry in conditions.values()] == [False] * 3
+    for argv, message in (
+        (["advisor", "--problem", prob, "--s", "3/2"], "p(e(d+1))^s < 1 fails"),
+        (["solve", "--problem", prob], "constraint 0 is violated by every labeling"),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"llltool: check failed: {message}\n"
+    # both modes of the pipeline report the same status and exit code
+    code, payload = run(
+        ["pipeline", "--problem", prob, "--params", params, "--mode", "det"], capsys
+    )
+    assert code == 1
+    assert payload["results"]["status"] == "no_good_table"
+    assert payload["results"]["reason"] == "constraint 0 is violated by every labeling"
+    code, payload = run(
+        ["pipeline", "--problem", prob, "--params", params, "--trials", "4"], capsys
+    )
+    assert code == 1
+    assert payload["results"]["status"] == "no_good_table"
+    assert payload["results"]["attempts"] == 4
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "nowhere.json")
     assert main(["stats", "--problem", missing]) == 2
@@ -912,3 +1024,34 @@ def test_many_jobs_on_one_trial_start_no_pool(tmp_path, capsys, monkeypatch):
     assert code == 0 and many["parameters"]["jobs"] == 10000
     _, one = run(argv, capsys)
     assert many["results"] == one["results"]
+
+
+def test_mta_results_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    prob = problem_file(tmp_path, make_csp(2, [((0, 1), [(0, 0)])]))
+    argv = ["mta", "--problem", prob, "--depth", "4", "--trials", "6", "--seed", "3"]
+    code, pooled = run(argv + ["--jobs", "2"], capsys)
+    assert code == 0
+    assert started == [2]
+    _, serial = run(argv, capsys)
+    assert pooled["results"] == serial["results"]
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    prob = problem_file(tmp_path, make_csp(1, [((0,), [(1,)])]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(llltool.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "llltool", "stats", "--problem", prob],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "stats"

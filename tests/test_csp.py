@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    OddSum,
     PREDICATE_PROBLEMS,
     TINY_FAMILY,
     all_labelings,
     lg_degree_check,
     make_csp,
+    materialize_bad,
     materialize_cap,
     pairwise_neighbors,
     random_tiny_csp,
@@ -32,7 +34,6 @@ from llltool.csp import (
     is_solution,
     lll_condition,
     load_problem,
-    materialize_bad,
     prob_bad,
     quotient_csp,
     uniform_weights,
@@ -291,6 +292,13 @@ def exponent_by_fraction_powers(p, d, s):
         terms *= 2
 
 
+def test_no_lll_condition_holds_for_a_certain_bad_event():
+    for d in (0, 1, 5):
+        for variant, s in (("classic", None), ("double_exp", None),
+                           ("exponent", Fraction(3, 2))):
+            assert not lll_condition(Fraction(1), d, variant, s).holds
+
+
 def test_lll_condition_exponent_matches_the_fraction_route():
     verdicts = set()
     for p in (Fraction(1, 2), Fraction(1, 8), Fraction(3, 40), Fraction(1, 64),
@@ -315,8 +323,9 @@ def test_lll_condition_exponent_is_fast_for_s_near_one():
 
 
 def test_lll_condition_rejects_nonsense():
-    with pytest.raises(InvalidParameterError):
-        lll_condition(Fraction(3, 2), 1, "classic")
+    for p in (Fraction(3, 2), Fraction(-1, 8)):
+        with pytest.raises(InvalidParameterError, match=r"^p must lie in \[0,1\]$"):
+            lll_condition(p, 1, "classic")
     with pytest.raises(InvalidParameterError):
         lll_condition(Fraction(1, 8), 1, "triple_exp")
 
@@ -526,6 +535,13 @@ def test_problem_json_always_tag():
     assert obj["constraints"][0]["bad"] == "always"
     again = load_problem(json.dumps(obj))
     assert isinstance(again.constraint(0).bad, AlwaysViolated)
+
+
+def test_problem_json_refuses_a_predicate_bad_set():
+    csp = make_csp(3, [((0,), [(1,)]), ((0, 1, 2), OddSum())])
+    with pytest.raises(InvalidInputError) as info:
+        dump_problem(csp)
+    assert str(info.value) == "constraint 1: only explicit bad sets serialize"
 
 
 def test_problem_json_defaults_to_uniform_weights():

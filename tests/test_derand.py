@@ -369,6 +369,18 @@ def test_pipeline_no_good_table_status():
     rep = pipeline(csp, params, mode="randomized", seed=1, trials=4)
     assert rep["status"] == "no_good_table"
     assert rep["attempts"] == 4
+    rep = pipeline(csp, params, mode="deterministic")
+    assert rep["status"] == "no_good_table"
+    assert rep["reason"] == "constraint 0 is violated by every labeling"
+
+
+def test_solve_names_the_least_constraint_bad_on_every_labeling():
+    csp = make_csp(
+        2, [((0,), [(1,)]), ((0, 1), AlwaysViolated()), ((1,), [(0,), (1,)])]
+    )
+    with pytest.raises(HypothesisError) as info:
+        solve_double_exp(csp)
+    assert str(info.value) == "constraint 1 is violated by every labeling"
 
 
 def test_pipeline_rejects_unknown_mode():
@@ -442,7 +454,9 @@ def outcome(run):
     """A call's result, or the type and text of the error it raised."""
     try:
         return "value", run()
-    except (CapExceededError, InvalidParameterError, InternalInvariantError) as exc:
+    except (
+        CapExceededError, InvalidParameterError, InternalInvariantError, HypothesisError
+    ) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -506,7 +520,7 @@ def test_double_exp_matches_the_quotient_route():
             for cap in (None, 64, 16, 4):
                 results.append(assert_same_solve(with_bad(plain, bad), cap))
     assert {kind for kind, _ in results} == {
-        "value", "InvalidParameterError", "CapExceededError"
+        "value", "InvalidParameterError", "CapExceededError", "HypothesisError"
     }
     refusals = {text for kind, text in results if kind == "CapExceededError"}
     # a whole 6-edge past the cap, and one conditioned on a fixed variable
@@ -688,7 +702,9 @@ def test_cell_meta_problem_matches_the_column_code_oracle():
             new = lg_route(build_lg_csp, cell_table, csp, R, N, eps, depth)
         assert old == new, (csp, depth, R, N, eps)
         kinds.add(new[2][0])
-    assert kinds == {"value", "CapExceededError", "InvalidParameterError"}
+    assert kinds == {
+        "value", "CapExceededError", "InvalidParameterError", "HypothesisError"
+    }
 
 
 def bridged_blocks(rng):

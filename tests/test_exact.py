@@ -8,11 +8,14 @@ from hypothesis import given, strategies as st
 
 from llltool.csp import load_problem
 from llltool.derand import params_from_json
+from llltool import exact
 from llltool.errors import InvalidInputError, InvalidParameterError
 from llltool.exact import (
+    _iroot,
     binomial_sigma,
     certified_less,
     e_interval,
+    e_power_less,
     float_of,
     format_rational,
     hoeffding_side,
@@ -136,6 +139,29 @@ def test_e_interval_nested():
     lo1, hi1 = e_interval(8)
     lo2, hi2 = e_interval(16)
     assert lo1 <= lo2 < hi2 <= hi1
+
+
+def test_e_power_less_widens_past_its_first_enclosure(monkeypatch):
+    # Both ends of e_interval(40) lie inside the enclosures of 12 and 24
+    # terms, so each comparison is decided only at 48.
+    lo, hi = e_interval(40)
+    widths = []
+
+    def recording(terms):
+        widths.append(terms)
+        return e_interval(terms)
+
+    monkeypatch.setattr(exact, "e_interval", recording)
+    for y, expected in ((lo, False), (hi, True)):
+        widths.clear()
+        assert e_power_less(Fraction(1), 1, y, 1) is expected
+        assert widths == [12, 24, 48]
+
+
+def test_iroot_of_a_degree_at_least_the_bit_length_is_one():
+    for n, k in ((5, 10), (5, 3), (7, 3), (2, 2), (2**20 - 1, 20)):
+        assert n.bit_length() <= k
+        assert _iroot(n, k) == 1
 
 
 def test_certified_less_classic_cases():

@@ -20,6 +20,7 @@ from conftest import (
     lg_degree_check,
     local_csp,
     make_csp,
+    materialize_bad,
     materialize_cap,
     naive_locally_bad,
     random_tiny_csp,
@@ -31,7 +32,6 @@ from llltool.csp import (
     AlwaysViolated,
     build_dependency_graph,
     is_solution,
-    materialize_bad,
     prob_bad,
 )
 from llltool import local_goodness
@@ -505,18 +505,20 @@ def test_lbad_hypotheses_accept_and_reject():
     with pytest.raises(HypothesisError) as info:
         check_lbad_hypotheses(Fraction(1, 2), Fraction(9, 8),
                               Fraction(1, 8), HALF)
-    assert info.value.failed == ["eps + 1/s < 1"]
+    assert str(info.value) == "probability-bound hypotheses fail: eps + 1/s < 1"
     with pytest.raises(HypothesisError) as info:
         check_lbad_hypotheses(Fraction(1, 2), Fraction(2),
                               Fraction(1, 4), HALF)
-    assert "p**" in info.value.failed[0]
+    assert str(info.value) == (
+        "probability-bound hypotheses fail: p**(1 - eps - 1/s) <= (1-eta)/(1+eta)"
+    )
 
 
 def test_estimate_on_trivially_good_instance():
     csp = make_csp(2, [((0,), []), ((1,), [])])
     rep = estimate_lbad_prob(
-        csp, LocalParams(0, 1, 1, Fraction(1, 24), Fraction(1, 64)),
-        depth=2, trials=20, seed=3, s=Fraction(6, 5),
+        csp, LocalParams(0, 1, 1, Fraction(1, 24)),
+        depth=2, trials=20, seed=3, s=Fraction(6, 5), eta=Fraction(1, 64),
     )
     assert rep["bad"] == 0 and rep["unknown"] == 0
     assert rep["frequency"] == 0.0
@@ -526,8 +528,8 @@ def test_estimate_on_trivially_good_instance():
 def test_estimate_counts_budget_exhaustion_as_bad():
     csp = proper_coloring(path_graph(3), 2)
     rep = estimate_lbad_prob(
-        csp, LocalParams(0, 1, 1, Fraction(1, 24), Fraction(1, 64)),
-        depth=2, trials=5, seed=3, s=Fraction(6, 5), budget=0,
+        csp, LocalParams(0, 1, 1, Fraction(1, 24)),
+        depth=2, trials=5, seed=3, s=Fraction(6, 5), eta=Fraction(1, 64), budget=0,
     )
     assert rep["unknown"] == 5
     assert rep["frequency"] == 1.0
@@ -546,7 +548,7 @@ def test_estimate_matches_a_full_table_run_on_the_ring():
     sampler = CellSampler(ring.weights, seed)
     seen = set()
     for N, budget in ((1, DEFAULT_SEARCH_BUDGET), (2, 1)):
-        params = LocalParams(0, 1, N, Fraction(1, 32), Fraction(1, 64))
+        params = LocalParams(0, 1, N, Fraction(1, 32))
 
         plan = SearchPlan(ring, params)
 
@@ -567,7 +569,7 @@ def test_estimate_matches_a_full_table_run_on_the_ring():
                 counts["bad"] += 1
         rep = estimate_lbad_prob(
             ring, params, depth=depth, trials=trials, seed=seed,
-            s=Fraction(21, 20), budget=budget,
+            s=Fraction(21, 20), eta=Fraction(1, 64), budget=budget,
         )
         assert (rep["bad"], rep["unknown"]) == (counts["bad"], counts["unknown"])
         seen.update(key for key in ("bad", "unknown") if rep[key])
@@ -619,8 +621,9 @@ def test_every_table_check_is_one_is_locally_good_call(monkeypatch):
     for N, budget in ((1, DEFAULT_SEARCH_BUDGET), (2, 1)):
         calls.clear()
         rep = estimate_lbad_prob(
-            ring, LocalParams(0, 1, N, Fraction(1, 32), Fraction(1, 64)),
-            depth=3, trials=60, seed=5, s=Fraction(21, 20), budget=budget,
+            ring, LocalParams(0, 1, N, Fraction(1, 32)),
+            depth=3, trials=60, seed=5, s=Fraction(21, 20), eta=Fraction(1, 64),
+            budget=budget,
         )
         verdicts = Counter(good for _, good in calls)
         assert len(calls) == 60
