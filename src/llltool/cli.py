@@ -80,11 +80,11 @@ class _Inputs:
         return load_problem(self.read(path))
 
     def graph(self, path: str):
+        """A JSON graph when the text opens with `{`, else a text edge list."""
         text = self.read(path)
-        try:
+        if text.lstrip().startswith("{"):
             return load_graph_json(text)
-        except InvalidInputError:
-            return load_graph_text(text)
+        return load_graph_text(text)
 
     def json(self, path: str):
         text = self.read(path)
@@ -362,12 +362,10 @@ def _cmd_verify_mt2(args, inputs: _Inputs) -> tuple:
 def _cmd_locally_good(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
     table = inputs.table(args.table, csp)
-    local = local_goodness.LocalParams(
-        args.c, args.R, args.N, parse_rational(args.eps)
+    plan = local_goodness.SearchPlan(
+        csp, args.c, args.R, args.N, parse_rational(args.eps), args.budget
     )
-    local_goodness.require_budget(args.budget)  # before c is checked
-    plan = local_goodness.SearchPlan(csp, local)
-    good, found = local_goodness.is_locally_good(plan, table, args.budget)
+    good, found = local_goodness.is_locally_good(plan, table)
     results = {
         "locally_good": good,
         "witness": None if found is None else found.to_json(),
@@ -377,10 +375,12 @@ def _cmd_locally_good(args, inputs: _Inputs) -> tuple:
 
 def _cmd_lbad(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
-    local = local_goodness.LocalParams(args.c, args.R, args.N, parse_rational(args.eps))
+    plan = local_goodness.SearchPlan(
+        csp, args.c, args.R, args.N, parse_rational(args.eps), args.budget
+    )
     results = local_goodness.estimate_lbad_prob(
-        csp, local, args.depth, args.trials, args.seed,
-        parse_rational(args.s), parse_rational(args.eta), args.budget,
+        plan, args.depth, args.trials, args.seed,
+        parse_rational(args.s), parse_rational(args.eta),
     )
     return results, EXIT_OK if results["pass"] else EXIT_CHECK_FAILED
 

@@ -36,13 +36,11 @@ from .exact import _iroot, float_of, format_rational, parse_int, parse_rational,
 from .graphs import GrowthProfile, greedy_proper_coloring
 from .local_goodness import (
     DEFAULT_SEARCH_BUDGET,
-    LocalParams,
     SearchPlan,
     build_lg_csp,
     cell_id,
     is_locally_good,
     lbad_bound,
-    require_budget,
 )
 from .moser_tardos import COMPLETED, MAXIMAL_GREEDY, mta_run
 from .tables import CellSampler, CellSource, KeyedTable, Table
@@ -455,16 +453,14 @@ def parameter_advisor(
     return params, report
 
 
-def _first_not_locally_good(
-    plans: list[SearchPlan], table: CellSource, budget: int
-) -> int | None:
+def _first_not_locally_good(plans: list[SearchPlan], table: CellSource) -> int | None:
     """The first constraint id where the table is not locally good, or None.
 
     SearchBudgetError propagates: the verdict is then unknown.
     """
     for plan in plans:
-        if not is_locally_good(plan, table, budget)[0]:
-            return plan.params.c
+        if not is_locally_good(plan, table)[0]:
+            return plan.c
     return None
 
 
@@ -487,7 +483,8 @@ def pipeline(
     constraint. Randomized mode samples tables until one is locally good
     everywhere.
     """
-    require_budget(budget)
+    if budget < 0:  # checked here too: a problem with no constraints has no plan
+        raise InvalidParameterError("budget must be >= 0")
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     report: dict = {"mode": mode, "params": params.to_json()}
@@ -511,7 +508,7 @@ def pipeline(
         })
         # The meta-problem's bad sets hold one search plan per constraint.
         plans = [a.bad.plan for a in lg.constraints]
-        bad = _first_not_locally_good(plans, table, budget)
+        bad = _first_not_locally_good(plans, table)
         if bad is not None:
             raise InternalInvariantError(
                 f"meta-solution is not locally good at constraint {bad}"
@@ -522,7 +519,7 @@ def pipeline(
             raise InvalidParameterError(f"unknown mode {mode!r}")
         # One search plan per constraint, shared by every sampled table.
         plans = [
-            SearchPlan(csp, LocalParams(c.id, params.R, params.N, params.eps))
+            SearchPlan(csp, c.id, params.R, params.N, params.eps, budget)
             for c in csp.constraints
         ]
         # Keyed tables: the search and the run draw only the cells they read.
@@ -532,7 +529,7 @@ def pipeline(
         for attempt in range(trials):
             candidate = KeyedTable(cells, csp.variables, params.depth, attempt)
             try:
-                if _first_not_locally_good(plans, candidate, budget) is None:
+                if _first_not_locally_good(plans, candidate) is None:
                     table = candidate
                     report["attempts"] = attempt + 1
                     break

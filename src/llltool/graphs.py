@@ -48,7 +48,7 @@ class FiniteGraph:
 def graph_from_edges(n: int, edges) -> FiniteGraph:
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for e in edges:
-        u, v = parse_int(e[0]), parse_int(e[1])
+        u, v = map(parse_int, e)  # ValueError unless e is a pair
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge {e} out of range for n={n}")
         if u == v:
@@ -75,10 +75,10 @@ def load_graph_text(text: str) -> FiniteGraph:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidInputError(f"bad edge line: {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = map(int, line.split())
+        except ValueError:  # a non-integer, or not two fields
+            raise InvalidInputError(f"bad edge line: {line!r}") from None
         top = max(top, u, v)
         edges.append((u, v))
     return graph_from_edges(top + 1, edges)

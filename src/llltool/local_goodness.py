@@ -34,7 +34,6 @@ is_locally_good checks any number of tables against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .csp import BadPredicate, Constraint, Csp, csp_stats
@@ -58,44 +57,47 @@ from .tables import CellSampler, CellSource, KeyedTable, Table
 DEFAULT_SEARCH_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class LocalParams:
-    c: int
-    R: int
-    N: int
-    eps: Fraction
-
-    def __post_init__(self):
-        if self.R < 0:
-            raise InvalidParameterError("R must be >= 0")
-        if self.N < 1:
-            raise InvalidParameterError("N must be >= 1")
-        if not 0 < self.eps < 1:
-            raise InvalidParameterError("eps must lie in (0,1)")
-
-
 class SearchPlan:
-    """The locality search at c, set up once for every table it checks.
+    """The locality search at c for (R, N, eps), set up once for every table.
 
-    Everything the search reads of (csp, params) is built here: c is
-    validated, one BFS finds the R-ball, and for each r < R the walk's
-    order (r-ball ids ascending, then the outer shell), the r-ball size
-    `n_in` and the ordered domains with their bad tests are stored.
-    `domain` is dom_R(c), the sorted union of the ball's domains: the
-    only columns a verdict can read.
+    The plan holds everything the search reads: the problem, c, R, N,
+    eps and the node budget of each walk. R, N, eps and the budget are
+    checked in that order, then c. One BFS finds the R-ball, and for each
+    r < R the walk's order (r-ball ids ascending, then the outer shell),
+    the r-ball size `n_in` and the ordered domains with their bad tests
+    are stored. `domain` is dom_R(c), the sorted union of the ball's
+    domains: the only columns a verdict can read. A budget of 0 is legal
+    and refuses at the root.
     """
 
-    def __init__(self, csp: Csp, params: LocalParams):
-        self.center = csp.constraint(params.c)
-        self.center_bad = csp.bad_tests[params.c]
-        self.params = params
-        dist = bfs_distances(csp.dependency_graph, params.c, params.R)
+    def __init__(
+        self,
+        csp: Csp,
+        c: int,
+        R: int,
+        N: int,
+        eps: Fraction,
+        budget: int = DEFAULT_SEARCH_BUDGET,
+    ):
+        if R < 0:
+            raise InvalidParameterError("R must be >= 0")
+        if N < 1:
+            raise InvalidParameterError("N must be >= 1")
+        if not 0 < eps < 1:
+            raise InvalidParameterError("eps must lie in (0,1)")
+        if budget < 0:
+            raise InvalidParameterError("budget must be >= 0")
+        self.center = csp.constraint(c)
+        self.center_bad = csp.bad_tests[c]
+        self.csp, self.c, self.R, self.N, self.eps = csp, c, R, N, eps
+        self.budget = budget
+        dist = bfs_distances(csp.dependency_graph, c, R)
         ids = sorted(dist)
         self.domain = tuple(
             sorted({v for a in ids for v in csp.constraint(a).domain})
         )
         self._radii = []
-        for r in range(params.R):
+        for r in range(R):
             order = [a for a in ids if dist[a] <= r]
             n_in = len(order)  # positions below n_in lie in the r-ball
             order += [a for a in ids if dist[a] > r]
@@ -103,22 +105,15 @@ class SearchPlan:
             bads = [csp.bad_tests[a] for a in order]
             self._radii.append((order, n_in, domains, bads))
 
-    def _exceeded(self, budget: int, r: int) -> SearchBudgetError:
-        return SearchBudgetError(
-            f"search exceeded {budget} count vectors at c={self.params.c}, r={r}"
-        )
-
-    def search(
-        self, table: CellSource, r: int, budget: int
-    ) -> tuple[MtSequence | None, int]:
+    def search(self, table: CellSource, r: int) -> tuple[MtSequence | None, int]:
         """First Folner count vector reachable by consistent singleton firings.
 
         The walk is depth-first over count vectors at radius r < R,
         trying the r-ball ids ascending, then the outer shell; it keeps
-        an explicit stack, so its depth is bounded by `budget`, not by
-        the recursion limit. Returns (witness, nodes visited); witness
-        None when none exists. Raises SearchBudgetError past `budget`
-        visited count vectors.
+        an explicit stack, so its depth is bounded by the plan's budget,
+        not by the recursion limit. Returns (witness, nodes visited);
+        witness None when none exists. Raises SearchBudgetError past
+        `budget` visited count vectors.
 
         Two capacity rules prune nodes from which no witness is
         reachable. An in-ball constraint whose domain tops out at level l
@@ -137,7 +132,7 @@ class SearchPlan:
         and the first witness are those of the unpruned walk, and the
         node count is at most its count.
         """
-        c, N, eps = self.params.c, self.params.N, self.params.eps
+        c, N, eps, budget = self.c, self.N, self.eps, self.budget
         if not self.center.domain:
             if self.center_bad(()):
                 return MtSequence(tuple(frozenset({c}) for _ in range(N))), 1
@@ -160,7 +155,9 @@ class SearchPlan:
             if key not in visited:
                 visited.add(key)
                 if len(visited) > budget:
-                    raise self._exceeded(budget, r)
+                    raise SearchBudgetError(
+                        f"search exceeded {budget} count vectors at c={c}, r={r}"
+                    )
                 in_total = sum(counts[:n_in])
                 out = len(path) - in_total
                 if in_total >= N and (q - p) * out < p * in_total:
@@ -209,28 +206,20 @@ class SearchPlan:
 
 
 def is_locally_good(
-    plan: SearchPlan, table: CellSource, budget: int = DEFAULT_SEARCH_BUDGET
+    plan: SearchPlan, table: CellSource
 ) -> tuple[bool, MtSequence | None]:
     """Whether no radius below R admits a consistent Folner sequence at c.
 
     Returns (True, None) or (False, witness); the witness fires one
     constraint per step and is consistent with the localized problem
     at its radius. Raises SearchBudgetError instead of guessing when
-    the search is cut off, and InvalidParameterError for a negative
-    budget.
+    the search is cut off by the plan's budget.
     """
-    require_budget(budget)
-    for r in range(plan.params.R):
-        witness, _ = plan.search(table, r, budget)
+    for r in range(plan.R):
+        witness, _ = plan.search(table, r)
         if witness is not None:
             return False, witness
     return True, None
-
-
-def require_budget(budget: int) -> None:
-    """Refuse a negative search budget; 0 is legal and refuses at the root."""
-    if budget < 0:
-        raise InvalidParameterError("budget must be >= 0")
 
 
 def cell_id(v: int, row: int, depth: int) -> int:
@@ -257,18 +246,17 @@ class LBadPredicate(BadPredicate):
     other column can influence the verdict.
     """
 
-    def __init__(self, base: Csp, params: LocalParams, depth: int, budget: int):
-        self.plan = SearchPlan(base, params)
-        self.domain = _cells(self.plan.domain, depth)
+    def __init__(self, plan: SearchPlan, depth: int):
+        self.plan = plan
+        self.domain = _cells(plan.domain, depth)
         self.depth = depth
-        self.budget = budget
 
     def contains(self, row: tuple[int, ...]) -> bool:
         d = self.depth
         table = Table(d, {
             v: row[i * d:(i + 1) * d][::-1] for i, v in enumerate(self.plan.domain)
         })
-        good, _ = is_locally_good(self.plan, table, self.budget)
+        good, _ = is_locally_good(self.plan, table)
         return not good
 
 
@@ -293,10 +281,9 @@ def build_lg_csp(
     """
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
-    require_budget(budget)
     constraints = []
     for a in csp.constraints:
-        bad = LBadPredicate(csp, LocalParams(a.id, R, N, eps), depth, budget)
+        bad = LBadPredicate(SearchPlan(csp, a.id, R, N, eps, budget), depth)
         constraints.append(Constraint(a.id, bad.domain, bad))
     return Csp(
         _cells(csp.variables, depth), csp.label_count, csp.weights, tuple(constraints)
@@ -350,16 +337,9 @@ def check_lbad_hypotheses(
 
 
 def estimate_lbad_prob(
-    csp: Csp,
-    params: LocalParams,
-    depth: int,
-    trials: int,
-    seed: int,
-    s: Fraction,
-    eta: Fraction,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    plan: SearchPlan, depth: int, trials: int, seed: int, s: Fraction, eta: Fraction
 ) -> dict:
-    """Monte Carlo frequency of bad locality at c versus the proved bound.
+    """Monte Carlo frequency of bad locality at the plan's c versus the proved bound.
 
     s and eta enter only the bound and its hypotheses
     (`check_lbad_hypotheses`), not the locality test.
@@ -370,22 +350,21 @@ def estimate_lbad_prob(
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    require_budget(budget)
+    csp = plan.csp
     stats = csp_stats(csp)
     d, p = stats.max_dep_degree, stats.p_max
-    check_lbad_hypotheses(p, s, params.eps, eta)
-    gamma_r = gamma_at_radius(csp.dependency_graph, params.R)
-    bound = lbad_bound(d, eta, params.R, gamma_r, params.N)
+    check_lbad_hypotheses(p, s, plan.eps, eta)
+    gamma_r = gamma_at_radius(csp.dependency_graph, plan.R)
+    bound = lbad_bound(d, eta, plan.R, gamma_r, plan.N)
     # Only these columns can change the verdict, and a keyed table draws
     # the cells the search reads exactly as a full-table sample would.
-    plan = SearchPlan(csp, params)
     cells = CellSampler(csp.weights, seed)
     bad = 0
     unknown = 0
     for trial in range(trials):
         table = KeyedTable(cells, plan.domain, depth, trial)
         try:
-            good, _ = is_locally_good(plan, table, budget)
+            good, _ = is_locally_good(plan, table)
         except SearchBudgetError:
             unknown += 1
             continue
@@ -395,7 +374,7 @@ def estimate_lbad_prob(
     p_eff = min(bound, Fraction(1))
     tolerance = 4 * binomial_sigma(p_eff, trials)
     return {
-        "constraint": params.c,
+        "constraint": plan.c,
         "trials": trials,
         "depth": depth,
         "seed": seed,

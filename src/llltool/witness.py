@@ -432,20 +432,20 @@ def _sink_stacks(
 
 def _stack_sums(
     c: int, csp: Csp, max_vertices: int, weight: dict[int, int], cap: int
-) -> tuple[list[int], list[int]]:
-    """Count and weight sum of the stacks of `_sink_stacks`, per vertex count.
+) -> tuple[int, list[int]]:
+    """How many stacks `_sink_stacks` lists, and their weight sums by size.
 
-    Entry n of the two lists is the number of stacks with n vertices and
-    the sum, over those stacks, of the product of `weight` over their
-    vertices. The stacks that can go below a stack depend only on its
-    bottom level, the ids it reaches and the room left, so each such
-    state is counted once and memoised, per number of vertices added
-    below it; the reached ids are an int bitmask, grown with `|`, so a
-    state is the key `(bottom, reach_mask, room)`. Depth first with an
+    Entry n of the list is the sum, over the stacks with n vertices, of
+    the product of `weight` over their vertices. The stacks that can go
+    below a stack depend only on its bottom level, the ids it reaches and
+    the room left, so each such state is counted once and memoised: its
+    number of stacks, and its sums per number of vertices added below
+    it. The reached ids are an int bitmask, grown with `|`, so a state
+    is the key `(bottom, reach_mask, room)`. Depth first with an
     explicit stack of frames. No stack is listed. Raises CapExceededError
     when there are more than `cap` stacks: every state lies on some
     stack, so the stacks below it are never more than the total. Raises
-    it also, before a state's lists are built, once the memo's entries
+    it also, before a state's list is built, once the memo's entries
     past entry 0, `room` per state, would exceed
     `materialize_cap_default()`.
     """
@@ -454,9 +454,8 @@ def _stack_sums(
         raise InvalidParameterError("max_vertices must be >= 1")
     closed = _closed_masks(csp)
     limit = materialize_cap_default()
-    # A state maps to [stacks, counts, sums], the lists indexed by the
-    # vertices added below its bottom level; entry 0 is the stack that
-    # ends there.
+    # A state maps to [stacks, sums], the list indexed by the vertices
+    # added below its bottom level; entry 0 is the stack that ends there.
     memo: dict[tuple, list] = {}
     entries = 0
 
@@ -468,16 +467,15 @@ def _stack_sums(
             raise CapExceededError(
                 f"the series memo would hold {entries} entries, cap {limit}"
             )
-        totals = [1, [1] + [0] * room, [1] + [0] * room]
+        totals = [1, [1] + [0] * room]
         return state, _levels_below(bottom, reach, room, closed), totals
 
     def add(totals: list, level: tuple[int, ...], below: list) -> None:
         w = 1
         for a in level:
             w *= weight[a]
-        counts, sums = totals[1], totals[2]
-        for j, (n, total) in enumerate(zip(below[1], below[2]), len(level)):
-            counts[j] += n
+        sums = totals[1]
+        for j, total in enumerate(below[1], len(level)):
             sums[j] += total * w
         totals[0] += below[0]
         if totals[0] > cap:
@@ -488,7 +486,7 @@ def _stack_sums(
     pending: list[tuple[int, ...]] = []  # the level each open parent waits on
     # A state with no room left has only the stack that ends there; it is
     # added as is, and opens no frame and no memo entry.
-    ends = [1, [1], [1]]
+    ends = [1, [1]]
     while frames:
         (_, reach, room), levels, totals = frames[-1]
         for level, covered in levels:
@@ -508,10 +506,10 @@ def _stack_sums(
             memo[state] = totals
             if frames:
                 add(frames[-1][2], pending.pop(), totals)
-    stacks, counts, sums = memo[root]
+    stacks, sums = memo[root]
     if stacks > cap:
         raise CapExceededError(f"more than {cap} representatives")
-    return [0] + counts, [0] + [total * weight[c] for total in sums]
+    return stacks, [0] + [total * weight[c] for total in sums]
 
 
 def verify_mt2_partial_sums(
@@ -559,7 +557,7 @@ def verify_mt2_partial_sums(
     numerator = {
         cid: av.numerator * (common // av.denominator) for cid, av in alphas.items()
     }
-    counts, sums = _stack_sums(c, csp, max_vertices, numerator, cap)
+    stacks, sums = _stack_sums(c, csp, max_vertices, numerator, cap)
     partial = sum(
         (Fraction(total, common**n) for n, total in enumerate(sums) if total),
         Fraction(0),
@@ -569,7 +567,7 @@ def verify_mt2_partial_sums(
     return {
         "constraint": c,
         "max_vertices": max_vertices,
-        "digraphs": sum(counts),
+        "digraphs": stacks,
         "partial_sum": float_of(partial),
         "partial_sum_exact": format_rational(partial),
         "bound": float_of(bound),

@@ -58,13 +58,11 @@ from llltool.graphs import (
 )
 from llltool.local_goodness import (
     DEFAULT_SEARCH_BUDGET,
-    LocalParams,
     SearchPlan,
     build_lg_csp,
     cell_id,
     gamma_at_radius,
     is_locally_good,
-    require_budget,
 )
 from llltool.moser_tardos import MtSequence, check_consistency
 from llltool.tables import Table, sample_table
@@ -600,16 +598,15 @@ def column_weights(weights, depth):
 class ColumnLBadPredicate(BadPredicate):
     """Column-code assignments on dom_R(c) under which c is not locally good."""
 
-    def __init__(self, base, params, depth, budget):
-        self.k = base.label_count
-        self.plan = SearchPlan(base, params)
-        self.domain = self.plan.domain
+    def __init__(self, plan, depth):
+        self.k = plan.csp.label_count
+        self.plan = plan
+        self.domain = plan.domain
         self.depth = depth
-        self.budget = budget
 
     def contains(self, row):
         table = decode_table(dict(zip(self.domain, row)), self.k, self.depth)
-        return not is_locally_good(self.plan, table, self.budget)[0]
+        return not is_locally_good(self.plan, table)[0]
 
 
 def column_lg_csp(csp, R, N, eps, depth, budget=DEFAULT_SEARCH_BUDGET) -> Csp:
@@ -621,7 +618,6 @@ def column_lg_csp(csp, R, N, eps, depth, budget=DEFAULT_SEARCH_BUDGET) -> Csp:
     """
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
-    require_budget(budget)
     cap = materialize_cap_default()
     if csp.label_count**depth > cap:
         raise CapExceededError(
@@ -629,7 +625,7 @@ def column_lg_csp(csp, R, N, eps, depth, budget=DEFAULT_SEARCH_BUDGET) -> Csp:
         )
     constraints = []
     for a in csp.constraints:
-        bad = ColumnLBadPredicate(csp, LocalParams(a.id, R, N, eps), depth, budget)
+        bad = ColumnLBadPredicate(SearchPlan(csp, a.id, R, N, eps, budget), depth)
         constraints.append(Constraint(a.id, bad.domain, bad))
     return Csp(
         csp.variables,

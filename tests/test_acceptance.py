@@ -55,7 +55,6 @@ from llltool.generators import (
 )
 from llltool.graphs import graph_from_edges, growth_profile
 from llltool.local_goodness import (
-    LocalParams,
     SearchPlan,
     check_lbad_hypotheses,
     estimate_lbad_prob,
@@ -225,7 +224,7 @@ def test_criterion_05_locally_good_tables_complete_every_maximal_run():
             continue
         dep = build_dependency_graph(csp)
         assert gamma_at_radius(dep, 1) < 4
-        plans = [SearchPlan(csp, LocalParams(c.id, 1, 2, eps)) for c in csp.constraints]
+        plans = [SearchPlan(csp, c.id, 1, 2, eps) for c in csp.constraints]
         for table in some_tables(csp, 7, 3, seed=rng.randint(0, 10**6)):
             good = all(is_locally_good(plan, table)[0] for plan in plans)
             if not good:
@@ -330,8 +329,7 @@ def test_criterion_07_bad_locality_frequency_stays_under_the_bound():
 
     for n_firings, seed in ((2, 7), (100, 9)):
         rep = estimate_lbad_prob(
-            csp,
-            LocalParams(0, 1, n_firings, params.eps),
+            SearchPlan(csp, 0, 1, n_firings, params.eps),
             depth=3, trials=10_000, seed=seed, s=Fraction(21, 20), eta=params.eta,
         )
         assert rep["pass"]
@@ -344,10 +342,10 @@ def test_bad_locality_frequency_stays_under_a_bound_below_one():
     # cannot find a witness at all. Here the bound bites: R = 2 lets the
     # search leave c's ball, and at N = 12 the bound is 0.2297.
     csp = four_regular_ring()
-    params = LocalParams(0, 2, 12, Fraction(1, 20))
+    plan = SearchPlan(csp, 0, 2, 12, Fraction(1, 20))
     eta = Fraction(1, 2)
     rep = estimate_lbad_prob(
-        csp, params, depth=4, trials=5_000, seed=11, s=Fraction(3), eta=eta,
+        plan, depth=4, trials=5_000, seed=11, s=Fraction(3), eta=eta,
     )
     bound = Fraction(rep["bound_exact"])
     assert bound == lbad_bound(4, eta, 2, 9, 12) == \

@@ -621,6 +621,57 @@ def test_a_negative_search_budget_exits_two(tmp_path, capsys):
     )
 
 
+def test_lbad_checks_its_search_plan_before_trials_and_hypotheses(tmp_path, capsys):
+    prob = problem_file(tmp_path, proper_coloring(graph_from_edges(2, [(0, 1)]), 2))
+    lbad = ["lbad", "--problem", prob, "--R", "1", "--N", "1", "--eta", "1/64",
+            "--depth", "2"]
+    # eps + 1/s < 1 fails, but the unknown constraint is refused first
+    assert main(lbad + ["--c", "99", "--eps", "1/2", "--s", "3/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "llltool: error: no constraint with id 99\n"
+    assert main(lbad + ["--c", "0", "--eps", "1/24", "--s", "6/5",
+                        "--trials", "0", "--budget", "-1"]) == 2
+    assert capsys.readouterr().err == "llltool: error: budget must be >= 0\n"
+
+
+@pytest.mark.parametrize("mode", ["det", "rand"])
+def test_pipeline_refuses_a_negative_budget_with_no_constraints(
+    tmp_path, capsys, mode
+):
+    # No constraint, so no search plan checks the budget.
+    prob = problem_file(tmp_path, make_csp(2, []))
+    params = write(tmp_path, "params.json", PipelineParams(
+        eps=Fraction(1, 24), eta=Fraction(1, 64), R=1, N=1, depth=2,
+    ).to_json())
+    argv = ["pipeline", "--problem", prob, "--params", params, "--mode", mode]
+    assert main(argv + ["--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "llltool: error: budget must be >= 0\n"
+    assert main(argv + ["--budget", "0"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a b\n", "bad edge line: 'a b'"),
+    ("0 1\n1 x\n", "bad edge line: '1 x'"),
+    ("0 1.5\n", "bad edge line: '0 1.5'"),
+    ('{"n": "5", "edges": [[0, 1]]}', "not an integer: '5'"),
+    ('  {"n": 5, "edges": [[0, 9]]}', "edge [0, 9] out of range for n=5"),
+    ('{"n": 5, "edges": [[0]]}',
+     "malformed graph JSON: not enough values to unpack (expected 2, got 1)"),
+])
+def test_a_malformed_graph_file_exits_two(tmp_path, capsys, text, message):
+    graph = write(tmp_path, "g", text)
+    for argv in (["growth", "--graph", graph],
+                 ["generate", "--kind", "sinkless", "--graph", graph]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"llltool: error: {message}\n"
+
+
 def test_a_sink_listing_past_the_vertex_pair_cap_exits_three(
     tmp_path, capsys, monkeypatch
 ):

@@ -6,10 +6,11 @@ and budgets, the materialization cap included: `LLLTOOL_MATERIALIZE_CAP`
 is at most 4096 in every run, where the default 2**24 would let a
 deterministic `pipeline` list millions of meta-rows. Whatever the input,
 `main` must exit 0, 1, 2 or 3, never 4 (an internal fault); on exit 0
-its report parses back and names its command. Malformed script and table
-shapes, and integers of the problem, table and witness given as floats,
-numeric strings or bools, come from a second rng, so they leave the other
-draws as they are.
+its report parses back and names its command, and `generate`'s problem
+loads back. Malformed script and table shapes, integers of the problem,
+table and witness given as floats, numeric strings or bools, graph files
+given as JSON or with a malformed edge, and `generate`'s kind come from a
+second rng, so they leave the other draws as they are.
 """
 
 import io
@@ -19,6 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from conftest import materialize_cap
 from llltool.cli import main
+from llltool.csp import load_problem
 
 SEEDS = tuple(range(1, 17))
 ROUNDS = 25
@@ -157,6 +159,21 @@ def random_graph(rng, n):
     return "".join(f"{u} {v}\n" for u, v in edges)
 
 
+def malform_graph(odd, text):
+    """Now and then the edge list as a JSON graph, whose n may be a string
+    or too small and whose first edge may be no pair, or a text line the
+    reader must refuse. Drawn from `odd` alone, as in `malform`."""
+    if odd.random() < 0.2:
+        edges = [list(map(int, line.split())) for line in text.splitlines()]
+        n = 1 + max((v for edge in edges for v in edge), default=-1)
+        if edges and odd.random() < 0.3:
+            edges[0] = odd.choice([edges[0][:1], edges[0] + [0]])
+        return json.dumps({"n": odd.choice([n, n, str(n), n - 1]), "edges": edges})
+    if odd.random() < 0.1:
+        text += odd.choice(["a b\n", "1 x\n", "0 1.5\n", "0 1 2\n"])
+    return text
+
+
 def commands(rng, files, m):
     """One argv per report-emitting subcommand, small caps and budgets."""
     c = str(pick(rng, range(max(m, 1)), [-1, m]))
@@ -235,7 +252,7 @@ def test_no_random_input_crashes_the_cli(tmp_path):
                 "script": json.dumps(script),
                 "witness": json.dumps(witness),
                 "params": json.dumps(random_params(rng)),
-                "graph": random_graph(rng, rng.randint(0, 6)),
+                "graph": malform_graph(odd, random_graph(rng, rng.randint(0, 6))),
             }
             files = {}
             for name, text in contents.items():
@@ -243,12 +260,16 @@ def test_no_random_input_crashes_the_cli(tmp_path):
                 path.write_text(text)
                 files[name] = str(path)
             cap = rng.choice([0, 1, 4, 16, 4096, 4096])
+            generate = ["generate", "--kind", odd.choice(["coloring", "sinkless"]),
+                        "--graph", files["graph"]]
             with materialize_cap(cap):
-                for argv in commands(rng, files, m):
+                for argv in commands(rng, files, m) + [generate]:
                     code, out, err = run_main(argv)
                     context = (seed, cap, argv, err, contents)
                     assert code in (0, 1, 2, 3), context
-                    if code == 0:
+                    if code == 0 and argv[0] == "generate":
+                        load_problem(out)  # the bare problem, no envelope
+                    elif code == 0:
                         report = json.loads(out)
                         assert report["command"] == argv[0], context
                     seen_codes.add(code)
@@ -256,5 +277,5 @@ def test_no_random_input_crashes_the_cli(tmp_path):
                     if code == 3 and "--cap" not in argv and f"cap {cap}" in err + out:
                         refused_by_the_cap.add(argv[0])
     assert seen_codes == {0, 1, 2, 3}
-    assert len(commanded) == 12
+    assert len(commanded) == 13
     assert refused_by_the_cap == {"pipeline", "verify-mt1"}

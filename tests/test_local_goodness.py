@@ -46,7 +46,6 @@ from llltool.graphs import bfs_distances, graph_from_edges
 from llltool.local_goodness import (
     DEFAULT_SEARCH_BUDGET,
     LBadPredicate,
-    LocalParams,
     SearchPlan,
     build_lg_csp,
     cell_id,
@@ -72,12 +71,16 @@ HALF = Fraction(1, 2)
 
 
 def test_params_validation():
+    csp = make_csp(1, [((0,), [(0,)])])
     with pytest.raises(InvalidParameterError):
-        LocalParams(0, R=1, N=0, eps=HALF)
+        SearchPlan(csp, 0, R=1, N=0, eps=HALF)
     with pytest.raises(InvalidParameterError):
-        LocalParams(0, R=1, N=1, eps=Fraction(1))
+        SearchPlan(csp, 0, R=1, N=1, eps=Fraction(1))
     with pytest.raises(InvalidParameterError):
-        LocalParams(0, R=-1, N=1, eps=HALF)
+        SearchPlan(csp, 0, R=-1, N=1, eps=HALF)
+    with pytest.raises(InvalidParameterError) as info:
+        SearchPlan(csp, 0, R=1, N=1, eps=HALF, budget=-1)
+    assert str(info.value) == "budget must be >= 0"
 
 
 def test_local_csp_blanks_out_the_far_bads():
@@ -105,7 +108,7 @@ def test_empty_bad_sets_are_locally_good_everywhere():
     csp = make_csp(3, [((0, 1), []), ((1, 2), [])])
     table = table_from_rows([[0, 0, 0], [1, 1, 1]])
     for c in csp.constraints:
-        plan = SearchPlan(csp, LocalParams(c.id, 2, 1, HALF))
+        plan = SearchPlan(csp, c.id, 2, 1, HALF)
         good, wit = is_locally_good(plan, table)
         assert good and wit is None
 
@@ -113,8 +116,7 @@ def test_empty_bad_sets_are_locally_good_everywhere():
 def test_always_bad_isolated_constraint_is_locally_bad():
     csp = make_csp(1, [((0,), [(0,), (1,)])])
     table = table_from_rows([[0]] * 4)
-    params = LocalParams(0, R=1, N=3, eps=HALF)
-    good, wit = is_locally_good(SearchPlan(csp, params), table)
+    good, wit = is_locally_good(SearchPlan(csp, 0, R=1, N=3, eps=HALF), table)
     assert not good
     assert wit == MtSequence.from_lists([[0], [0], [0]])
     # the witness replays against the radius-0 localization
@@ -125,19 +127,19 @@ def test_always_bad_isolated_constraint_is_locally_bad():
 def test_unreachable_firing_count_means_good():
     csp = make_csp(1, [((0,), [(0,), (1,)])])
     table = table_from_rows([[0], [0]])  # depth 2 cannot host 5 firings
-    good, wit = is_locally_good(SearchPlan(csp, LocalParams(0, 1, 5, HALF)), table)
+    good, wit = is_locally_good(SearchPlan(csp, 0, 1, 5, HALF), table)
     assert good and wit is None
 
 
 def test_empty_domain_center_special_cases():
     hungry = make_csp(1, [((), [()]), ((0,), [(1,)])])
     table = table_from_rows([[0], [0]])
-    good, wit = is_locally_good(SearchPlan(hungry, LocalParams(0, 1, 2, HALF)), table)
+    good, wit = is_locally_good(SearchPlan(hungry, 0, 1, 2, HALF), table)
     assert not good
     assert wit == MtSequence.from_lists([[0], [0]])
 
     sated = make_csp(1, [((), []), ((0,), [(1,)])])
-    good, wit = is_locally_good(SearchPlan(sated, LocalParams(0, 1, 2, HALF)), table)
+    good, wit = is_locally_good(SearchPlan(sated, 0, 1, 2, HALF), table)
     assert good and wit is None
 
 
@@ -151,7 +153,7 @@ def test_matches_naive_search_on_random_instances():
         for table in some_tables(csp, 4, 2, seed=rng.randint(0, 9999)):
             for c in csp.constraints:
                 good, _ = is_locally_good(
-                    SearchPlan(csp, LocalParams(c.id, 2, 2, HALF)), table
+                    SearchPlan(csp, c.id, 2, 2, HALF), table
                 )
                 assert good == (not naive_locally_bad(
                     csp, table, c.id, 2, 2, HALF
@@ -169,16 +171,16 @@ def test_witness_is_singleton_consistent_and_folner_at_some_radius():
             continue
         table = some_tables(csp, 3, 1, seed=rng.randint(0, 9999))[0]
         for c in csp.constraints:
-            params = LocalParams(c.id, 2, 2, HALF)
-            good, wit = is_locally_good(SearchPlan(csp, params), table)
+            plan = SearchPlan(csp, c.id, 2, 2, HALF)
+            good, wit = is_locally_good(plan, table)
             if good:
                 continue
             found += 1
             assert all(len(step) == 1 for step in wit.steps)
             hits = [
                 r
-                for r in range(params.R)
-                if is_folner(wit, csp, c.id, r, params.N, params.eps)
+                for r in range(plan.R)
+                if is_folner(wit, csp, c.id, r, plan.N, plan.eps)
                 and check_consistency(local_csp(csp, c.id, r), table, wit)
             ]
             assert hits
@@ -187,16 +189,15 @@ def test_witness_is_singleton_consistent_and_folner_at_some_radius():
 
 def test_verdict_ignores_columns_outside_the_extended_domain():
     csp = proper_coloring(path_graph(5), 2)
-    inside = set(SearchPlan(csp, LocalParams(0, 1, 1, HALF)).domain)
+    inside = set(SearchPlan(csp, 0, 1, 1, HALF).domain)
     outside = [v for v in csp.variables if v not in inside]
     assert outside
-    params = LocalParams(0, 1, 1, HALF)
     for table in some_tables(csp, 3, 4, seed=17):
-        base, _ = is_locally_good(SearchPlan(csp, params), table)
+        base, _ = is_locally_good(SearchPlan(csp, 0, 1, 1, HALF), table)
         mutated = dict(table.columns)
         for v in outside:
             mutated[v] = tuple(1 - lab for lab in mutated[v])
-        flipped, _ = is_locally_good(SearchPlan(csp, params), Table(3, mutated))
+        flipped, _ = is_locally_good(SearchPlan(csp, 0, 1, 1, HALF), Table(3, mutated))
         assert base == flipped
 
 
@@ -204,7 +205,7 @@ def test_search_budget_failure_is_loud():
     csp = proper_coloring(path_graph(3), 2)
     table = some_tables(csp, 3, 1, seed=0)[0]
     with pytest.raises(SearchBudgetError):
-        is_locally_good(SearchPlan(csp, LocalParams(0, 1, 1, HALF)), table, budget=1)
+        is_locally_good(SearchPlan(csp, 0, 1, 1, HALF, budget=1), table)
 
 
 def _search_outcome(search, *args):
@@ -224,18 +225,19 @@ def test_iterative_search_matches_the_recursive_oracle():
     problems = TINY_FAMILY + [
         random_tiny_csp(rng, max_bad_rows=3) for _ in range(120)
     ]
-    # One plan serves every table, radius and budget of its (csp, params),
-    # so state that leaked from one walk into the next would show here.
+    # One plan serves every table and radius of its (csp, c, R, N, eps,
+    # budget), so state that leaked from one walk into the next would
+    # show here.
     grid = list(itertools.product((1, 2, 3), (1, 2, 4), (HALF, Fraction(1, 5))))
     budgets = (0, 1, 3, 10, DEFAULT_SEARCH_BUDGET)
     seen = Counter()
     for csp in problems:
         tables = some_tables(csp, 3, 2, seed=rng.randint(0, 9999))
         for c, (R, N, eps) in itertools.product(csp.constraints, grid):
-            plan = SearchPlan(csp, LocalParams(c.id, R, N, eps))
-            for table, budget in itertools.product(tables, budgets):
-                for r in range(R):
-                    pruned = _search_outcome(plan.search, table, r, budget)
+            for budget in budgets:
+                plan = SearchPlan(csp, c.id, R, N, eps, budget)
+                for table, r in itertools.product(tables, range(R)):
+                    pruned = _search_outcome(plan.search, table, r)
                     oracle = _search_outcome(
                         recursive_folner_search, csp, table, c.id, r, R, N, eps,
                         budget,
@@ -283,27 +285,27 @@ def test_search_closes_the_root_when_the_ball_cannot_hold_n_firings():
         graph_from_edges(10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)])
     )
     eps = Fraction(95737, 3046407)
-    plans = [SearchPlan(ring, LocalParams(c.id, 1, 100, eps)) for c in ring.constraints]
+    plans = [SearchPlan(ring, c.id, 1, 100, eps, 1) for c in ring.constraints]
     for trial in range(50):
         table = sample_table(ring.weights, ring.variables, 3, 9, trial)
         for plan in plans:
-            assert plan.search(table, 0, 1) == (None, 1)
+            assert plan.search(table, 0) == (None, 1)
     # The root is closed whatever the table holds: no cell is read.
     for plan in plans:
-        assert plan.search(UnreadCells(), 0, 1) == (None, 1)
-        assert is_locally_good(plan, UnreadCells(), 1) == (True, None)
+        assert plan.search(UnreadCells(), 0) == (None, 1)
+        assert is_locally_good(plan, UnreadCells()) == (True, None)
         with pytest.raises(SearchBudgetError) as exc:
-            plan.search(UnreadCells(), 0, 0)
+            SearchPlan(ring, plan.c, 1, 100, eps, 0).search(UnreadCells(), 0)
         assert str(exc.value) == (
-            f"search exceeded 0 count vectors at c={plan.params.c}, r=0"
+            f"search exceeded 0 count vectors at c={plan.c}, r=0"
         )
     # At depth * n_in == N the root stays open and the walk reads cells.
     for trial in range(50):
         table = sample_table(ring.weights, ring.variables, 3, 9, trial)
         for c in ring.constraints:
             counted = CountedCells(table)
-            plan = SearchPlan(ring, LocalParams(c.id, 1, 3, eps))
-            witness, nodes = plan.search(counted, 0, DEFAULT_SEARCH_BUDGET)
+            plan = SearchPlan(ring, c.id, 1, 3, eps)
+            witness, nodes = plan.search(counted, 0)
             oracle_witness, oracle_nodes = recursive_folner_search(
                 ring, table, c.id, 0, 1, 3, eps, DEFAULT_SEARCH_BUDGET
             )
@@ -328,7 +330,7 @@ def test_search_skips_an_outer_firing_that_cannot_be_diluted():
     eps = Fraction(1, 5)
     dist = bfs_distances(csp.dependency_graph, 0, 2)
     assert dist == {0: 0, 1: 1, 2: 2}
-    witness, nodes = SearchPlan(csp, LocalParams(0, 2, 2, eps)).search(table, 1, 100)
+    witness, nodes = SearchPlan(csp, 0, 2, 2, eps, 100).search(table, 1)
     oracle_witness, oracle_nodes = recursive_folner_search(
         csp, table, 0, 1, 2, 2, eps, 100
     )
@@ -340,7 +342,7 @@ def test_deep_table_search_returns_a_verdict():
     # 1400 nested firings: past the recursion limit of a recursive search.
     csp = make_csp(1, [((0,), [(0,), (1,)])])
     table = Table(1500, {0: (0,) * 1500})
-    good, wit = is_locally_good(SearchPlan(csp, LocalParams(0, 1, 1400, HALF)), table)
+    good, wit = is_locally_good(SearchPlan(csp, 0, 1, 1400, HALF), table)
     assert not good
     assert wit == MtSequence.from_lists([[0]] * 1400)
 
@@ -348,7 +350,7 @@ def test_deep_table_search_returns_a_verdict():
 def test_extended_domain_collects_ball_domains():
     csp = proper_coloring(path_graph(4), 2)
     def domain(R):
-        return SearchPlan(csp, LocalParams(0, R, 1, HALF)).domain
+        return SearchPlan(csp, 0, R, 1, HALF).domain
 
     assert domain(0) == (0, 1)
     assert domain(1) == (0, 1, 2)
@@ -395,7 +397,7 @@ def test_lg_problem_solutions_are_exactly_the_good_tables():
         table = cell_table(csp, assignment, depth)
         direct = all(
             is_locally_good(
-                SearchPlan(csp, LocalParams(c.id, 1, 1, HALF)), table
+                SearchPlan(csp, c.id, 1, 1, HALF), table
             )[0]
             for c in csp.constraints
         )
@@ -414,7 +416,7 @@ def test_lg_bad_mass_agrees_with_direct_enumeration():
     dom = lg.constraint(0).domain
     for row in itertools.product(range(2), repeat=len(dom)):
         table = cell_table(csp, dict(zip(dom, row)), depth)
-        if not is_locally_good(SearchPlan(csp, LocalParams(0, 1, 1, HALF)), table)[0]:
+        if not is_locally_good(SearchPlan(csp, 0, 1, 1, HALF), table)[0]:
             mass = Fraction(1)
             for lab in row:
                 mass *= csp.weights[lab]
@@ -517,7 +519,7 @@ def test_lbad_hypotheses_accept_and_reject():
 def test_estimate_on_trivially_good_instance():
     csp = make_csp(2, [((0,), []), ((1,), [])])
     rep = estimate_lbad_prob(
-        csp, LocalParams(0, 1, 1, Fraction(1, 24)),
+        SearchPlan(csp, 0, 1, 1, Fraction(1, 24)),
         depth=2, trials=20, seed=3, s=Fraction(6, 5), eta=Fraction(1, 64),
     )
     assert rep["bad"] == 0 and rep["unknown"] == 0
@@ -528,8 +530,8 @@ def test_estimate_on_trivially_good_instance():
 def test_estimate_counts_budget_exhaustion_as_bad():
     csp = proper_coloring(path_graph(3), 2)
     rep = estimate_lbad_prob(
-        csp, LocalParams(0, 1, 1, Fraction(1, 24)),
-        depth=2, trials=5, seed=3, s=Fraction(6, 5), eta=Fraction(1, 64), budget=0,
+        SearchPlan(csp, 0, 1, 1, Fraction(1, 24), budget=0),
+        depth=2, trials=5, seed=3, s=Fraction(6, 5), eta=Fraction(1, 64),
     )
     assert rep["unknown"] == 5
     assert rep["frequency"] == 1.0
@@ -543,18 +545,16 @@ def test_estimate_matches_a_full_table_run_on_the_ring():
         graph_from_edges(10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)])
     )
     depth, trials, seed = 3, 100, 5
-    read = SearchPlan(ring, LocalParams(0, 1, 1, HALF)).domain
+    read = SearchPlan(ring, 0, 1, 1, HALF).domain
     assert len(read) < len(ring.variables)
     sampler = CellSampler(ring.weights, seed)
     seen = set()
     for N, budget in ((1, DEFAULT_SEARCH_BUDGET), (2, 1)):
-        params = LocalParams(0, 1, N, Fraction(1, 32))
-
-        plan = SearchPlan(ring, params)
+        plan = SearchPlan(ring, 0, 1, N, Fraction(1, 32), budget)
 
         def verdict(table):
             try:
-                return is_locally_good(plan, table, budget)
+                return is_locally_good(plan, table)
             except SearchBudgetError:
                 return "unknown"
 
@@ -568,8 +568,8 @@ def test_estimate_matches_a_full_table_run_on_the_ring():
             elif not full[0]:
                 counts["bad"] += 1
         rep = estimate_lbad_prob(
-            ring, params, depth=depth, trials=trials, seed=seed,
-            s=Fraction(21, 20), eta=Fraction(1, 64), budget=budget,
+            plan, depth=depth, trials=trials, seed=seed,
+            s=Fraction(21, 20), eta=Fraction(1, 64),
         )
         assert (rep["bad"], rep["unknown"]) == (counts["bad"], counts["unknown"])
         seen.update(key for key in ("bad", "unknown") if rep[key])
@@ -592,13 +592,13 @@ def count_table_checks(monkeypatch) -> list:
     original = local_goodness.is_locally_good
     calls = []
 
-    def counted(plan, table, budget=DEFAULT_SEARCH_BUDGET):
+    def counted(plan, table):
         try:
-            result = original(plan, table, budget)
+            result = original(plan, table)
         except SearchBudgetError:
-            calls.append((plan.params.c, "unknown"))
+            calls.append((plan.c, "unknown"))
             raise
-        calls.append((plan.params.c, result[0]))
+        calls.append((plan.c, result[0]))
         return result
 
     hits = 0
@@ -621,9 +621,8 @@ def test_every_table_check_is_one_is_locally_good_call(monkeypatch):
     for N, budget in ((1, DEFAULT_SEARCH_BUDGET), (2, 1)):
         calls.clear()
         rep = estimate_lbad_prob(
-            ring, LocalParams(0, 1, N, Fraction(1, 32)),
+            SearchPlan(ring, 0, 1, N, Fraction(1, 32), budget),
             depth=3, trials=60, seed=5, s=Fraction(21, 20), eta=Fraction(1, 64),
-            budget=budget,
         )
         verdicts = Counter(good for _, good in calls)
         assert len(calls) == 60
@@ -632,7 +631,7 @@ def test_every_table_check_is_one_is_locally_good_call(monkeypatch):
     # table is not locally good
     calls.clear()
     path = proper_coloring(path_graph(3), 2)
-    pred = LBadPredicate(path, LocalParams(1, 1, 1, HALF), 2, DEFAULT_SEARCH_BUDGET)
+    pred = LBadPredicate(SearchPlan(path, 1, 1, 1, HALF), 2)
     rows = list(itertools.product(range(2), repeat=len(pred.domain)))
     bad = sum(pred.contains(row) for row in rows)
     assert len(calls) == len(rows)

@@ -557,8 +557,11 @@ def test_stack_counter_matches_the_digraph_listing():
                     term *= alpha[x]
                 alpha_per_n[g.n] += term
             for max_vertices in range(1, 7):
-                counts, sums = _stack_sums(cid, csp, max_vertices, weight, 10**6)
-                total = sum(counts)
+                total, sums = _stack_sums(cid, csp, max_vertices, weight, 10**6)
+                # Under unit weights the sums are the stacks per size.
+                unit = dict.fromkeys(weight, 1)
+                again, counts = _stack_sums(cid, csp, max_vertices, unit, 10**6)
+                assert again == total == sum(counts)
                 # The listing runs under the counter's own count as its cap,
                 # so an undercount surfaces as a refusal.
                 digraphs = enumerate_sink_star(cid, csp, max_vertices, total)
