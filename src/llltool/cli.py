@@ -263,21 +263,18 @@ def _cmd_generate(args, inputs: _Inputs) -> tuple:
 
 
 def _cmd_stats(args, inputs: _Inputs) -> tuple:
-    csp = inputs.problem(args.problem)
-    stats = csp_stats(csp)
-    results = {"stats": stats.to_json()}
-    conditions = {
-        "classic": lll_condition(stats.p_max, stats.max_dep_degree, "classic").to_json(),
-        "double_exp": lll_condition(
-            stats.p_max, stats.max_dep_degree, "double_exp"
-        ).to_json(),
-    }
+    stats = csp_stats(inputs.problem(args.problem))
+    p, d = stats.p_max, stats.max_dep_degree
+
+    def entry(variant: str, s: Fraction | None = None) -> dict:
+        out = {"variant": variant, "holds": lll_condition(p, d, variant, s),
+               "p": format_rational(p), "d": d}
+        return out if s is None else {**out, "s": format_rational(s)}
+
+    conditions = {"classic": entry("classic"), "double_exp": entry("double_exp")}
     if args.s is not None:
-        conditions["exponent"] = lll_condition(
-            stats.p_max, stats.max_dep_degree, "exponent", parse_rational(args.s)
-        ).to_json()
-    results["conditions"] = conditions
-    return results, EXIT_OK
+        conditions["exponent"] = entry("exponent", parse_rational(args.s))
+    return {"stats": stats.to_json(), "conditions": conditions}, EXIT_OK
 
 
 def _cmd_growth(args, inputs: _Inputs) -> tuple:

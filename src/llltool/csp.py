@@ -277,7 +277,7 @@ def prob_bad(csp: Csp, cid: int) -> Fraction:
 def conditional_mass(csp: Csp, cid: int, fixed: Mapping[int, int]) -> Fraction:
     """Exact mass of the constraint's bad set given the partial labeling.
 
-    Equals `prob_bad(quotient_csp(csp, fixed).csp, cid)`: the integer pair
+    Equals `prob_bad(quotient_csp(csp, fixed), cid)`: the integer pair
     of `conditional_weight`, reduced to one Fraction.
     """
     return Fraction(*conditional_weight(csp, cid, fixed))
@@ -394,27 +394,7 @@ def csp_stats(csp: Csp) -> CspStats:
     return CspStats(order, vdeg, csp.dependency_graph.max_degree(), p_max)
 
 
-@dataclass(frozen=True)
-class LllReport:
-    variant: str
-    holds: bool
-    p: Fraction
-    d: int
-    s: Fraction | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "variant": self.variant,
-            "holds": self.holds,
-            "p": format_rational(self.p),
-            "d": self.d,
-        }
-        if self.s is not None:
-            out["s"] = format_rational(self.s)
-        return out
-
-
-def lll_condition(p: Fraction, d: int, variant: str, s: Fraction | None = None) -> LllReport:
+def lll_condition(p: Fraction, d: int, variant: str, s: Fraction | None = None) -> bool:
     """Decide one of the three sufficient-condition inequalities exactly.
 
     classic:    e * p * (d+1) < 1
@@ -428,18 +408,15 @@ def lll_condition(p: Fraction, d: int, variant: str, s: Fraction | None = None) 
     if d < 0:
         raise InvalidParameterError("d must be >= 0")
     if variant == "classic":
-        holds = certified_less(p * (d + 1), 1, Fraction(1))
-        return LllReport("classic", holds, p, d)
+        return certified_less(p * (d + 1), 1, Fraction(1))
     if variant == "double_exp":
-        holds = p * Fraction(d + 1) ** (d + 1) < 1
-        return LllReport("double_exp", holds, p, d)
+        return p * Fraction(d + 1) ** (d + 1) < 1
     if variant == "exponent":
         if s is None or s <= 1:
             raise InvalidParameterError("exponent variant needs rational s > 1")
         # with s = a/b: p * (e(d+1))**s < 1  <=>  ((d+1) * e)**a < (1/p)**b
         a, b = s.numerator, s.denominator
-        holds = p == 0 or e_power_less(Fraction(d + 1), a, 1 / p, b)
-        return LllReport("exponent", holds, p, d, s)
+        return p == 0 or e_power_less(Fraction(d + 1), a, 1 / p, b)
     raise InvalidParameterError(f"unknown variant {variant!r}")
 
 
@@ -461,14 +438,7 @@ class _QuotientPredicate(BadPredicate):
         return self.bad_test(tuple(merged[v] for v in self.domain))
 
 
-@dataclass(frozen=True)
-class QuotientCsp:
-    base: Csp
-    fixed: Mapping[int, int]
-    csp: Csp = field(compare=False)
-
-
-def quotient_csp(csp: Csp, f: Mapping[int, int]) -> QuotientCsp:
+def quotient_csp(csp: Csp, f: Mapping[int, int]) -> Csp:
     """Residual problem after fixing f: domains shrink, bad sets condition on f.
 
     A reduced row is bad exactly when f joined with it is bad in the base
@@ -480,18 +450,17 @@ def quotient_csp(csp: Csp, f: Mapping[int, int]) -> QuotientCsp:
             raise InvalidInputError(f"fixed variable {v} not in problem")
         if not 0 <= lab < csp.label_count:
             raise InvalidInputError(f"fixed label {lab} out of range")
-    fixed = dict(sorted(f.items()))
-    remaining = tuple(v for v in csp.variables if v not in fixed)
+    remaining = tuple(v for v in csp.variables if v not in f)
     new_constraints = []
     for c in csp.constraints:
-        reduced = tuple(v for v in c.domain if v not in fixed)
+        reduced = tuple(v for v in c.domain if v not in f)
         if len(reduced) == len(c.domain):
             new_constraints.append(c)
             continue
         if isinstance(c.bad, frozenset):
-            fixed_positions = [i for i, v in enumerate(c.domain) if v in fixed]
-            keep_positions = [i for i, v in enumerate(c.domain) if v not in fixed]
-            want = tuple(fixed[c.domain[i]] for i in fixed_positions)
+            fixed_positions = [i for i, v in enumerate(c.domain) if v in f]
+            keep_positions = [i for i, v in enumerate(c.domain) if v not in f]
+            want = tuple(f[c.domain[i]] for i in fixed_positions)
             rows = frozenset(
                 tuple(row[i] for i in keep_positions)
                 for row in c.bad
@@ -499,11 +468,10 @@ def quotient_csp(csp: Csp, f: Mapping[int, int]) -> QuotientCsp:
             )
             new_constraints.append(Constraint(c.id, reduced, rows))
         else:
-            sub = {v: fixed[v] for v in c.domain if v in fixed}
+            sub = {v: f[v] for v in c.domain if v in f}
             pred = _QuotientPredicate(csp.bad_tests[c.id], c.domain, reduced, sub)
             new_constraints.append(Constraint(c.id, reduced, pred))
-    reduced_csp = Csp(remaining, csp.label_count, csp.weights, tuple(new_constraints))
-    return QuotientCsp(csp, fixed, reduced_csp)
+    return Csp(remaining, csp.label_count, csp.weights, tuple(new_constraints))
 
 
 def load_problem(text: str) -> Csp:
@@ -514,6 +482,8 @@ def load_problem(text: str) -> Csp:
         raise InvalidInputError(f"not valid JSON: {exc}") from exc
     try:
         n = parse_int(obj["variables"])
+        if n < 0:
+            raise InvalidInputError(f"problem variables must be >= 0, got {n}")
         labels = obj["labels"]
         k = parse_int(labels["count"])
         if "weights" in labels and labels["weights"] is not None:

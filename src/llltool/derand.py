@@ -230,7 +230,7 @@ def solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int, int]:
     if p == 1:
         cid = next(cid for cid, slot in enumerate(slots) if masses[slot] == 1)
         raise HypothesisError(f"constraint {cid} is violated by every labeling")
-    if not lll_condition(p, d, "double_exp").holds:
+    if not lll_condition(p, d, "double_exp"):
         raise InvalidParameterError(
             f"p(d+1)^(d+1) = {float_of(p * Fraction(d + 1) ** (d + 1))} is not < 1"
         )
@@ -385,7 +385,7 @@ def parameter_advisor(
             "the problem has no constraints (its growth profile is all "
             "zeros), so there are no parameters to advise"
         )
-    if not lll_condition(p, d, "exponent", s).holds:
+    if not lll_condition(p, d, "exponent", s):
         raise HypothesisError("p(e(d+1))^s < 1 fails")
 
     eps_hi = 1 - 1 / s

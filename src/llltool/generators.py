@@ -21,7 +21,11 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]  # each sorted, size >= 1
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InvalidInputError(f"hypergraph n must be >= 0, got {self.n}")
         for e in self.edges:
+            if not e:
+                raise InvalidInputError("hyperedges must be non-empty")
             if list(e) != sorted(set(e)):
                 raise InvalidInputError(f"hyperedge {e} must be sorted and duplicate-free")
             for v in e:

@@ -46,6 +46,8 @@ class FiniteGraph:
 
 
 def graph_from_edges(n: int, edges) -> FiniteGraph:
+    if n < 0:
+        raise InvalidInputError(f"graph n must be >= 0, got {n}")
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for e in edges:
         u, v = map(parse_int, e)  # ValueError unless e is a pair

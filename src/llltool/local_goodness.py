@@ -63,11 +63,12 @@ class SearchPlan:
     The plan holds everything the search reads: the problem, c, R, N,
     eps and the node budget of each walk. R, N, eps and the budget are
     checked in that order, then c. One BFS finds the R-ball, and for each
-    r < R the walk's order (r-ball ids ascending, then the outer shell),
-    the r-ball size `n_in` and the ordered domains with their bad tests
-    are stored. `domain` is dom_R(c), the sorted union of the ball's
-    domains: the only columns a verdict can read. A budget of 0 is legal
-    and refuses at the root.
+    r < R up to the distance of its farthest constraint the walk's order
+    (r-ball ids ascending, then the outer shell), the r-ball size `n_in`
+    and the ordered domains with their bad tests are stored; every larger
+    r has an empty outer shell and so the last of these walks. `domain`
+    is dom_R(c), the sorted union of the ball's domains: the only columns
+    a verdict can read. A budget of 0 is legal and refuses at the root.
     """
 
     def __init__(
@@ -97,7 +98,7 @@ class SearchPlan:
             sorted({v for a in ids for v in csp.constraint(a).domain})
         )
         self._radii = []
-        for r in range(R):
+        for r in range(min(R, max(dist.values()) + 1)):
             order = [a for a in ids if dist[a] <= r]
             n_in = len(order)  # positions below n_in lie in the r-ball
             order += [a for a in ids if dist[a] > r]
@@ -137,7 +138,7 @@ class SearchPlan:
             if self.center_bad(()):
                 return MtSequence(tuple(frozenset({c}) for _ in range(N))), 1
             return None, 1
-        order, n_in, domains, bads = self._radii[r]
+        order, n_in, domains, bads = self._radii[min(r, len(self._radii) - 1)]
         depth = table.depth
         in_domains = domains[:n_in]
         m = len(order)
@@ -213,9 +214,10 @@ def is_locally_good(
     Returns (True, None) or (False, witness); the witness fires one
     constraint per step and is consistent with the localized problem
     at its radius. Raises SearchBudgetError instead of guessing when
-    the search is cut off by the plan's budget.
+    the search is cut off by the plan's budget. Radii past c's farthest
+    constraint repeat the last walk, so they are not searched again.
     """
-    for r in range(plan.R):
+    for r in range(len(plan._radii)):
         witness, _ = plan.search(table, r)
         if witness is not None:
             return False, witness
@@ -291,10 +293,11 @@ def build_lg_csp(
 
 
 def gamma_at_radius(dep: FiniteGraph, radius: int) -> int:
-    """Largest dependency ball at the given radius (1 on empty graphs)."""
+    """Largest dependency ball at the given radius (1 on empty graphs);
+    every ball is whole by radius n - 1, so no larger one is grown."""
     if dep.n == 0:
         return 1
-    return max_ball_sizes(dep, radius)[radius]
+    return max_ball_sizes(dep, min(radius, dep.n))[-1]
 
 
 def lbad_bound(d: int, eta: Fraction, R: int, gammaR: int, N: int) -> Fraction:

@@ -36,7 +36,6 @@ from llltool.csp import (
     BadPredicate,
     Constraint,
     Csp,
-    QuotientCsp,
     assignment_rows,
     build_dependency_graph,
     is_solution,
@@ -1059,8 +1058,10 @@ def pairwise_square_independent(csp: Csp, ids) -> bool:
     )
 
 
-def quotient_induction_step(q: QuotientCsp, color_class) -> dict[int, int]:
+def quotient_induction_step(base: Csp, reduced: Csp, color_class) -> dict[int, int]:
     """First acceptable assignment per class constraint, merged.
+
+    `reduced` is `base` conditioned on the labels fixed so far.
 
     For c in the class (ids ascending) the candidates are the label rows
     on c's still-free variables, in lexicographic order; a candidate is
@@ -1069,19 +1070,18 @@ def quotient_induction_step(q: QuotientCsp, color_class) -> dict[int, int]:
     must be independent in the squared dependency graph, which makes the
     per-constraint searches non-interacting.
     """
-    base = q.base
     if not pairwise_square_independent(base, color_class):
         raise InvalidParameterError("class is not square-independent")
     d = base.dependency_graph.max_degree()
     merged: dict[int, int] = {}
     for cid in sorted(color_class):
-        reduced = q.csp.constraint(cid).domain
+        free = reduced.constraint(cid).domain
         targets = sorted(base.closed_neighborhoods[cid])
-        current = {a: prob_bad(q.csp, a) for a in targets}
+        current = {a: prob_bad(reduced, a) for a in targets}
         chosen = None
-        for row in assignment_rows(base.label_count, len(reduced)):
-            phi = dict(zip(reduced, row))
-            trial = quotient_csp(q.csp, phi).csp if phi else q.csp
+        for row in assignment_rows(base.label_count, len(free)):
+            phi = dict(zip(free, row))
+            trial = quotient_csp(reduced, phi) if phi else reduced
             if all(
                 prob_bad(trial, a) <= (d + 1) * current[a] for a in targets
             ):
@@ -1110,7 +1110,7 @@ def quotient_solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int,
     if certain:
         raise HypothesisError(f"constraint {certain[0]} is violated by every labeling")
     p = max(base_mass.values(), default=Fraction(0))
-    if not lll_condition(p, d, "double_exp").holds:
+    if not lll_condition(p, d, "double_exp"):
         raise InvalidParameterError(
             f"p(d+1)^(d+1) = {float_of(p * Fraction(d + 1) ** (d + 1))} is not < 1"
         )
@@ -1120,13 +1120,13 @@ def quotient_solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int,
         classes.setdefault(color, []).append(cid)
 
     fixed: dict[int, int] = {}
-    q = quotient_csp(csp, fixed)
+    reduced = quotient_csp(csp, fixed)
     touched = {c.id: 0 for c in csp.constraints}
     for index, color in enumerate(sorted(classes)):
         members = classes[color]
-        phi = quotient_induction_step(q, members)
+        phi = quotient_induction_step(csp, reduced, members)
         fixed = {**fixed, **phi}
-        q = quotient_csp(csp, fixed)
+        reduced = quotient_csp(csp, fixed)
         reached = set()
         for cid in members:
             reached.update(csp.closed_neighborhoods[cid])
@@ -1134,7 +1134,7 @@ def quotient_solve_double_exp(csp: Csp, ledger: list | None = None) -> dict[int,
             touched[a] += 1
         if ledger is not None:
             for c in csp.constraints:
-                after = prob_bad(q.csp, c.id)
+                after = prob_bad(reduced, c.id)
                 bound = Fraction(d + 1) ** touched[c.id] * base_mass[c.id]
                 ledger.append(
                     {

@@ -380,7 +380,7 @@ def test_criterion_08_degree_one_hypergraphs_solve_deterministically():
 
 def test_criterion_09_greedy_resampling_terminates_on_the_regular_ring():
     csp = four_regular_ring()
-    assert lll_condition(Fraction(1, 16), 4, "classic").holds
+    assert lll_condition(Fraction(1, 16), 4, "classic")
     rep = mt_monte_carlo(csp, 1000, 64, 424242, MAXIMAL_GREEDY)
     assert rep["success_rate"] >= 0.99
     assert rep["statuses"] == {"completed": 1000}

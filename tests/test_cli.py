@@ -672,6 +672,50 @@ def test_a_malformed_graph_file_exits_two(tmp_path, capsys, text, message):
         assert captured.err == f"llltool: error: {message}\n"
 
 
+@pytest.mark.parametrize("command, text, message", [
+    (["stats", "--problem"],
+     '{"variables": -3, "labels": {"count": 2}, "constraints": []}',
+     "problem variables must be >= 0, got -3"),
+    (["generate", "--kind", "hyp2color", "--graph"], '{"n": -2, "edges": []}',
+     "hypergraph n must be >= 0, got -2"),
+    (["generate", "--kind", "hyp2color", "--graph"], '{"n": 3, "edges": [[]]}',
+     "hyperedges must be non-empty"),
+    (["growth", "--graph"], '{"n": -1, "edges": []}',
+     "graph n must be >= 0, got -1"),
+], ids=["negative-variables", "negative-hypergraph-n", "empty-hyperedge",
+        "negative-graph-n"])
+def test_a_negative_count_or_an_empty_hyperedge_exits_two(
+    tmp_path, capsys, command, text, message
+):
+    assert main(command + [write(tmp_path, "input.json", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"llltool: error: {message}\n"
+
+
+def test_stats_reports_every_condition_in_full(tmp_path, capsys):
+    # Three 5-edges in a chain: p = 2/2**5, and the middle edge meets both.
+    hyp = Hypergraph(13, ((0, 1, 2, 3, 4), (4, 5, 6, 7, 8), (8, 9, 10, 11, 12)))
+    prob = problem_file(tmp_path, hypergraph_2coloring(hyp))
+    stats = {
+        "order": 5, "vdeg": 2, "max_dep_degree": 2,
+        "p_max": "1/16", "p_max_float": 0.0625,
+    }
+    conditions = {
+        "classic": {"variant": "classic", "holds": True, "p": "1/16", "d": 2},
+        "double_exp": {"variant": "double_exp", "holds": False, "p": "1/16", "d": 2},
+    }
+    code, payload = run(["stats", "--problem", prob], capsys)
+    assert code == 0
+    assert payload["results"] == {"stats": stats, "conditions": conditions}
+    code, payload = run(["stats", "--problem", prob, "--s", "3/2"], capsys)
+    assert code == 0
+    conditions["exponent"] = {
+        "variant": "exponent", "holds": False, "p": "1/16", "d": 2, "s": "3/2",
+    }
+    assert payload["results"] == {"stats": stats, "conditions": conditions}
+
+
 def test_a_sink_listing_past_the_vertex_pair_cap_exits_three(
     tmp_path, capsys, monkeypatch
 ):

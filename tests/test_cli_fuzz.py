@@ -10,7 +10,10 @@ its report parses back and names its command, and `generate`'s problem
 loads back. Malformed script and table shapes, integers of the problem,
 table and witness given as floats, numeric strings or bools, graph files
 given as JSON or with a malformed edge, and `generate`'s kind come from a
-second rng, so they leave the other draws as they are.
+second rng, so they leave the other draws as they are. So do a negative
+problem `variables`, on which every command that reads the problem must
+exit 2, and the hypergraph files of `generate --kind hyp2color`, which
+must exit 2 exactly when n is negative or an edge is empty.
 """
 
 import io
@@ -174,6 +177,21 @@ def malform_graph(odd, text):
     return text
 
 
+def random_hypergraph(odd):
+    """A hypergraph file and whether it must be refused: now and then its
+    n is negative or one of its edges is empty. Drawn from `odd` alone,
+    as in `malform`."""
+    n = odd.randint(1, 6)
+    edges = [sorted(odd.sample(range(n), odd.randint(1, min(n, 3))))
+             for _ in range(odd.randint(0, 3))]
+    refused = odd.random() < 0.2
+    if refused and odd.random() < 0.5:
+        n = -odd.randint(1, 3)
+    elif refused:
+        edges.insert(odd.randrange(len(edges) + 1), [])
+    return json.dumps({"n": n, "edges": edges}), refused
+
+
 def commands(rng, files, m):
     """One argv per report-emitting subcommand, small caps and budgets."""
     c = str(pick(rng, range(max(m, 1)), [-1, m]))
@@ -237,6 +255,7 @@ def test_no_random_input_crashes_the_cli(tmp_path):
     seen_codes = set()
     commanded = set()
     refused_by_the_cap = set()  # commands with no --cap that the variable stopped
+    negatives = refused_hypergraphs = 0
     for seed in SEEDS:
         rng = random.Random(seed)
         odd = random.Random(f"malformed {seed}")
@@ -246,6 +265,10 @@ def test_no_random_input_crashes_the_cli(tmp_path):
             malform(odd, table, script)
             witness = random_witness(rng, m)
             misshape_integer(odd, problem, table, witness)
+            negative = odd.random() < 0.05
+            if negative:
+                problem["variables"] = -odd.randint(1, 3)
+            hypergraph, hypergraph_refused = random_hypergraph(odd)
             contents = {
                 "problem": json.dumps(problem),
                 "table": json.dumps(table),
@@ -253,6 +276,7 @@ def test_no_random_input_crashes_the_cli(tmp_path):
                 "witness": json.dumps(witness),
                 "params": json.dumps(random_params(rng)),
                 "graph": malform_graph(odd, random_graph(rng, rng.randint(0, 6))),
+                "hypergraph": hypergraph,
             }
             files = {}
             for name, text in contents.items():
@@ -262,11 +286,19 @@ def test_no_random_input_crashes_the_cli(tmp_path):
             cap = rng.choice([0, 1, 4, 16, 4096, 4096])
             generate = ["generate", "--kind", odd.choice(["coloring", "sinkless"]),
                         "--graph", files["graph"]]
+            hyp2color = ["generate", "--kind", "hyp2color",
+                         "--graph", files["hypergraph"]]
+            negatives += negative
+            refused_hypergraphs += hypergraph_refused
             with materialize_cap(cap):
-                for argv in commands(rng, files, m) + [generate]:
+                for argv in commands(rng, files, m) + [generate, hyp2color]:
                     code, out, err = run_main(argv)
                     context = (seed, cap, argv, err, contents)
                     assert code in (0, 1, 2, 3), context
+                    if negative and "--problem" in argv:
+                        assert code == 2, context
+                    if argv is hyp2color:
+                        assert (code == 2) == hypergraph_refused, context
                     if code == 0 and argv[0] == "generate":
                         load_problem(out)  # the bare problem, no envelope
                     elif code == 0:
@@ -279,3 +311,4 @@ def test_no_random_input_crashes_the_cli(tmp_path):
     assert seen_codes == {0, 1, 2, 3}
     assert len(commanded) == 13
     assert refused_by_the_cap == {"pipeline", "verify-mt1"}
+    assert negatives > 0 and refused_hypergraphs > 0

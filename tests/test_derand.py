@@ -104,27 +104,24 @@ def test_edgeless_rejects_full_bad_and_edges():
 
 
 def test_induction_step_empty_class():
-    q = quotient_csp(make_csp(1, [((0,), [])]), {})
-    assert induction_step(q.base, q.fixed, []) == {}
+    assert induction_step(make_csp(1, [((0,), [])]), {}, []) == {}
 
 
 def test_induction_step_masses_stay_bounded():
     csp = hypergraph_2coloring(chained_hypergraph(1, arity=3))
-    q = quotient_csp(csp, {})
     before = {c.id: prob_bad(csp, c.id) for c in csp.constraints}
-    phi = induction_step(q.base, q.fixed, [0])
+    phi = induction_step(csp, {}, [0])
     assert set(phi) == set(csp.constraint(0).domain)
     after = quotient_csp(csp, phi)
     d = 1
     for cid in (0, 1):
-        assert prob_bad(after.csp, cid) <= (d + 1) * before[cid]
+        assert prob_bad(after, cid) <= (d + 1) * before[cid]
 
 
 def test_induction_step_rejects_adjacent_class_members():
     csp = hypergraph_2coloring(chained_hypergraph(1, arity=3))
-    q = quotient_csp(csp, {})
     with pytest.raises(InvalidParameterError):
-        induction_step(q.base, q.fixed, [0, 1])
+        induction_step(csp, {}, [0, 1])
 
 
 def test_square_independence_agrees_with_the_squared_graph():
@@ -472,7 +469,7 @@ def test_conditional_mass_matches_the_quotient_mass():
                 for v in csp.variables
                 if rng.random() < share
             }
-            cases.append((csp, fixed, quotient_csp(csp, fixed).csp))
+            cases.append((csp, fixed, quotient_csp(csp, fixed)))
             assert all(
                 conditional_mass(csp, c.id, {}) == prob_bad(csp, c.id)
                 for c in csp.constraints
@@ -592,14 +589,14 @@ def test_induction_step_matches_the_quotient_route():
                 for v in csp.variables
                 if rng.random() < 0.4
             }
-            q = quotient_csp(csp, fixed)
-            cases.append((q, rng.sample(ids, rng.randint(0, len(ids)))))
+            reduced = quotient_csp(csp, fixed)
+            cases.append((csp, fixed, reduced, rng.sample(ids, rng.randint(0, len(ids)))))
     kinds = set()
     for cap in (None, 1, 2):
         with materialize_cap(cap):
-            for q, color_class in cases:
-                fast = outcome(lambda: induction_step(q.base, q.fixed, color_class))
-                slow = outcome(lambda: quotient_induction_step(q, color_class))
+            for csp, fixed, reduced, color_class in cases:
+                fast = outcome(lambda: induction_step(csp, fixed, color_class))
+                slow = outcome(lambda: quotient_induction_step(csp, reduced, color_class))
                 assert fast == slow
                 kinds.add(fast[0])
     assert kinds == {"value", "InvalidParameterError", "CapExceededError"}
@@ -622,10 +619,9 @@ def test_square_independence_ignores_repeated_ids():
             outcomes.add(expected)
     assert outcomes == {True, False}
     csp = hypergraph_2coloring(chained_hypergraph(1, arity=3))
-    q = quotient_csp(csp, {})
     assert _square_independent(csp, [0, 0])
-    twice = induction_step(q.base, q.fixed, [0, 0])
-    assert twice == induction_step(q.base, q.fixed, [0])
+    twice = induction_step(csp, {}, [0, 0])
+    assert twice == induction_step(csp, {}, [0])
 
 
 def test_small_cap_deterministic_pipeline_matches_the_quotient_route(monkeypatch):

@@ -450,6 +450,47 @@ def test_gamma_at_radius():
     assert gamma_at_radius(empty, 2) == 1
 
 
+def test_gamma_at_radius_grows_no_ball_past_the_vertex_count(monkeypatch):
+    dep = build_dependency_graph(proper_coloring(cycle_graph(3), 3))
+    asked = []
+    real = local_goodness.max_ball_sizes
+
+    def recorded(g, r_max):
+        asked.append(r_max)
+        return real(g, min(r_max, g.n))  # never grow 10**9 rounds
+
+    monkeypatch.setattr(local_goodness, "max_ball_sizes", recorded)
+    assert gamma_at_radius(dep, 10**9) == 3
+    assert asked == [dep.n]
+
+
+def test_a_search_stops_at_the_farthest_constraint(monkeypatch):
+    # Every constraint of the triangle lies within distance 1 of c, so
+    # radii 1..49 share one walk and only radii 0 and 1 are searched.
+    csp = proper_coloring(cycle_graph(3), 3)
+    plan = SearchPlan(csp, 0, 50, 2, HALF)
+    tables = some_tables(csp, 2, 30, seed=4)
+    expected = [
+        next((w for r in range(50) if (w := plan.search(t, r)[0])), None)
+        for t in tables
+    ]
+    radii = []
+    search = SearchPlan.search
+
+    def counted(self, table, r):
+        radii.append(r)
+        return search(self, table, r)
+
+    monkeypatch.setattr(SearchPlan, "search", counted)
+    verdicts = set()
+    for table, witness in zip(tables, expected):
+        radii.clear()
+        assert is_locally_good(plan, table) == (witness is None, witness)
+        assert len(radii) <= 2
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
 def test_degree_margin_holds_on_paths():
     csp = proper_coloring(path_graph(3), 2)
     rep = lg_degree_check(csp, 1)
