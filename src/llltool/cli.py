@@ -18,10 +18,11 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import derand, generators, local_goodness, witness
-from .csp import csp_stats, dump_problem, lll_condition, load_problem
+from .csp import dump_problem, lll_condition, load_problem, max_bad_mass
 from .errors import (
     CapExceededError,
     DepthExceededError,
@@ -29,7 +30,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .exact import format_rational, parse_rational
+from .exact import float_of, format_rational, parse_rational
 from .graphs import growth_profile, load_graph_json, load_graph_text
 from .moser_tardos import (
     FIRST_SINGLETON,
@@ -263,8 +264,16 @@ def _cmd_generate(args, inputs: _Inputs) -> tuple:
 
 
 def _cmd_stats(args, inputs: _Inputs) -> tuple:
-    stats = csp_stats(inputs.problem(args.problem))
-    p, d = stats.p_max, stats.max_dep_degree
+    csp = inputs.problem(args.problem)
+    p, d = max_bad_mass(csp), csp.dependency_graph.max_degree()
+    per_variable = Counter(v for c in csp.constraints for v in c.domain)
+    stats = {
+        "order": max((len(c.domain) for c in csp.constraints), default=0),
+        "vdeg": max(per_variable.values(), default=0),
+        "max_dep_degree": d,
+        "p_max": format_rational(p),
+        "p_max_float": float_of(p),
+    }
 
     def entry(variant: str, s: Fraction | None = None) -> dict:
         out = {"variant": variant, "holds": lll_condition(p, d, variant, s),
@@ -274,7 +283,7 @@ def _cmd_stats(args, inputs: _Inputs) -> tuple:
     conditions = {"classic": entry("classic"), "double_exp": entry("double_exp")}
     if args.s is not None:
         conditions["exponent"] = entry("exponent", parse_rational(args.s))
-    return {"stats": stats.to_json(), "conditions": conditions}, EXIT_OK
+    return {"stats": stats, "conditions": conditions}, EXIT_OK
 
 
 def _cmd_growth(args, inputs: _Inputs) -> tuple:
@@ -399,10 +408,10 @@ def _cmd_solve(args, inputs: _Inputs) -> tuple:
 
 def _cmd_advisor(args, inputs: _Inputs) -> tuple:
     csp = inputs.problem(args.problem)
-    stats = csp_stats(csp)
     profile = growth_profile(csp.dependency_graph, args.r_max)
     params, report = derand.parameter_advisor(
-        stats.p_max, stats.max_dep_degree, parse_rational(args.s), profile
+        max_bad_mass(csp), csp.dependency_graph.max_degree(),
+        parse_rational(args.s), profile,
     )
     results = {"params": params.to_json(), "analysis": report,
                "growth": profile.to_json()}

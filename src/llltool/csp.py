@@ -29,7 +29,6 @@ from .errors import (
 from .exact import (
     certified_less,
     e_power_less,
-    float_of,
     format_rational,
     parse_int,
     parse_rational,
@@ -262,7 +261,8 @@ def _check_row_cap(cid: int, rows: int) -> None:
     cap = materialize_cap_default()
     if rows > cap:
         raise CapExceededError(
-            f"materializing constraint {cid} needs {rows} rows, cap {cap}"
+            f"materializing constraint {cid} needs {format_rational(rows)} rows,"
+            f" cap {cap}"
         )
 
 
@@ -271,20 +271,19 @@ def prob_bad(csp: Csp, cid: int) -> Fraction:
 
     For an explicit bad set this is a lookup of its index's total.
     """
-    return conditional_mass(csp, cid, {})
+    return Fraction(*conditional_weight(csp, cid, {}))
 
 
-def conditional_mass(csp: Csp, cid: int, fixed: Mapping[int, int]) -> Fraction:
-    """Exact mass of the constraint's bad set given the partial labeling.
-
-    Equals `prob_bad(quotient_csp(csp, fixed), cid)`: the integer pair
-    of `conditional_weight`, reduced to one Fraction.
-    """
-    return Fraction(*conditional_weight(csp, cid, fixed))
+def max_bad_mass(csp: Csp) -> Fraction:
+    """The largest `prob_bad` over the constraints, 0 when there are none."""
+    return max((prob_bad(csp, c.id) for c in csp.constraints), default=Fraction(0))
 
 
 def conditional_weight(csp: Csp, cid: int, fixed: Mapping[int, int]) -> tuple[int, int]:
     """The conditional bad mass as an unreduced pair (numerator, denominator).
+
+    Reduced to one Fraction, the pair equals
+    `prob_bad(quotient_csp(csp, fixed), cid)`.
 
     Reads only the constraint's own domain and bad rows: entries of
     `fixed` off the domain are ignored, so a caller may pass any labeling
@@ -364,34 +363,6 @@ def build_dependency_graph(csp: Csp) -> FiniteGraph:
                 if a != b:
                     nbrs[a].add(b)
     return FiniteGraph(m, tuple(tuple(sorted(s)) for s in nbrs))
-
-
-@dataclass(frozen=True)
-class CspStats:
-    order: int
-    vdeg: int
-    max_dep_degree: int
-    p_max: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "vdeg": self.vdeg,
-            "max_dep_degree": self.max_dep_degree,
-            "p_max": format_rational(self.p_max),
-            "p_max_float": float_of(self.p_max),
-        }
-
-
-def csp_stats(csp: Csp) -> CspStats:
-    order = max((len(c.domain) for c in csp.constraints), default=0)
-    counts: dict[int, int] = {}
-    for c in csp.constraints:
-        for v in c.domain:
-            counts[v] = counts.get(v, 0) + 1
-    vdeg = max(counts.values(), default=0)
-    p_max = max((prob_bad(csp, c.id) for c in csp.constraints), default=Fraction(0))
-    return CspStats(order, vdeg, csp.dependency_graph.max_degree(), p_max)
 
 
 def lll_condition(p: Fraction, d: int, variant: str, s: Fraction | None = None) -> bool:

@@ -18,7 +18,6 @@ from typing import Mapping
 from .csp import (
     Csp,
     assignment_rows,
-    conditional_mass,
     conditional_weight,
     is_solution,
     lll_condition,
@@ -152,7 +151,7 @@ def induction_step(csp: Csp, fixed: Mapping[int, int], color_class) -> dict[int,
     merged: dict[int, int] = {}
     for cid in sorted(color_class):
         current = {
-            a: conditional_mass(csp, a, fixed)
+            a: Fraction(*conditional_weight(csp, a, fixed))
             for a in sorted(csp.closed_neighborhoods[cid])
         }
         merged.update(_pick(csp, cid, fixed, current, d, {})[0])

@@ -11,6 +11,8 @@ enclosures that widen on demand, never by building the powers.
 from __future__ import annotations
 
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InternalInvariantError, InvalidInputError, InvalidParameterError
@@ -45,7 +47,15 @@ def parse_int(value) -> int:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """x as "a/b", or "a" for an integer, with every digit.
+
+    `str(Decimal(n))` is exact for an int and, unlike `str(n)`, is not cut
+    off by the interpreter's limit on int-to-str conversion, which keeps
+    guarding parsing.
+    """
+    x = Fraction(x)
+    top = str(Decimal(x.numerator))
+    return top if x.denominator == 1 else f"{top}/{Decimal(x.denominator)}"
 
 
 def e_interval(terms: int) -> tuple[Fraction, Fraction]:
@@ -254,8 +264,15 @@ def rational_pow_leq(base: Fraction, exponent: Fraction, rhs: Fraction) -> bool:
 
 
 def float_of(x: Fraction) -> float:
-    """Lossy float view for report fields; never used in decisions."""
-    return x.numerator / x.denominator
+    """Lossy float view for report fields; never used in decisions.
+
+    A value past the float range reads as the largest finite float of its
+    sign, so a report stays strict JSON.
+    """
+    try:
+        return x.numerator / x.denominator
+    except OverflowError:
+        return sys.float_info.max if x > 0 else -sys.float_info.max
 
 
 def hoeffding_side(count: int, trials: int, mean: Fraction) -> int:

@@ -144,9 +144,6 @@ class GrowthProfile:
             raise InvalidParameterError(f"radius {r} outside profile")
         return self.gamma[r - 1]
 
-    def proxy_float(self) -> float:
-        return self.proxy_gamma ** (1.0 / self.proxy_radius)
-
     def proxy_less_than(self, x: Fraction) -> bool:
         """Certified test gamma(r*)**(1/r*) < x."""
         return self.proxy_gamma < x**self.proxy_radius
@@ -157,7 +154,7 @@ class GrowthProfile:
             "proxy": {
                 "radius": self.proxy_radius,
                 "gamma": self.proxy_gamma,
-                "value_float": self.proxy_float(),
+                "value_float": self.proxy_gamma ** (1.0 / self.proxy_radius),
             },
         }
 
@@ -192,8 +189,12 @@ def growth_profile(g: FiniteGraph, r_max: int) -> GrowthProfile:
     if r_max < 1:
         raise InvalidParameterError("r_max must be >= 1")
     gamma = max_ball_sizes(g, r_max)[1:]
+    # gamma is constant from radius `flat` on, so gamma(r)**(1/r) only
+    # falls there: of those radii only r_max can be the argmin. A radius
+    # compared twice ties with itself and changes nothing.
+    flat = gamma.index(gamma[-1]) + 1
     best = 1
-    for r in range(2, r_max + 1):
+    for r in (*range(2, flat + 1), r_max):
         # gamma(r)**(1/r) < gamma(best)**(1/best), exact cross comparison
         if pow_compare(gamma[r - 1], best, gamma[best - 1], r) < 0:
             best = r

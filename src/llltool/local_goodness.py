@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .csp import BadPredicate, Constraint, Csp, csp_stats
+from .csp import BadPredicate, Constraint, Csp, max_bad_mass
 from .errors import (
     HypothesisError,
     InvalidParameterError,
@@ -354,8 +354,7 @@ def estimate_lbad_prob(
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     csp = plan.csp
-    stats = csp_stats(csp)
-    d, p = stats.max_dep_degree, stats.p_max
+    d, p = csp.dependency_graph.max_degree(), max_bad_mass(csp)
     check_lbad_hypotheses(p, s, plan.eps, eta)
     gamma_r = gamma_at_radius(csp.dependency_graph, plan.R)
     bound = lbad_bound(d, eta, plan.R, gamma_r, plan.N)

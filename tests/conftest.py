@@ -50,6 +50,7 @@ from llltool.csp import (
 from llltool.exact import float_of
 from llltool.generators import WITH_REFERENCE, Hypergraph
 from llltool.graphs import (
+    GrowthProfile,
     bfs_distances,
     greedy_proper_coloring,
     maximal_independent_set,
@@ -385,6 +386,16 @@ def ball(g, v: int, radius: int) -> frozenset[int]:
     return frozenset(bfs_distances(g, v, radius))
 
 
+def strict_json(text: str):
+    """Parse a report as strict JSON, refusing the NaN and Infinity tokens
+    that `json.loads` accepts by default."""
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def ball_per_radius_sizes(g, r_max: int) -> list[int]:
     """Largest ball at each radius 0..r_max, one fresh ball per (vertex,
     radius) pair: the definition `graphs.max_ball_sizes` computes."""
@@ -392,6 +403,18 @@ def ball_per_radius_sizes(g, r_max: int) -> list[int]:
         max((len(ball(g, v, r)) for v in range(g.n)), default=0)
         for r in range(r_max + 1)
     ]
+
+
+def full_loop_growth_profile(g, r_max: int) -> GrowthProfile:
+    """The growth profile with every radius compared to the best so far,
+    through the integer powers themselves: the loop `graphs.growth_profile`
+    cuts short once the balls stop growing."""
+    gamma = ball_per_radius_sizes(g, r_max)[1:]
+    best = 1
+    for r in range(2, r_max + 1):
+        if gamma[r - 1] ** best < gamma[best - 1] ** r:
+            best = r
+    return GrowthProfile(tuple(gamma), best, gamma[best - 1])
 
 
 # The pairwise witness layer that `witness._edges` and `witness._vertex_cells`

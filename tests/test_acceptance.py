@@ -26,6 +26,7 @@ from conftest import (
     realizable_by_sequence,
     sequences_upto,
     some_tables,
+    strict_json,
     table_to_json,
 )
 from llltool.cli import main
@@ -395,9 +396,9 @@ def test_criterion_10_reports_reproduce_and_json_round_trips(tmp_path, capsys):
     argv = ["mta", "--problem", str(prob), "--depth", "8", "--trials", "50",
             "--seed", "5", "--strategy", "random"]
     assert main(argv) == 0
-    first = json.loads(capsys.readouterr().out)
+    first = strict_json(capsys.readouterr().out)
     assert main(argv) == 0
-    second = json.loads(capsys.readouterr().out)
+    second = strict_json(capsys.readouterr().out)
     first.pop("timing_seconds"), second.pop("timing_seconds")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 

@@ -11,11 +11,18 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from conftest import dump_graph_json, make_csp, materialize_cap, table_to_json
+from conftest import (
+    dump_graph_json,
+    make_csp,
+    materialize_cap,
+    strict_json,
+    table_to_json,
+)
 import llltool
 from llltool import cli
 from llltool.cli import main
@@ -29,7 +36,7 @@ from llltool.generators import (
     sinkless_orientation,
 )
 from llltool.graphs import graph_from_edges, growth_profile
-from llltool.local_goodness import DEFAULT_SEARCH_BUDGET
+from llltool.local_goodness import DEFAULT_SEARCH_BUDGET, lbad_bound
 from llltool.moser_tardos import MtSequence, mta_run, scripted_strategy
 from llltool.tables import Table
 from llltool.witness import WitnessDigraph, full_witness_digraph
@@ -48,7 +55,7 @@ def path_graph(n):
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 def write(tmp_path, name, obj):
@@ -1033,13 +1040,101 @@ def test_internal_faults_exit_four(tmp_path, capsys, monkeypatch, fault):
     def explode(csp):
         raise fault
 
-    monkeypatch.setattr(cli, "csp_stats", explode)
+    monkeypatch.setattr(cli, "max_bad_mass", explode)
     prob = problem_file(tmp_path, make_csp(1, [((0,), [])]))
     assert main(["stats", "--problem", prob]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("llltool: internal error:")
     assert captured.err.count("\n") == 1
+
+
+def exact_of(text):
+    """A rational report string read back whole; `Fraction(text)` refuses
+    past the interpreter's limit on int-from-str conversion."""
+    top, _, bottom = text.partition("/")
+    return Fraction(int(Decimal(top)), int(Decimal(bottom or "1")))
+
+
+def huge_value_case(tmp_path, name):
+    """(argv, exact values the report must carry) of one input whose exact
+    values pass the int-to-str limit (4,300 digits) or the float range."""
+    one = problem_file(tmp_path, make_csp(1, [((0,), [(0,)])]))
+    if name == "lbad-bound-digits":
+        # circulant(10, {1, 2}): the 4-regular ring, so d = 4 and gamma(1) = 5
+        ring = [(i, (i + k) % 10) for i in range(10) for k in (1, 2)]
+        prob = problem_file(tmp_path, sinkless_orientation(graph_from_edges(10, ring)))
+        argv = ["lbad", "--problem", prob, "--c", "0", "--R", "1", "--N", "3000",
+                "--eps", "1/32", "--eta", "1/64", "--s", "21/20", "--depth", "3",
+                "--trials", "10"]
+        return argv, {"bound_exact": lbad_bound(4, Fraction(1, 64), 1, 5, 3000)}
+    if name == "mt2-partial-sum-digits":
+        alpha = Fraction(1, 2**30)
+        argv = ["verify-mt2", "--problem", one, "--c", "0", "--alpha", "1/1073741824",
+                "--beta", "1/2", "--max-vertices", "500"]
+        partial = sum(alpha**n for n in range(1, 501))
+        return argv, {"partial_sum_exact": partial, "bound_exact": 1}
+    if name == "mt2-bound-past-float":
+        beta = f"{10**400 - 1}/{10**400}"
+        argv = ["verify-mt2", "--problem", one, "--c", "0", "--alpha", "1/2",
+                "--beta", beta, "--max-vertices", "3"]
+        return argv, {"partial_sum_exact": Fraction(7, 8), "bound_exact": 10**400 - 1}
+    if name == "pipeline-row-count-digits":
+        triangle = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        prob = problem_file(tmp_path, proper_coloring(triangle, 3))
+        params = write(tmp_path, "params.json",
+                       {"eps": "1/2", "eta": "1/2", "R": 1, "N": 5, "depth": 10000})
+        return ["pipeline", "--problem", prob, "--params", params, "--mode", "det"], {}
+    # p = 1/4 on a star of 150 constraints (d = 149): p(d+1)^(d+1) > 1e308
+    star = make_csp(151, [((0, i + 1), [(0, 0)]) for i in range(150)])
+    return ["solve", "--problem", problem_file(tmp_path, star)], {}
+
+
+# The exit codes each input may end in; none may end in 4.
+HUGE_VALUE_EXITS = {
+    "lbad-bound-digits": (0, 1),
+    "mt2-partial-sum-digits": (0, 1),
+    "mt2-bound-past-float": (0, 1),
+    "pipeline-row-count-digits": (3,),
+    "solve-premise-past-float": (2,),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_VALUE_EXITS)
+def test_huge_exact_values_print_in_full_and_floats_stay_finite(tmp_path, capsys, name):
+    argv, exact = huge_value_case(tmp_path, name)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in HUGE_VALUE_EXITS[name], err
+    if code == 2:
+        assert err == (
+            f"llltool: error: p(d+1)^(d+1) = {sys.float_info.max} is not < 1\n"
+        )
+        return
+    results = strict_json(out)["results"]
+    if code == 3:
+        assert results["status"] == "infeasible"
+        # 30,000 free cells of 3 labels each
+        count = results["cap_failed"].split(" needs ")[1].split(" rows")[0]
+        assert int(Decimal(count)) == 3**30000
+        return
+    for key, text in results.items():
+        if key.endswith("_exact"):
+            assert exact_of(text) == exact[key], key
+    assert sorted(k for k in results if k.endswith("_exact")) == sorted(exact)
+    if name == "mt2-bound-past-float":
+        assert results["bound"] == sys.float_info.max
+
+
+def test_integers_past_the_digit_limit_are_still_refused_on_input(tmp_path, capsys):
+    # Reports print every digit, but parsing keeps the interpreter's limit.
+    huge = "1" + "0" * 5000
+    prob = problem_file(tmp_path, make_csp(1, [((0,), [(1,)])]))
+    text = open(prob, encoding="utf-8").read().replace("[[1]]", f"[[{huge}]]")
+    assert main(["stats", "--problem", write(tmp_path, "huge.json", text)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert main(["stats", "--problem", prob, "--s", huge]) == 2
+    assert "not a rational" in capsys.readouterr().err
 
 
 def test_advisor_rejects_a_profile_shorter_than_needed(tmp_path, capsys):
@@ -1149,4 +1244,4 @@ def test_the_package_runs_as_a_module(tmp_path):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["command"] == "stats"
+    assert strict_json(done.stdout)["command"] == "stats"

@@ -6,14 +6,15 @@ and budgets, the materialization cap included: `LLLTOOL_MATERIALIZE_CAP`
 is at most 4096 in every run, where the default 2**24 would let a
 deterministic `pipeline` list millions of meta-rows. Whatever the input,
 `main` must exit 0, 1, 2 or 3, never 4 (an internal fault); on exit 0
-its report parses back and names its command, and `generate`'s problem
-loads back. Malformed script and table shapes, integers of the problem,
-table and witness given as floats, numeric strings or bools, graph files
-given as JSON or with a malformed edge, and `generate`'s kind come from a
-second rng, so they leave the other draws as they are. So do a negative
-problem `variables`, on which every command that reads the problem must
-exit 2, and the hypergraph files of `generate --kind hyp2color`, which
-must exit 2 exactly when n is negative or an edge is empty.
+its report parses back as strict JSON and names its command, and
+`generate`'s problem loads back. Malformed script and table shapes,
+integers of the problem, table and witness given as floats, numeric
+strings or bools, graph files given as JSON or with a malformed edge,
+and `generate`'s kind come from a second rng, so they leave the other
+draws as they are. So do a negative problem `variables`, on which every
+command that reads the problem must exit 2, and the hypergraph files of
+`generate --kind hyp2color`, which must exit 2 exactly when n is
+negative or an edge is empty.
 """
 
 import io
@@ -21,7 +22,7 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from conftest import materialize_cap
+from conftest import materialize_cap, strict_json
 from llltool.cli import main
 from llltool.csp import load_problem
 
@@ -302,7 +303,7 @@ def test_no_random_input_crashes_the_cli(tmp_path):
                     if code == 0 and argv[0] == "generate":
                         load_problem(out)  # the bare problem, no envelope
                     elif code == 0:
-                        report = json.loads(out)
+                        report = strict_json(out)
                         assert report["command"] == argv[0], context
                     seen_codes.add(code)
                     commanded.add(argv[0])

@@ -29,11 +29,11 @@ from llltool.csp import (
     assignment_rows,
     build_dependency_graph,
     conditional_weight,
-    csp_stats,
     dump_problem,
     is_solution,
     lll_condition,
     load_problem,
+    max_bad_mass,
     prob_bad,
     quotient_csp,
     uniform_weights,
@@ -247,13 +247,11 @@ def test_empty_domain_is_isolated_in_dependency_graph():
     assert dep.adjacency[0] == ()
 
 
-def test_csp_stats_fields():
+def test_max_bad_mass():
     csp = make_csp(3, [((0, 1), [(0, 0)]), ((1, 2), [(1, 1), (0, 0)])])
-    stats = csp_stats(csp)
-    assert stats.order == 2
-    assert stats.vdeg == 2
-    assert stats.max_dep_degree == 1
-    assert stats.p_max == Fraction(1, 2)
+    assert max_bad_mass(csp) == Fraction(1, 2)
+    assert csp.dependency_graph.max_degree() == 1
+    assert max_bad_mass(make_csp(2, [])) == 0
 
 
 def test_lll_condition_classic():

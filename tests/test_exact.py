@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -251,6 +253,25 @@ def test_pow_compare_decides_giant_exponents_without_the_powers():
 
 def test_float_of_is_true_division():
     assert float_of(Fraction(1, 3)) == 1 / 3
+
+
+def test_float_of_reads_past_the_range_as_the_largest_float():
+    top = sys.float_info.max
+    assert float_of(Fraction(10**400, 3)) == top
+    assert float_of(Fraction(-(10**400), 3)) == -top
+    # inside the range, down to underflow, the view is true division
+    assert float_of(Fraction(10**308, 1)) == 1e308
+    assert float_of(Fraction(1, 10**400)) == 0.0
+
+
+def test_format_rational_writes_every_digit():
+    # str() of an int stops at 4,300 digits; the formatter does not
+    q = Fraction(-(10**5000) - 7, 3**9000)
+    top, bottom = format_rational(q).split("/")
+    assert top == "-1" + "0" * 4999 + "7"
+    assert int(Decimal(bottom)) == 3**9000
+    assert format_rational(Fraction(10**5000)) == "1" + "0" * 5000
+    assert format_rational(Fraction(-3, 4)) == "-3/4"
 
 
 def test_hoeffding_band_at_a_hundred_draws_of_mean_one_half():

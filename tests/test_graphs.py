@@ -5,7 +5,13 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from conftest import ball, ball_per_radius_sizes, dump_graph_json
+from conftest import (
+    ball,
+    ball_per_radius_sizes,
+    dump_graph_json,
+    full_loop_growth_profile,
+)
+from llltool import graphs
 from llltool.errors import InvalidInputError, InvalidParameterError
 from llltool.graphs import (
     FiniteGraph,
@@ -210,6 +216,24 @@ def test_depth_ten_tree_ball_grows_exponentially():
     gamma = growth_profile(g, 20).gamma
     assert gamma[:10] == tuple(3 * 2**r - 2 for r in range(1, 11))
     assert gamma[9:] == (3070,) * 11
+
+
+def test_growth_proxy_matches_the_full_loop_past_saturation():
+    rng = random.Random(41)
+    for g in random_graphs(rng, 40, 14) + [path(12), cycle(11), tree_ball(3, 3)]:
+        # r_max runs past every diameter, so each profile ends flat
+        assert growth_profile(g, g.n + 5) == full_loop_growth_profile(g, g.n + 5)
+
+
+def test_growth_proxy_compares_a_flat_profile_once(monkeypatch):
+    calls, pow_compare = [], graphs.pow_compare
+    monkeypatch.setattr(
+        graphs, "pow_compare", lambda *args: calls.append(args) or pow_compare(*args)
+    )
+    # The triangle's balls are whole from radius 1 on: 3**(1/r) falls.
+    prof = growth_profile(cycle(3), 2000)
+    assert (prof.proxy_radius, prof.proxy_gamma) == (2000, 3)
+    assert len(calls) <= 2
 
 
 def test_growth_proxy_takes_exact_argmin():
