@@ -135,7 +135,8 @@ def _empty_row(f: Mapping[int, int]) -> tuple[()]:
     return ()
 
 
-def _row_reader(domain: tuple[int, ...]) -> Callable:
+def row_reader(domain: tuple[int, ...]) -> Callable:
+    """Map a labeling to the tuple of its labels on `domain`, in order."""
     if len(domain) > 1:
         return operator.itemgetter(*domain)
     if domain:
@@ -220,7 +221,7 @@ class Csp:
         derive(self, "bad_index", tuple(index for index, _ in entries))
         derive(self, "bad_tests", tuple(test for _, test in entries))
         derive(self, "row_readers", tuple(
-            _row_reader(c.domain) for c in self.constraints
+            row_reader(c.domain) for c in self.constraints
         ))
 
     def constraint(self, cid: int) -> Constraint:

@@ -31,7 +31,7 @@ from .errors import (
     InvalidParameterError,
     SearchBudgetError,
 )
-from .exact import _iroot, float_of, format_rational, parse_int, parse_rational, pow_compare
+from .exact import float_of, format_rational, parse_int, parse_rational, pow_compare
 from .graphs import GrowthProfile, greedy_proper_coloring
 from .local_goodness import (
     DEFAULT_SEARCH_BUDGET,
@@ -334,8 +334,9 @@ def params_from_json(obj) -> PipelineParams:
 
 def least_growth_radius(growth: GrowthProfile, eps: Fraction) -> int | None:
     """Least profile radius with gamma(R) < (1-eps)^-R, None if absent."""
+    base = 1 / (1 - eps)
     for r in range(1, len(growth.gamma) + 1):
-        if growth.gamma_at(r) * (1 - eps) ** r < 1:
+        if pow_compare(base, r, growth.gamma_at(r), 1) > 0:
             return r
     return None
 
@@ -388,28 +389,27 @@ def parameter_advisor(
         raise HypothesisError("p(e(d+1))^s < 1 fails")
 
     eps_hi = 1 - 1 / s
-    # Rational over-approximation of gamma^(1/r): least n with (n/Q)^r >= gamma.
+    # Rational over-approximation of gamma^(1/r): the least n with
+    # (n/Q)^r >= gamma. The float only proposes n; the two exact loops
+    # certify that n - 1 fails and n holds. As gamma >= 1, n >= Q.
     scale = 10**6
-    r_star = growth.proxy_radius
-    power = growth.proxy_gamma * scale**r_star
-    root = _iroot(power, r_star)
-    proxy_upper = Fraction(root + (root**r_star != power), scale)
-    eps_lo = max(Fraction(0), 1 - 1 / proxy_upper)
+    r_star, gamma = growth.proxy_radius, growth.proxy_gamma
+    n = math.ceil(scale * gamma ** (1 / r_star))
+    while pow_compare(Fraction(n - 1, scale), r_star, gamma, 1) >= 0:
+        n -= 1
+    while pow_compare(Fraction(n, scale), r_star, gamma, 1) < 0:
+        n += 1
+    eps_lo = 1 - Fraction(scale, n)
     if eps_lo >= eps_hi:
         raise HypothesisError(
             "growth proxy leaves no eps below 1 - 1/s at this profile "
             "length; a longer profile shrinks the proxy"
         )
     eps = (eps_lo + eps_hi) / 2
-    if not growth.proxy_less_than(1 / (1 - eps)):
-        raise InternalInvariantError("eps midpoint fails the exact proxy test")
-
+    # (1-eps)^-1 > n/Q, so the radius r_star passes: the search finds one.
     chosen_r = least_growth_radius(growth, eps)
     if chosen_r is None:
-        raise InvalidParameterError(
-            f"no radius up to {len(growth.gamma) - 1} has "
-            "gamma(R) < (1-eps)^-R; extend the profile"
-        )
+        raise InternalInvariantError("eps midpoint fails the exact proxy test")
     if 2 * chosen_r > len(growth.gamma):
         raise InvalidParameterError(
             f"profile must reach radius {2 * chosen_r} for the degree factor"

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from .errors import InvalidInputError, InvalidParameterError
@@ -143,10 +142,6 @@ class GrowthProfile:
         if r < 1 or r > len(self.gamma):
             raise InvalidParameterError(f"radius {r} outside profile")
         return self.gamma[r - 1]
-
-    def proxy_less_than(self, x: Fraction) -> bool:
-        """Certified test gamma(r*)**(1/r*) < x."""
-        return self.proxy_gamma < x**self.proxy_radius
 
     def to_json(self) -> dict:
         return {

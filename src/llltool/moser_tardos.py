@@ -45,7 +45,8 @@ class MtSequence:
         return [sorted(s) for s in self.steps]
 
 
-def _check_step_disjoint(csp: Csp, step: frozenset[int]) -> bool:
+def check_step_disjoint(csp: Csp, step: frozenset[int]) -> bool:
+    """Whether the constraints of `step` have pairwise disjoint domains."""
     seen: set[int] = set()
     for cid in step:
         dom = csp.constraint(cid).domain
@@ -133,7 +134,7 @@ def _choose(strategy: Strategy, violated: set[int], heap, csp: Csp, rng, step_in
                 f"step {step_index} fires non-violated constraints "
                 f"{sorted(fired.difference(violated))}"
             )
-        if not _check_step_disjoint(csp, fired):
+        if not check_step_disjoint(csp, fired):
             raise ScriptError(f"step {step_index} is not domain-disjoint")
         return fired
     raise InvalidParameterError(f"unknown strategy kind {strategy.kind!r}")
@@ -235,7 +236,7 @@ def check_consistency(csp: Csp, table: CellSource, seq: MtSequence) -> bool:
     """
     levels = {v: 0 for v in csp.variables}
     for n, step in enumerate(seq.steps):
-        if not _check_step_disjoint(csp, step):
+        if not check_step_disjoint(csp, step):
             raise InvalidInputError(f"step {n} is not domain-disjoint")
         for cid in step:
             dom = csp.constraint(cid).domain

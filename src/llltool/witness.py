@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .csp import Csp, _row_reader, materialize_cap_default, prob_bad
+from .csp import Csp, materialize_cap_default, prob_bad, row_reader
 from .errors import (
     CapExceededError,
     DepthExceededError,
@@ -27,7 +27,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .exact import binomial_sigma, float_of, format_rational, hoeffding_side, parse_int
-from .moser_tardos import MtSequence, _check_step_disjoint
+from .moser_tardos import MtSequence, check_step_disjoint
 from .tables import CellSampler, KeyedTable
 
 
@@ -101,7 +101,7 @@ def full_witness_digraph(seq: MtSequence, csp: Csp) -> WitnessDigraph:
     Raises InvalidInputError if some step repeats a variable.
     """
     for n, step in enumerate(seq.steps):
-        if not _check_step_disjoint(csp, step):
+        if not check_step_disjoint(csp, step):
             raise InvalidInputError(f"step {n} is not domain-disjoint")
     return witness_from_levels(seq.steps, csp)
 
@@ -272,7 +272,7 @@ def verify_mt1_exact(g: WitnessDigraph, csp: Csp, depth: int) -> dict:
     for bad_test, cells in vertex_cells:
         read = tuple(position[cell] for cell in cells)
         if read:
-            checks[max(read)].append((bad_test, _row_reader(read)))
+            checks[max(read)].append((bad_test, row_reader(read)))
         elif not bad_test(()):
             compatible = False
     # Masses are products of integer weight numerators over the common
@@ -335,7 +335,8 @@ def enumerate_sink_star(
     any digraph is built, when the digraphs' vertex pairs (an n-vertex
     digraph has n(n-1)/2, a bound on its edges) exceed
     `materialize_cap_default()`. The pairs are counted as the stacks come,
-    and a stack is kept only while they are within that cap.
+    and the listing refuses at the first stack that takes them past that
+    cap.
     """
     _require_cap(cap)
     limit = materialize_cap_default()
@@ -346,12 +347,11 @@ def enumerate_sink_star(
             raise CapExceededError(f"more than {cap} representatives")
         n = sum(map(len, stack))
         pairs += n * (n - 1) // 2
-        if pairs <= limit:
-            kept.append((n, stack))
-    if pairs > limit:
-        raise CapExceededError(
-            f"{count} digraphs have {pairs} vertex pairs, cap {limit}"
-        )
+        if pairs > limit:
+            raise CapExceededError(
+                f"the first {count} digraphs have {pairs} vertex pairs, cap {limit}"
+            )
+        kept.append((n, stack))
     kept.sort()
     return [witness_from_levels(stack, csp) for _, stack in kept]
 

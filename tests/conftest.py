@@ -47,7 +47,7 @@ from llltool.csp import (
     uniform_weights,
     violates,
 )
-from llltool.exact import float_of
+from llltool.exact import _iroot, float_of
 from llltool.generators import WITH_REFERENCE, Hypergraph
 from llltool.graphs import (
     GrowthProfile,
@@ -415,6 +415,25 @@ def full_loop_growth_profile(g, r_max: int) -> GrowthProfile:
         if gamma[r - 1] ** best < gamma[best - 1] ** r:
             best = r
     return GrowthProfile(tuple(gamma), best, gamma[best - 1])
+
+
+def iroot_proxy_upper(gamma: int, r: int, scale: int = 10**6) -> Fraction:
+    """The least n/scale with (n/scale)**r >= gamma, from the integer r-th
+    root of gamma * scale**r: the formula `derand.parameter_advisor`
+    replaced by a float guess that pow_compare corrects."""
+    power = gamma * scale**r
+    root = _iroot(power, r)
+    return Fraction(root + (root**r != power), scale)
+
+
+def power_growth_radius(growth: GrowthProfile, eps: Fraction) -> int | None:
+    """Least profile radius with gamma(R) * (1-eps)**R < 1, None if absent,
+    building each power: the test `derand.least_growth_radius` makes with
+    pow_compare."""
+    for r in range(1, len(growth.gamma) + 1):
+        if growth.gamma_at(r) * (1 - eps) ** r < 1:
+            return r
+    return None
 
 
 # The pairwise witness layer that `witness._edges` and `witness._vertex_cells`

@@ -726,8 +726,9 @@ def test_stats_reports_every_condition_in_full(tmp_path, capsys):
 def test_a_sink_listing_past_the_vertex_pair_cap_exits_three(
     tmp_path, capsys, monkeypatch
 ):
-    # 1,500 chains of 1 to 1,500 vertices: about 5.6e8 vertex pairs, so the
-    # listing is refused before any digraph is built
+    # chains of 1 to 1,500 vertices: the first 466 already pass the default
+    # cap on vertex pairs, so the listing is refused there, before any
+    # digraph is built
     monkeypatch.delenv("LLLTOOL_MATERIALIZE_CAP", raising=False)
     prob = problem_file(tmp_path, make_csp(1, [((0,), [(1,)])]))
     code = main(
@@ -737,7 +738,7 @@ def test_a_sink_listing_past_the_vertex_pair_cap_exits_three(
     assert code == 3
     assert captured.out == ""
     assert captured.err == (
-        "llltool: budget: 1500 digraphs have 562499750 vertex pairs, "
+        "llltool: budget: the first 466 digraphs have 16865705 vertex pairs, "
         f"cap {2**24}\n"
     )
 
@@ -778,7 +779,7 @@ def test_a_zero_materialization_cap_is_a_cap(tmp_path, capsys, monkeypatch):
     assert code == 0 and payload["results"]["count"] == 1
     for argv, message in (
         (["witness", "--problem", prob, "--sink", "0", "--max-vertices", "2"],
-         "2 digraphs have 1 vertex pairs, cap 0"),
+         "the first 2 digraphs have 1 vertex pairs, cap 0"),
         (["verify-mt1", "--problem", prob, "--witness", wfile, "--depth", "3"],
          "2**2 cell assignments exceed cap 0"),
     ):
@@ -1160,6 +1161,31 @@ def test_advisor_needs_a_profile_that_reaches_twice_the_radius(
     assert code == 0
     analysis = payload["results"]["analysis"]
     assert (analysis["R"], analysis["gamma2R"]) == (34, 137)
+
+
+@pytest.mark.parametrize("problem, s, r_max, advice", [
+    # the sinkless orientation of circulant(10, {1, 2})
+    ("ring", "21/20", 100_000, ("62533/2625063", "1/32", 96, 971, 4856)),
+    # the 64-colouring of the 200-vertex path
+    ("path", "1001/1000", 20_000,
+     ("18079/28607579", "1/2048", 8374, 2_341_617, 7_024_852)),
+])
+def test_advisor_on_a_long_profile(tmp_path, capsys, problem, s, r_max, advice):
+    # A flat profile puts the proxy radius at r_max; the advice is the
+    # one the integer-root advisor gave.
+    csp = {
+        "ring": lambda: sinkless_orientation(graph_from_edges(
+            10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)]
+        )),
+        "path": lambda: proper_coloring(path_graph(200), 64),
+    }[problem]()
+    prob = problem_file(tmp_path, csp)
+    code, payload = run(
+        ["advisor", "--problem", prob, "--s", s, "--r-max", str(r_max)], capsys
+    )
+    assert code == 0
+    analysis = payload["results"]["analysis"]
+    assert tuple(analysis[k] for k in ("eps", "eta", "R", "N", "depth")) == advice
 
 
 def test_advisor_refuses_a_problem_with_no_constraints(tmp_path, capsys):

@@ -14,7 +14,11 @@ and `generate`'s kind come from a second rng, so they leave the other
 draws as they are. So do a negative problem `variables`, on which every
 command that reads the problem must exit 2, and the hypergraph files of
 `generate --kind hyp2color`, which must exit 2 exactly when n is
-negative or an edge is empty.
+negative or an edge is empty. A third rng of its own now and then
+gives a table, witness or hypergraph file of the wrong structure, one
+that lacks a required key (a table's `depth` or `rows`, a witness's
+`edges` or a vertex's `constraint`, a hypergraph's `n`) or is a list or
+null at the top; every command that reads it must exit 2.
 """
 
 import io
@@ -193,6 +197,45 @@ def random_hypergraph(odd):
     return json.dumps({"n": n, "edges": edges}), refused
 
 
+def misshapen(shape, contents):
+    """Now and then (kind, text): the table, witness or hypergraph of
+    `contents` with a required key removed, or a list or null in its
+    place; otherwise None. Drawn from `shape` alone, as in `malform`."""
+    if shape.random() >= 0.25:
+        return None
+    kind = shape.choice(["table", "witness", "hypergraph"])
+    obj = json.loads(contents[kind])
+    if shape.random() < 0.3:
+        return kind, json.dumps(shape.choice([[obj], None]))
+    if kind == "table":
+        del obj[shape.choice(["depth", "rows"])]
+    elif kind == "hypergraph":
+        del obj["n"]
+    elif obj["vertices"] and shape.random() < 0.5:
+        del shape.choice(obj["vertices"])["constraint"]
+    else:
+        del obj["edges"]
+    return kind, json.dumps(obj)
+
+
+def readers(kind, files, path):
+    """Every argv that reads the `kind` file at `path`."""
+    problem = ["--problem", files["problem"]]
+    return {
+        "table": [
+            ["mta"] + problem + ["--depth", "1", "--table", path],
+            ["consistency"] + problem + ["--table", path, "--script", files["script"]],
+            ["locally-good"] + problem + ["--table", path, "--c", "0", "--R", "1",
+                                          "--N", "1", "--eps", "1/2"],
+        ],
+        "witness": [
+            ["witness"] + problem + ["--witness", path],
+            ["verify-mt1"] + problem + ["--witness", path, "--depth", "1"],
+        ],
+        "hypergraph": [["generate", "--kind", "hyp2color", "--graph", path]],
+    }[kind]
+
+
 def commands(rng, files, m):
     """One argv per report-emitting subcommand, small caps and budgets."""
     c = str(pick(rng, range(max(m, 1)), [-1, m]))
@@ -257,9 +300,11 @@ def test_no_random_input_crashes_the_cli(tmp_path):
     commanded = set()
     refused_by_the_cap = set()  # commands with no --cap that the variable stopped
     negatives = refused_hypergraphs = 0
+    misshapen_kinds = set()
     for seed in SEEDS:
         rng = random.Random(seed)
         odd = random.Random(f"malformed {seed}")
+        shape = random.Random(f"misshapen {seed}")
         for _ in range(ROUNDS):
             problem, n, k, m = random_problem(rng)
             table, script = random_table(rng, n, k), random_script(rng, m)
@@ -291,7 +336,18 @@ def test_no_random_input_crashes_the_cli(tmp_path):
                          "--graph", files["hypergraph"]]
             negatives += negative
             refused_hypergraphs += hypergraph_refused
+            refused = []
+            drawn = misshapen(shape, contents)
+            if drawn:
+                kind, text = drawn
+                path = tmp_path / "misshapen.json"
+                path.write_text(text)
+                refused = readers(kind, files, str(path))
+                misshapen_kinds.add(kind)
             with materialize_cap(cap):
+                for argv in refused:
+                    code, out, err = run_main(argv)
+                    assert code == 2, (seed, cap, argv, err, contents, text)
                 for argv in commands(rng, files, m) + [generate, hyp2color]:
                     code, out, err = run_main(argv)
                     context = (seed, cap, argv, err, contents)
@@ -313,3 +369,4 @@ def test_no_random_input_crashes_the_cli(tmp_path):
     assert len(commanded) == 13
     assert refused_by_the_cap == {"pipeline", "verify-mt1"}
     assert negatives > 0 and refused_hypergraphs > 0
+    assert misshapen_kinds == {"table", "witness", "hypergraph"}

@@ -10,10 +10,12 @@ from conftest import (
     cell_table,
     column_lg_csp,
     decode_table,
+    iroot_proxy_upper,
     make_csp,
     materialize_cap,
     paired_hypergraph,
     pairwise_square_independent,
+    power_growth_radius,
     quotient_induction_step,
     quotient_solve_double_exp,
     random_tiny_csp,
@@ -46,7 +48,7 @@ from llltool.derand import (
     pipeline,
     solve_double_exp,
 )
-from llltool.exact import format_rational
+from llltool.exact import format_rational, pow_compare
 from llltool.generators import (
     Hypergraph,
     hypergraph_2coloring,
@@ -258,7 +260,9 @@ def test_advisor_derives_consistent_parameters():
         Fraction(1, 1024), 3, Fraction(6, 5), growth
     )
     assert 0 < params.eps < 1 - Fraction(5, 6)
-    assert growth.proxy_less_than(1 / (1 - params.eps))
+    assert pow_compare(
+        1 / (1 - params.eps), growth.proxy_radius, growth.proxy_gamma, 1
+    ) > 0
     # chosen radius is minimal for gamma(R) * (1-eps)^R < 1
     assert least_growth_radius(growth, params.eps) == params.R
     assert growth.gamma_at(params.R) * (1 - params.eps) ** params.R < 1
@@ -320,6 +324,41 @@ def test_advisor_proxy_root_matches_the_bisection():
             Fraction(0), 0, s, GrowthProfile((1, 1), r, g)
         )
         assert report["eps"] == format_rational(eps), (g, r)
+
+
+def test_advisor_proxy_root_matches_the_integer_root():
+    # As above, s = 10**9 and the profile (1, 1) report eps in every case.
+    # An exact power t**r ties at n = t * 10**6, where the root must land.
+    rng = random.Random(83)
+    s = Fraction(10**9)
+    cases = [(1, 1)] + [
+        (t**r, r) for t in (2, 3, 10, 99) for r in range(1, 201) if t**r < 10**300
+    ]
+    cases += [(rng.randint(1, 10**4), rng.randint(1, 200)) for _ in range(300)]
+    for g, r in cases:
+        eps_lo = 1 - 1 / iroot_proxy_upper(g, r)
+        _, report = parameter_advisor(
+            Fraction(0), 0, s, GrowthProfile((1, 1), r, g)
+        )
+        assert report["eps"] == format_rational((eps_lo + 1 - 1 / s) / 2), (g, r)
+
+
+def test_least_growth_radius_matches_the_built_powers():
+    # gamma(r) = 2**r ties with (1 - 1/2)**-r at every radius, so only
+    # the radius where gamma falls below it counts
+    ties = GrowthProfile((2, 4, 8, 16), 1, 2)
+    assert least_growth_radius(ties, Fraction(1, 2)) is None
+    assert least_growth_radius(GrowthProfile((2, 4, 7), 1, 2), Fraction(1, 2)) == 3
+    rng = random.Random(89)
+    found = set()
+    for _ in range(400):
+        gamma = tuple(sorted(rng.randint(1, 10**3) for _ in range(rng.randint(1, 40))))
+        eps = Fraction(rng.randint(1, 99), rng.choice([100, 1000, 10**4]))
+        growth = GrowthProfile(gamma, 1, gamma[0])
+        r = least_growth_radius(growth, eps)
+        assert r == power_growth_radius(growth, eps), (gamma, eps)
+        found.add(r is None)
+    assert found == {True, False}
 
 
 def test_advisor_accepts_a_profile_that_just_reaches_twice_the_radius():

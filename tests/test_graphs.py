@@ -13,6 +13,7 @@ from conftest import (
 )
 from llltool import graphs
 from llltool.errors import InvalidInputError, InvalidParameterError
+from llltool.exact import pow_compare
 from llltool.graphs import (
     FiniteGraph,
     bfs_distances,
@@ -249,8 +250,9 @@ def test_growth_proxy_takes_exact_argmin():
 def test_growth_proxy_certified_comparison():
     prof = growth_profile(cycle(9), 4)
     # proxy value is 9**(1/4) ~ 1.732
-    assert prof.proxy_less_than(Fraction(7, 4))
-    assert not prof.proxy_less_than(Fraction(17, 10))
+    r, g = prof.proxy_radius, prof.proxy_gamma
+    assert pow_compare(Fraction(7, 4), r, g, 1) > 0
+    assert pow_compare(Fraction(17, 10), r, g, 1) <= 0
 
 
 def test_power_graph_of_path():

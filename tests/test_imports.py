@@ -1,6 +1,7 @@
-"""Every name a module imports is used in that module, each module
-imports on its own, importing every module pulls in no process pool,
-only `csp.materialize_cap_default` reads the environment, and only
+"""Every name a module imports is used in that module, no module takes
+an underscore name from another, each module imports on its own,
+importing every module pulls in no process pool, only
+`csp.materialize_cap_default` reads the environment, and only
 `Csp.__post_init__` writes a frozen object.
 
 Stdlib-only, so the check needs no linter. The package `__init__` is
@@ -42,6 +43,36 @@ def test_the_check_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names a module takes from another: imported by name, or
+    read as an attribute of a module imported from the package."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("_")]
+            if node.level and not node.module:
+                modules.update(alias.asname or alias.name for alias in node.names)
+    found += [f"{n.value.id}.{n.attr} (line {n.lineno})" for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+              and isinstance(n.value, ast.Name) and n.value.id in modules]
+    return found
+
+
+def test_the_check_flags_a_private_import():
+    source = (
+        "from .exact import _iroot, pow_compare\nfrom . import csp\n"
+        "from os import path\nprint(_iroot, csp._row_reader, csp.Csp, path._x)\n"
+    )
+    assert private_imports(source) == ["_iroot (line 1)", "csp._row_reader (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def environment_reads(source: str) -> list[tuple[str, int]]:

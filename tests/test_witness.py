@@ -419,16 +419,15 @@ def test_sink_star_refuses_past_the_vertex_pair_cap(monkeypatch):
 def test_a_refused_sink_listing_keeps_no_more_stacks_than_the_cap_admits(
     monkeypatch,
 ):
-    # 3,000 chains of 1 to 3,000 vertices: about 4.5e9 vertex pairs. Held
-    # all at once, the stacks take about 35 MiB before the refusal; kept
-    # only while their pairs fit the default cap (chains up to about 465
-    # vertices), about 1 MiB.
+    # chains of 1 to 3,000 vertices: held all at once, the stacks take
+    # about 35 MiB. The first 466 already pass the default cap, so the
+    # listing stops there, holding about 1 MiB.
     monkeypatch.delenv("LLLTOOL_MATERIALIZE_CAP", raising=False)
     tracemalloc.start()
     try:
         with pytest.raises(
             CapExceededError,
-            match="^3000 digraphs have 4499999500 vertex pairs, cap 16777216$",
+            match="^the first 466 digraphs have 16865705 vertex pairs, cap 16777216$",
         ):
             enumerate_sink_star(0, CHAIN, max_vertices=3000)
         _, peak = tracemalloc.get_traced_memory()
