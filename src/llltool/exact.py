@@ -5,7 +5,8 @@ ever enters a decision is e (and integer powers of it); those comparisons are
 made through rational interval enclosures whose width shrinks on demand, so
 every verdict is certified. Powers with exponents in the millions, as in
 p**(1-eps-1/s), are compared the same way by pow_compare: through integer
-enclosures that widen on demand, never by building the powers.
+enclosures that widen on demand, never by building the powers. Sides of
+a few thousand bits are built outright, which costs less than enclosing.
 """
 
 from __future__ import annotations
@@ -219,22 +220,43 @@ def _pow_tie(x: Fraction, a: int, y: Fraction, b: int) -> bool:
     )
 
 
+# Sides of at most this many bits are built and compared exactly: below
+# it that is cheaper than the first round of 64-bit brackets.
+_EXACT_BITS = 4096
+
+
 def pow_compare(x, a: int, y, b: int) -> int:
     """Sign of x**a - y**b for rationals x, y >= 0 and integers a, b >= 1.
 
-    Exact, without building the powers. With x = P/Q and y = R/S the
-    question is P**a * S**b against R**b * Q**a. Each of the four powers
-    is enclosed between two numbers m * 2**e with `bits`-bit mantissas,
-    starting at 64 bits and doubling until the enclosures of the two
-    sides separate. They must separate unless the sides are equal: once
-    the mantissas hold every bit nothing is rounded. Equality is tested
-    exactly, by roots, the first time the enclosures do not separate.
+    Exact. With x = P/Q and y = R/S the question is P**a * S**b against
+    R**b * Q**a. When both sides have at most `_EXACT_BITS` bits (by the
+    bit lengths of P, Q, R, S) they are built and compared; otherwise
+    `_bracket_compare` decides without building them.
     """
     x, y = Fraction(x), Fraction(y)
-    if x < 0 or y < 0 or a < 1 or b < 1:
+    p, q, r, s = x.numerator, x.denominator, y.numerator, y.denominator
+    if p < 0 or r < 0 or a < 1 or b < 1:
         raise InvalidParameterError("need x, y >= 0 and a, b >= 1")
-    if x == 0 or y == 0:
-        return (x > 0) - (y > 0)
+    if not p or not r:
+        return (p > 0) - (r > 0)
+    if (a * p.bit_length() + b * s.bit_length() <= _EXACT_BITS
+            and b * r.bit_length() + a * q.bit_length() <= _EXACT_BITS):
+        lhs, rhs = p**a * s**b, r**b * q**a
+        return (lhs > rhs) - (lhs < rhs)
+    return _bracket_compare(x, a, y, b)
+
+
+def _bracket_compare(x: Fraction, a: int, y: Fraction, b: int) -> int:
+    """Sign of x**a - y**b for rationals x, y > 0 and a, b >= 1, by brackets.
+
+    With x = P/Q and y = R/S, each of the four powers of P**a * S**b
+    against R**b * Q**a is enclosed between two numbers m * 2**e with
+    `bits`-bit mantissas, starting at 64 bits and doubling until the
+    enclosures of the two sides separate. They must separate unless the
+    sides are equal: once the mantissas hold every bit nothing is
+    rounded. Equality is tested exactly, by roots, the first time the
+    enclosures do not separate.
+    """
     p, q, r, s = x.numerator, x.denominator, y.numerator, y.denominator
     bits = 64
     while True:
@@ -256,7 +278,7 @@ def rational_pow_leq(base: Fraction, exponent: Fraction, rhs: Fraction) -> bool:
 
     Clearing the denominator b of the exponent a/b turns the comparison into
     the integer-power test base**a <= rhs**b (x -> x**b is monotone on
-    positives), which pow_compare decides without building either power.
+    positives), which pow_compare decides without building large powers.
     """
     if base < 0 or rhs <= 0 or exponent <= 0:
         raise InvalidParameterError("need base >= 0, rhs > 0, exponent > 0")

@@ -24,12 +24,14 @@ in-ball firings is closed, and one where a further outer-shell firing
 could never be diluted below an eps share fires only inside the ball.
 Neither rule removes a count vector from which a witness is reachable,
 so verdicts and first witnesses are those of the unpruned walk, which
-visits at least as many count vectors.
+visits at least as many count vectors. At the root every level is 0, so
+the first rule is decided there from the table depth alone, before the
+walk: when depth times the r-ball size is below N, no cell is read.
 
 Everything the walk reads of the problem and the parameters is fixed
 per centre, so a SearchPlan builds it once (the BFS ball, the order and
-in-ball split per radius, the domains and bad sets, dom_R(c)), and
-is_locally_good checks any number of tables against it.
+in-ball split per radius, the domains and bad sets, eps as p/q,
+dom_R(c)), and is_locally_good checks any number of tables against it.
 """
 
 from __future__ import annotations
@@ -104,7 +106,9 @@ class SearchPlan:
             order += [a for a in ids if dist[a] > r]
             domains = [csp.constraint(a).domain for a in order]
             bads = [csp.bad_tests[a] for a in order]
-            self._radii.append((order, n_in, domains, bads))
+            self._radii.append((order, n_in, domains, bads, domains[:n_in]))
+        # out < eps * (in + out)  <=>  (q - p) * out < p * in, with eps = p/q
+        self._pq = eps.numerator, eps.denominator
 
     def search(self, table: CellSource, r: int) -> tuple[MtSequence | None, int]:
         """First Folner count vector reachable by consistent singleton firings.
@@ -132,20 +136,34 @@ class SearchPlan:
         walk meets the nodes that do in the unpruned order: the verdict
         and the first witness are those of the unpruned walk, and the
         node count is at most its count.
+
+        At the root every level is 0 and `in_max` is `depth * n_in`, so
+        rule 1 there is decided from the table's depth alone, before the
+        walk: when `depth * n_in < N` the root is the only node, and the
+        search returns (None, 1) without reading a cell, after the same
+        budget check as any node (a budget of 0 still raises).
         """
-        c, N, eps, budget = self.c, self.N, self.eps, self.budget
+        c, N, budget = self.c, self.N, self.budget
         if not self.center.domain:
             if self.center_bad(()):
                 return MtSequence(tuple(frozenset({c}) for _ in range(N))), 1
             return None, 1
-        order, n_in, domains, bads = self._radii[min(r, len(self._radii) - 1)]
+        order, n_in, domains, bads, in_domains = self._radii[
+            min(r, len(self._radii) - 1)
+        ]
         depth = table.depth
-        in_domains = domains[:n_in]
+        if depth * n_in < N:
+            # Rule 1 at the root, where every level is 0: in_max is
+            # depth * n_in, so the root is the only node visited.
+            if budget < 1:
+                raise self._over_budget(r)
+            return None, 1
+        get = table.get
         m = len(order)
-        # out < eps * (in + out)  <=>  (q - p) * out < p * in, with eps = p/q
-        p, q = eps.numerator, eps.denominator
+        p, q = self._pq
         levels = dict.fromkeys(self.domain, 0)
         counts = [0] * m
+        in_total = 0  # in-ball firings on the path
         path: list[int] = []  # positions fired, root to current node
         stack: list[int] = []  # per open node, the next position to try
         limits: list[int] = []  # per open node, the first position not to try
@@ -156,19 +174,20 @@ class SearchPlan:
             if key not in visited:
                 visited.add(key)
                 if len(visited) > budget:
-                    raise SearchBudgetError(
-                        f"search exceeded {budget} count vectors at c={c}, r={r}"
-                    )
-                in_total = sum(counts[:n_in])
+                    raise self._over_budget(r)
                 out = len(path) - in_total
                 if in_total >= N and (q - p) * out < p * in_total:
                     witness = MtSequence(
                         tuple(frozenset({order[i]}) for i in path)
                     )
                     return witness, len(visited)
-                in_max = in_total + sum(
-                    depth - max(levels[v] for v in dom) for dom in in_domains
-                )
+                in_max = in_total
+                for dom in in_domains:
+                    top = 0
+                    for v in dom:
+                        if levels[v] > top:
+                            top = levels[v]
+                    in_max += depth - top
                 if in_max >= N:  # else rule 1 closes the node
                     # rule 2: (1 - eps) * (out + 1) >= eps * in_max
                     undiluted = (q - p) * (out + 1) >= p * in_max
@@ -180,30 +199,38 @@ class SearchPlan:
             while stack:
                 for i in range(stack[-1], limits[-1]):
                     dom = domains[i]
-                    if any(levels[v] >= depth for v in dom):
-                        continue
-                    if i >= n_in:
-                        break  # localized bad set is everything
-                    row = tuple(table.get(v, levels[v]) for v in dom)
-                    if bads[i](row):
-                        break
+                    for v in dom:
+                        if levels[v] >= depth:
+                            break  # a variable past its last row: cannot fire
+                    else:
+                        if i >= n_in:
+                            break  # localized bad set is everything
+                        if bads[i](tuple([get(v, levels[v]) for v in dom])):
+                            break
                 else:
                     stack.pop()
                     limits.pop()
                     if path:
                         j = path.pop()
                         counts[j] -= 1
+                        in_total -= j < n_in
                         for v in domains[j]:
                             levels[v] -= 1
                     continue
                 stack[-1] = i + 1
                 path.append(i)
                 counts[i] += 1
+                in_total += i < n_in
                 for v in domains[i]:
                     levels[v] += 1
                 break
             else:
                 return None, len(visited)
+
+    def _over_budget(self, r: int) -> SearchBudgetError:
+        return SearchBudgetError(
+            f"search exceeded {self.budget} count vectors at c={self.c}, r={r}"
+        )
 
 
 def is_locally_good(

@@ -150,7 +150,12 @@ def _recheck(csp: Csp, labeling: dict[int, int], fired, violated: set[int], heap
     on `heap` when there is one, so the heap keeps every violated id.
     """
     closed, readers, tests = csp.closed_neighborhoods, csp.row_readers, csp.bad_tests
-    for cid in frozenset().union(*(closed[a] for a in fired)):
+    if len(fired) == 1:
+        (a,) = fired
+        checked = closed[a]
+    else:
+        checked = frozenset().union(*[closed[a] for a in fired])
+    for cid in checked:
         if tests[cid](readers[cid](labeling)):
             if cid not in violated:
                 violated.add(cid)
@@ -192,10 +197,11 @@ def mta_run(
         max_iters = len(csp.constraints) * table.depth
     elif max_iters < 0:
         raise InvalidParameterError("max_iters must be >= 0")
-    readers, tests = csp.row_readers, csp.bad_tests
+    readers, tests, constraints = csp.row_readers, csp.bad_tests, csp.constraints
+    depth, get = table.depth, table.get
     rng = random.Random(strategy.seed) if strategy.kind == "random" else None
     levels = {v: 0 for v in csp.variables}
-    labeling = {v: table.get(v, 0) for v in csp.variables}
+    labeling = {v: get(v, 0) for v in csp.variables}
     violated = {cid for cid, test in enumerate(tests) if test(readers[cid](labeling))}
     # Holds every violated id, and possibly stale ones (see _choose).
     heap = sorted(violated) if strategy.kind == "first_singleton" else None
@@ -214,12 +220,13 @@ def mta_run(
             status = ITERATION_CAP
             break
         iterations.append(IterationRecord(fired))
-        touched = [v for cid in fired for v in csp.constraints[cid].domain]
-        if any(levels[v] + 1 >= table.depth for v in touched):
-            return RunTrace(DEPTH_EXHAUSTED, iterations, labeling, levels)
+        touched = [v for cid in fired for v in constraints[cid].domain]
+        for v in touched:
+            if levels[v] + 1 >= depth:
+                return RunTrace(DEPTH_EXHAUSTED, iterations, labeling, levels)
         for v in touched:
             levels[v] += 1
-            labeling[v] = table.get(v, levels[v])
+            labeling[v] = get(v, levels[v])
         _recheck(csp, labeling, fired, violated, heap)
         step_index += 1
     iterations.append(IterationRecord(frozenset()))

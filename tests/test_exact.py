@@ -13,6 +13,8 @@ from llltool.derand import params_from_json
 from llltool import exact
 from llltool.errors import InvalidInputError, InvalidParameterError
 from llltool.exact import (
+    _EXACT_BITS,
+    _bracket_compare,
     _iroot,
     binomial_sigma,
     certified_less,
@@ -222,6 +224,39 @@ def test_pow_compare_matches_exact_powers(x, a, y, b):
     assert pow_compare(x, a, y, b) == sign(x**a, y**b)
 
 
+positive_rationals = st.fractions(
+    min_value=Fraction(1, 40), max_value=5, max_denominator=40
+)
+
+
+@given(positive_rationals, st.integers(1, 60), positive_rationals,
+       st.integers(1, 60))
+def test_bracket_compare_matches_exact_powers(x, a, y, b):
+    # pow_compare builds sides this small, so the brackets are checked
+    # against the exact powers directly.
+    assert _bracket_compare(x, a, y, b) == sign(x**a, y**b)
+
+
+def test_pow_compare_builds_sides_up_to_the_cutoff_only(monkeypatch):
+    # Each side counts the bit lengths of its factors: 2**a * 1**1 as
+    # 2 * a + 1 bits, so a = 2047 is built and a = 2048 is not.
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _bracket_compare(*args)
+
+    monkeypatch.setattr(exact, "_bracket_compare", recording)
+    a = (_EXACT_BITS - 1) // 2
+    assert pow_compare(2, a, 3, 1) == 1
+    assert pow_compare(3, 1, 2, a) == -1
+    assert calls == []
+    assert pow_compare(2, a + 1, 3, 1) == 1
+    assert pow_compare(3, 1, 2, a + 1) == -1
+    assert pow_compare(Fraction(1, 2), a + 1, 3, 1) == -1
+    assert len(calls) == 3
+
+
 @given(
     st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
     st.integers(1, 7),
@@ -232,11 +267,13 @@ def test_pow_compare_finds_forced_ties(t, a, b, g):
     # x = t**b, y = t**a give x**(a*g) == y**(b*g) with gcd(a*g, b*g) >= g
     x, y = t**b, t**a
     assert pow_compare(x, a * g, y, b * g) == 0
+    assert _bracket_compare(x, a * g, y, b * g) == 0
     # a nudge either way breaks the tie; it is too small for 64-bit
     # brackets to see, so they must widen
     nudge = Fraction(1, x.denominator * 2**100)
-    assert pow_compare(x + nudge, a * g, y, b * g) == 1
-    assert pow_compare(x - nudge, a * g, y, b * g) == -1
+    for compare in (pow_compare, _bracket_compare):
+        assert compare(x + nudge, a * g, y, b * g) == 1
+        assert compare(x - nudge, a * g, y, b * g) == -1
 
 
 def test_pow_compare_decides_giant_exponents_without_the_powers():

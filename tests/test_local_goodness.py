@@ -338,6 +338,34 @@ def test_search_skips_an_outer_firing_that_cannot_be_diluted():
     assert (nodes, oracle_nodes) == (4, 7)
 
 
+def test_node_counts_are_pinned_on_criterion_07s_ring():
+    # Criterion 07's bound-biting setup (R = 2, eps = 1/20, depth 4,
+    # seed 11) on 200 keyed tables. Per N: the nodes visited summed over
+    # the tables at r = 0 and at r = 1, and the bad verdicts. Frozen from
+    # the walk that built every root's state before closing it; a change
+    # to the search must keep every count.
+    ring = sinkless_orientation(
+        graph_from_edges(10, [(i, (i + k) % 10) for i in range(10) for k in (1, 2)])
+    )
+    cells = CellSampler(ring.weights, 11)
+    pins = {12: ((200, 1540), 0), 2: ((215, 1199), 24)}
+    for N, (pinned_nodes, pinned_bad) in pins.items():
+        plan = SearchPlan(ring, 0, 2, N, Fraction(1, 20))
+        nodes, bad, reads = [0, 0], 0, 0
+        for trial in range(200):
+            table = KeyedTable(cells, plan.domain, 4, trial)
+            for r in range(2):
+                counted = CountedCells(table)
+                nodes[r] += plan.search(counted, r)[1]
+                if r == 0:
+                    reads += counted.reads
+            bad += not is_locally_good(plan, table)[0]
+        assert (tuple(nodes), bad) == (pinned_nodes, pinned_bad)
+        # The ball at r = 0 is c alone: 4 firings < 12 close the root
+        # before any cell is read, while N = 2 walks and reads.
+        assert (reads == 0) == (N == 12)
+
+
 def test_deep_table_search_returns_a_verdict():
     # 1400 nested firings: past the recursion limit of a recursive search.
     csp = make_csp(1, [((0,), [(0,), (1,)])])
